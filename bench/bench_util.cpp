@@ -21,7 +21,6 @@ BenchEnv parse_env(int argc, char** argv, std::uint64_t default_instructions,
   env.sim.fast_forward = cfg.get_bool("fast-forward", true);
   env.sim.checkpoint_stride =
       cfg.get_uint("checkpoint-stride", env.sim.checkpoint_stride);
-  env.sim.batched = cfg.get_bool("batched", false);
   const std::string dram_power = cfg.get_or("dram-power", "off");
   if (dram_power == "timeout")
     env.sim.mem.dram.power.mode = DramPowerMode::kTimeout;

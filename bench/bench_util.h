@@ -7,11 +7,6 @@
 //   --fast-forward=0   tick stall windows cycle-by-cycle instead of the
 //                      closed-form fast path (bit-identical, much slower;
 //                      see bench/micro_ff_speedup.cpp)
-//   --batched=1        pull SoA InstrBlocks through TraceSource::next_batch
-//                      and run Core::run_batched instead of the scalar
-//                      next()/step() front-end (bit-identical, faster; a
-//                      pure execution-strategy knob excluded from the result
-//                      cache identity — see bench/micro_sim_throughput.cpp)
 //   --dram-power=MODE  DRAM low-power states (docs/MEMORY_POWER.md):
 //                      off (default), timeout (idle channels park on a
 //                      per-channel timer), coordinated (the PG controller

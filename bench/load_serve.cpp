@@ -1,27 +1,23 @@
 // Serving-path load generator (docs/SERVE.md): closed-loop clients drive a
 // ServeServer over real loopback TCP and measure QPS + p50/p99 latency at
 // three cache-hit mixes — ~0 % (every request a fresh seed: cold compute),
-// ~50 %, and ~95 % (requests mostly revisit a small warmed key set) — first
-// against a single server, then through a shard front fanning out to N
-// worker servers by v4 cache key.
+// ~50 %, and ~95 % (requests mostly revisit a small warmed key set).
 //
 // "Closed loop" means each client thread has exactly one request in flight:
 // it sends a cell, waits for the reply, records the wall latency, repeats.
 // QPS is total requests over the mix's wall-clock; latencies are merged
 // across clients before taking percentiles.  Hit ratios are verified from
-// the per-response `tier` field (hot/cache/replay/coalesced = hit), which
-// works identically in sharded mode where the front's own stats are empty.
+// the per-response `tier` field (hot/cache/replay/coalesced = hit).
 //
-// The headline claim for BENCH_serve.json: hot-mix QPS >= 5x cold-mix QPS
-// on the single-shard server — the tiering exists to make repeat queries
-// cheap, and this is the number that says by how much.
+// The headline claim for BENCH_serve.json: hot-mix QPS >= 5x cold-mix QPS —
+// the tiering exists to make repeat queries cheap, and this is the number
+// that says by how much.
 //
 // Usage: load_serve [--instructions=N] [--warmup=N] [--clients=N]
-//                   [--reqs=N] [--cold-reqs=N] [--warm-set=N] [--shards=N]
-//                   [--jobs=N] [--target=X] [--smoke=1] [--json=FILE]
+//                   [--reqs=N] [--cold-reqs=N] [--warm-set=N] [--jobs=N]
+//                   [--target=X] [--smoke=1] [--json=FILE]
 //   --reqs       requests per client in the warm (50 %/95 %) mixes
 //   --cold-reqs  requests per client in the cold mix (each one simulates)
-//   --shards     worker count for the sharded scenario (0 skips it)
 //   --smoke=1    tiny counts, machinery check only, no target enforcement
 //   --json=FILE  machine-readable record (scripts/bench_report.sh serve)
 #include <algorithm>
@@ -31,7 +27,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,52 +66,6 @@ struct MixResult {
   std::map<std::string, std::uint64_t> tiers;
 };
 
-/// A scenario is the server topology under test: one plain server, or a
-/// front plus N workers (all in-process, all speaking real TCP loopback).
-struct Scenario {
-  std::string name;
-  std::size_t shards = 0;  ///< 0 = single server, no front
-  std::vector<std::unique_ptr<ServeServer>> servers;
-  std::uint16_t target_port = 0;  ///< where clients connect
-
-  ~Scenario() {
-    // Front first so it stops forwarding before its workers vanish.
-    for (auto it = servers.rbegin(); it != servers.rend(); ++it) (*it)->stop();
-  }
-};
-
-std::unique_ptr<Scenario> make_scenario(std::size_t shards, unsigned jobs) {
-  auto sc = std::make_unique<Scenario>();
-  sc->shards = shards;
-  sc->name = shards == 0 ? "1 shard" : std::to_string(shards) + " shards";
-  std::string error;
-  std::vector<std::string> worker_addrs;
-  for (std::size_t i = 0; i < shards; ++i) {
-    ServerOptions wo;
-    wo.exec.jobs = jobs;
-    wo.exec.use_disk_cache = false;
-    auto worker = std::make_unique<ServeServer>(wo);
-    if (!worker->start(&error)) {
-      std::fprintf(stderr, "FATAL: worker start: %s\n", error.c_str());
-      std::exit(1);
-    }
-    worker_addrs.push_back("127.0.0.1:" + std::to_string(worker->port()));
-    sc->servers.push_back(std::move(worker));
-  }
-  ServerOptions fo;
-  fo.exec.jobs = jobs;
-  fo.exec.use_disk_cache = false;
-  fo.shards = worker_addrs;  // empty => plain single server
-  auto front = std::make_unique<ServeServer>(fo);
-  if (!front->start(&error)) {
-    std::fprintf(stderr, "FATAL: server start: %s\n", error.c_str());
-    std::exit(1);
-  }
-  sc->target_port = front->port();
-  sc->servers.push_back(std::move(front));
-  return sc;
-}
-
 CellRequest make_cell(std::uint64_t instructions, std::uint64_t warmup,
                       std::uint64_t seed) {
   CellRequest req;
@@ -129,7 +78,7 @@ CellRequest make_cell(std::uint64_t instructions, std::uint64_t warmup,
 }
 
 /// Issue every warm-set cell once so later mixes find them resident in the
-/// hot tier (in sharded mode this lands each key on its owning worker).
+/// hot tier.
 void warm(std::uint16_t port, std::uint64_t instructions,
           std::uint64_t warmup, std::size_t warm_set) {
   ServeClient client;
@@ -237,14 +186,13 @@ MixResult run_mix(const MixSpec& spec, std::uint16_t port, unsigned clients,
   return out;
 }
 
-void print_mix(const Scenario& sc, const MixResult& m) {
+void print_mix(const MixResult& m) {
   std::string census;
   for (const auto& [tier, n] : m.tiers)
     census += (census.empty() ? "" : ", ") + std::to_string(n) + " " + tier;
-  std::printf("  %-9s %-6s hit %3.0f%% (asked %3.0f%%)  %6llu req  "
+  std::printf("  %-6s hit %3.0f%% (asked %3.0f%%)  %6llu req  "
               "%8.1f qps  p50 %7.3f ms  p99 %7.3f ms  [%s]\n",
-              sc.name.c_str(), m.name.c_str(), 100 * m.hit_ratio,
-              100 * m.hit_target,
+              m.name.c_str(), 100 * m.hit_ratio, 100 * m.hit_target,
               static_cast<unsigned long long>(m.requests), m.qps, m.p50_ms,
               m.p99_ms, census.c_str());
 }
@@ -280,7 +228,6 @@ int main(int argc, char** argv) {
   const std::size_t reqs = cfg.get_uint("reqs", smoke ? 20 : 200);
   const std::size_t cold_reqs = cfg.get_uint("cold-reqs", smoke ? 4 : 30);
   const std::size_t warm_set = cfg.get_uint("warm-set", 16);
-  const std::size_t shards = cfg.get_uint("shards", 2);
   const unsigned jobs = static_cast<unsigned>(cfg.get_uint("jobs", 2));
   const double target = cfg.get_double("target", 5.0);
   const std::string json_path = cfg.get_or("json", "");
@@ -298,34 +245,36 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(warmup), clients, jobs,
               warm_set, kWorkload, kPolicy, smoke ? "; SMOKE" : "");
 
+  ServerOptions so;
+  so.exec.jobs = jobs;
+  so.exec.use_disk_cache = false;
+  ServeServer server(so);
+  std::string error;
+  if (!server.start(&error)) {
+    std::fprintf(stderr, "FATAL: server start: %s\n", error.c_str());
+    return 1;
+  }
+
   double qps_cold = 0, qps_hot = 0;
   std::uint64_t total_errors = 0;
-  std::vector<std::pair<std::size_t, std::vector<MixResult>>> scenarios;
-  for (const std::size_t n_shards :
-       std::vector<std::size_t>{0, shards == 0 ? 0 : shards}) {
-    if (!scenarios.empty() && n_shards == 0) continue;  // --shards=0
-    const auto sc = make_scenario(n_shards, jobs);
-    std::vector<MixResult> results;
-    for (const MixSpec& spec : mixes) {
-      if (spec.hit_target > 0 && (results.empty() ||
-                                  results.back().hit_target == 0))
-        warm(sc->target_port, instructions, warmup, warm_set);
-      MixResult m = run_mix(spec, sc->target_port, clients, instructions,
-                            warmup, warm_set);
-      print_mix(*sc, m);
-      total_errors += m.errors;
-      if (n_shards == 0 && m.hit_target == 0) qps_cold = m.qps;
-      if (n_shards == 0 && m.hit_target > 0.9) qps_hot = m.qps;
-      results.push_back(std::move(m));
-    }
-    scenarios.emplace_back(n_shards == 0 ? 1 : n_shards,
-                           std::move(results));
-    std::printf("\n");
+  std::vector<MixResult> results;
+  for (const MixSpec& spec : mixes) {
+    if (spec.hit_target > 0 &&
+        (results.empty() || results.back().hit_target == 0))
+      warm(server.port(), instructions, warmup, warm_set);
+    MixResult m = run_mix(spec, server.port(), clients, instructions, warmup,
+                          warm_set);
+    print_mix(m);
+    total_errors += m.errors;
+    if (m.hit_target == 0) qps_cold = m.qps;
+    if (m.hit_target > 0.9) qps_hot = m.qps;
+    results.push_back(std::move(m));
   }
+  std::printf("\n");
 
   const double gap = qps_cold > 0 ? qps_hot / qps_cold : 0;
   const bool met = gap >= target;
-  std::printf("hot/cold QPS gap (1 shard): %.1fx (target %.1fx) %s\n", gap,
+  std::printf("hot/cold QPS gap: %.1fx (target %.1fx) %s\n", gap,
               target, smoke ? "(smoke: informational)"
                             : (met ? "PASS" : "MISS"));
   if (total_errors) {
@@ -347,16 +296,9 @@ int main(int argc, char** argv) {
     j["warm_set"] = Json::number(warm_set);
     j["workload"] = Json::string(kWorkload);
     j["policy"] = Json::string(kPolicy);
-    Json scens = Json::array();
-    for (const auto& [n_shards, results] : scenarios) {
-      Json s = Json::object();
-      s["shards"] = Json::number(n_shards);
-      Json ms = Json::array();
-      for (const MixResult& m : results) ms.push(mix_json(m));
-      s["mixes"] = std::move(ms);
-      scens.push(std::move(s));
-    }
-    j["scenarios"] = std::move(scens);
+    Json ms = Json::array();
+    for (const MixResult& m : results) ms.push(mix_json(m));
+    j["mixes"] = std::move(ms);
     j["qps_cold"] = Json::number(qps_cold);
     j["qps_hot"] = Json::number(qps_hot);
     j["hot_over_cold"] = Json::number(gap);

@@ -109,28 +109,14 @@ void Core::run(TraceSource& trace, std::uint64_t max_instrs) {
   }
 }
 
-void Core::run_batched(TraceSource& trace, std::uint64_t max_instrs) {
-  // Same per-instruction semantics as run() — exec_one is step()'s body —
-  // but fetched a block at a time, so the trace source fills SoA lanes
-  // without per-instruction virtual dispatch, and the derived cycles
-  // counter is refreshed per block instead of per instruction.  Statistics
-  // are only observed between run calls, so both deferrals are invisible.
-  InstrBlock block;
-  std::uint64_t done = 0;
-  while (done < max_instrs) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max_instrs - done, InstrBlock::kCapacity));
-    trace.next_batch(block, want);
-    if (block.count == 0) break;
-    for (std::size_t i = 0; i < block.count; ++i)
-      exec_one(block.op[i], block.addr[i], block.dep_dist[i]);
-    done += block.count;
-    stats_.cycles = now_ - stats_base_;
-    if (block.count < want) break;  // trace exhausted
-  }
-}
-
-void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
+bool Core::step(TraceSource& trace) {
+  Instr instr;
+  if (!trace.next(instr)) return false;
+  // Copy the fields out: instr's address escaped into next(), so reading
+  // them directly would reload them from memory after every call below.
+  const OpClass op = instr.op;
+  const Addr addr = instr.addr;
+  const std::uint16_t dep_dist = instr.dep_dist;
   const InstrId id = next_id_++;
 
   // 1. Dependence check: does this instruction consume an unreturned load?
@@ -206,12 +192,6 @@ void Core::exec_one(OpClass op, Addr addr, std::uint16_t dep_dist) {
       advance_slot();
       break;
   }
-}
-
-bool Core::step(TraceSource& trace) {
-  Instr instr;
-  if (!trace.next(instr)) return false;
-  exec_one(instr.op, instr.addr, instr.dep_dist);
   stats_.cycles = now_ - stats_base_;
   return true;
 }

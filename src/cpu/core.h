@@ -211,15 +211,6 @@ class Core {
   /// called repeatedly; time continues from the previous call.
   void run(TraceSource& trace, std::uint64_t max_instrs);
 
-  /// Batched variant of run(): pulls InstrBlocks via TraceSource::next_batch
-  /// and executes them through the same per-instruction semantics
-  /// (exec_one), deferring only the derived cycles counter to block
-  /// boundaries.  Statistics are observed exclusively between run calls, so
-  /// the result is bit-identical to run() — a pure execution-strategy knob
-  /// (SimConfig::batched), proven by the differential suite and the
-  /// micro_sim_throughput identity gate.
-  void run_batched(TraceSource& trace, std::uint64_t max_instrs);
-
   /// Execute exactly one instruction; returns false at end-of-trace.  The
   /// multicore scheduler uses this to interleave cores in time order.
   bool step(TraceSource& trace);
@@ -240,10 +231,6 @@ class Core {
   void reset_stats();
 
  private:
-  /// Execute one already-fetched instruction: the shared body of step() and
-  /// run_batched().  Everything except the trace fetch and the derived
-  /// stats_.cycles update.
-  void exec_one(OpClass op, Addr addr, std::uint16_t dep_dist);
   void stall_until(Blocker blocker, StallReason reason);
   /// Bulk-advance API: charge the whole window [ev.start, resume) to the
   /// stall counters in closed form (fast-forward mode)...

@@ -174,10 +174,6 @@ Json config_json(const SimConfig& c) {
   j["run_seed"] = Json::number(c.run_seed);
   j["fast_forward"] = Json::boolean(c.fast_forward);
   j["checkpoint_stride"] = Json::number(c.checkpoint_stride);
-  // SimConfig::batched is deliberately ABSENT: it selects how instructions
-  // are fetched (scalar next vs SoA next_batch), not what is simulated, so
-  // like --jobs it must never split the result cache.  Bit-identity across
-  // the two modes is enforced by micro_sim_throughput's identity gate.
   return j;
 }
 

@@ -33,23 +33,6 @@ Addr Cache::tag_of(Addr addr) const {
   return addr >> line_shift_;  // full line number as tag; simple and exact
 }
 
-void Cache::decode_block(const Addr* addrs, std::size_t n, Addr* lines,
-                         std::uint64_t* sets, Addr* tags) const {
-  // One pass per output lane: each loop body is a single shift/mask with no
-  // cross-iteration dependence, which is exactly the shape auto-vectorizers
-  // turn into SIMD mask/shift instructions.
-  const std::uint64_t line_mask = line_mask_;
-  const std::uint32_t line_shift = line_shift_;
-  const std::uint64_t set_mask = set_mask_;
-  if (lines != nullptr)
-    for (std::size_t i = 0; i < n; ++i) lines[i] = addrs[i] & ~line_mask;
-  if (sets != nullptr)
-    for (std::size_t i = 0; i < n; ++i)
-      sets[i] = (addrs[i] >> line_shift) & set_mask;
-  if (tags != nullptr)
-    for (std::size_t i = 0; i < n; ++i) tags[i] = addrs[i] >> line_shift;
-}
-
 void Cache::touch(std::uint64_t set, std::uint32_t way) {
   Line& line = lines_[set * config_.assoc + way];
   line.lru_stamp = ++stamp_;

@@ -8,7 +8,6 @@
 // table in MemoryHierarchy prevents double-counting of in-flight lines).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,22 +111,10 @@ class Cache {
   void reset_stats() { stats_ = CacheStats{}; }
 
   Addr line_addr(Addr addr) const { return addr & ~line_mask_; }
-  /// Scalar index/tag decode — the reference the batched decode is proven
-  /// against (tests/test_trace_batch.cpp).
-  std::uint64_t set_index(Addr addr) const;
-  Addr tag_of(Addr addr) const;
-
-  /// Batched address decode: compute line address, set index, and tag for
-  /// `n` addresses in three mask/shift passes over contiguous arrays.  Each
-  /// pass is a dependence-free loop over one output lane, so the compiler
-  /// vectorizes it; results are elementwise identical to the scalar
-  /// line_addr/set_index/tag_of.  The batched front-end uses this to decode
-  /// a whole InstrBlock's address lane at once; any of the output pointers
-  /// may be null to skip that lane.
-  void decode_block(const Addr* addrs, std::size_t n, Addr* lines,
-                    std::uint64_t* sets, Addr* tags) const;
 
  private:
+  std::uint64_t set_index(Addr addr) const;
+  Addr tag_of(Addr addr) const;
   std::uint32_t choose_victim(std::uint64_t set);
   void touch(std::uint64_t set, std::uint32_t way);
 

@@ -7,11 +7,11 @@
 //   * one-shot RPCs — ping() / cell() / sweep() / stats() /
 //     shutdown_server(): write one frame, read one frame;
 //   * pipelining — send() K requests back-to-back, then recv() K replies.
-//     The shard front and the load-generator bench use this to keep a
-//     connection's full round-trip budget doing work.
+//     The load-generator bench uses this to keep a connection's full
+//     round-trip budget doing work.
 //
 // Not thread-safe: one connection, one thread (the load bench opens a
-// client per closed-loop worker; the shard front serializes per shard).
+// client per closed-loop worker).
 #pragma once
 
 #include <cstdint>

@@ -111,23 +111,7 @@ Json cell_response_json(const ServeOutcome& out) {
   return doc;
 }
 
-Json cell_transport_error_json(const std::string& text) {
-  Json doc = Json::object();
-  doc["ok"] = Json::boolean(false);
-  doc["tier"] = Json::string("error");
-  doc["error"] = Json::string(text);
-  return doc;
-}
-
 }  // namespace
-
-std::size_t shard_of(const std::string& cache_key, std::size_t n_shards) {
-  // The key is 32 lowercase hex chars; its first 64 bits are already a
-  // uniform content hash, so `mod N` is a consistent, balanced slot.
-  const std::uint64_t hi =
-      std::stoull(cache_key.substr(0, 16), nullptr, 16);
-  return static_cast<std::size_t>(hi % n_shards);
-}
 
 ServeServer::ServeServer(ServerOptions options)
     : options_(std::move(options)),
@@ -146,21 +130,6 @@ ServeServer::ServeServer(ServerOptions options)
 ServeServer::~ServeServer() { stop(); }
 
 bool ServeServer::start(std::string* error) {
-  for (const std::string& spec : options_.shards) {
-    const std::size_t colon = spec.rfind(':');
-    unsigned long port = 0;
-    if (colon == std::string::npos || colon == 0 ||
-        (port = std::strtoul(spec.c_str() + colon + 1, nullptr, 10)) == 0 ||
-        port > 65535) {
-      if (error) *error = "bad shard address '" + spec + "' (host:port)";
-      return false;
-    }
-    auto shard = std::make_unique<Shard>();
-    shard->host = spec.substr(0, colon);
-    shard->port = static_cast<std::uint16_t>(port);
-    shards_.push_back(std::move(shard));
-  }
-
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
@@ -332,11 +301,12 @@ void ServeServer::handle_connection(std::shared_ptr<Conn> conn) {
     conn->cv.wait(lk, [&] { return conn->outstanding == 0; });
   }
   ::close(conn->fd);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    conns_.erase(conn);
-    --active_conns_;
-  }
+  // Gauge and notify stay under mu_: once it is released with
+  // active_conns_ == 0, stop() may return and the server (state_cv_
+  // included) may be destroyed while this detached thread still runs.
+  std::lock_guard<std::mutex> lk(mu_);
+  conns_.erase(conn);
+  --active_conns_;
   MAPG_OBS_ONLY(MAPG_OBS_GAUGE_ADD("serve.connections.open", -1);)
   state_cv_.notify_all();
 }
@@ -364,7 +334,6 @@ Frame ServeServer::handle_cell(const std::string& payload) {
   if (!doc) return error_frame("bad cell request: " + error);
   CellRequest req;
   if (!parse_cell_request(*doc, &req, &error)) return error_frame(error);
-  if (shard_front()) return forward_cell(req);
   ExperimentJob job;
   if (!job_from_cell(req, &job, &error)) return error_frame(error);
   return ok_frame(cell_response_json(tiered_->run_cell(job)).dump());
@@ -376,7 +345,6 @@ Frame ServeServer::handle_sweep(const std::string& payload) {
   if (!doc) return error_frame("bad sweep request: " + error);
   SweepRequest req;
   if (!parse_sweep_request(*doc, &req, &error)) return error_frame(error);
-  if (shard_front()) return forward_sweep(req);
   std::vector<ExperimentJob> jobs;
   if (!expand_sweep(req, &jobs, &error)) return error_frame(error);
 
@@ -414,7 +382,6 @@ Frame ServeServer::handle_stats() {
   serve["replay_fallbacks"] = Json::number(ss.replay_fallbacks);
   serve["replay_prefix_resumes"] = Json::number(ss.replay_prefix_resumes);
   serve["timelines_cached"] = Json::number(tiered_->timelines_cached());
-  serve["shards"] = Json::number(shards_.size());
   doc["serve"] = std::move(serve);
 
   Json engine = Json::object();
@@ -441,109 +408,6 @@ Frame ServeServer::handle_stats() {
   doc["hot"] = std::move(hot);
 
   return ok_frame(doc.dump());
-}
-
-Frame ServeServer::forward_cell(const CellRequest& request) {
-  // Validate locally first so malformed requests fail fast with the same
-  // error text a non-sharded server produces.
-  ExperimentJob job;
-  std::string error;
-  if (!job_from_cell(request, &job, &error)) return error_frame(error);
-  const std::string key =
-      cache_key(job.config, job.profile, job.policy_spec);
-  const std::size_t si = shard_of(key, shards_.size());
-  std::vector<Json> responses(1);
-  forward_batch(si, {{0, request}}, responses);
-  return ok_frame(responses[0].dump());
-}
-
-Frame ServeServer::forward_sweep(const SweepRequest& request) {
-  std::vector<ExperimentJob> jobs;
-  std::string error;
-  if (!expand_sweep(request, &jobs, &error)) return error_frame(error);
-
-  std::vector<std::vector<std::pair<std::size_t, CellRequest>>> per_shard(
-      shards_.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ExperimentJob& job = jobs[i];
-    const std::string key =
-        cache_key(job.config, job.profile, job.policy_spec);
-    CellRequest cell;
-    cell.config = request.config;
-    // The expanded seed must ride in the cell's config so the shard keys
-    // the exact same experiment identity.
-    cell.config["seed"] = std::to_string(job.config.run_seed);
-    cell.workload = job.profile.name;
-    cell.policy = job.policy_spec;
-    per_shard[shard_of(key, shards_.size())].emplace_back(i,
-                                                          std::move(cell));
-  }
-
-  std::vector<Json> responses(jobs.size());
-  for (std::size_t si = 0; si < per_shard.size(); ++si)
-    if (!per_shard[si].empty()) forward_batch(si, per_shard[si], responses);
-
-  Json reply = Json::object();
-  reply["n_workloads"] = Json::number(request.workloads.size());
-  reply["n_policies"] = Json::number(request.policies.size());
-  reply["n_seeds"] = Json::number(request.seeds);
-  Json cells = Json::array();
-  for (Json& r : responses) cells.push(std::move(r));
-  reply["cells"] = std::move(cells);
-  return ok_frame(reply.dump());
-}
-
-void ServeServer::forward_batch(
-    std::size_t si,
-    const std::vector<std::pair<std::size_t, CellRequest>>& cells,
-    std::vector<Json>& responses) {
-  Shard& shard = *shards_[si];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  std::string error;
-  if (!shard.client.connected() &&
-      !shard.client.connect(shard.host, shard.port, &error)) {
-    for (const auto& [idx, cell] : cells)
-      responses[idx] = cell_transport_error_json("shard " +
-                                                 std::to_string(si) + ": " +
-                                                 error);
-    return;
-  }
-  // Pipeline the whole batch: write every request, then read the replies
-  // in order (the per-connection sequencing contract makes this safe).
-  std::size_t sent = 0;
-  for (const auto& [idx, cell] : cells) {
-    (void)idx;
-    if (!shard.client.send(FrameType::kCell,
-                           cell_request_json(cell).dump(), &error))
-      break;
-    ++sent;
-  }
-  for (std::size_t k = 0; k < cells.size(); ++k) {
-    const std::size_t idx = cells[k].first;
-    if (k >= sent) {
-      responses[idx] = cell_transport_error_json(
-          "shard " + std::to_string(si) + ": " + error);
-      continue;
-    }
-    Frame reply;
-    if (!shard.client.recv(&reply, &error)) {
-      responses[idx] = cell_transport_error_json(
-          "shard " + std::to_string(si) + ": " + error);
-      sent = k;  // everything after this is lost too
-      continue;
-    }
-    if (reply.type == FrameType::kReplyError) {
-      const std::optional<Json> err = Json::parse(reply.payload);
-      responses[idx] = cell_transport_error_json(
-          err ? err->get("error").as_string() : "shard error");
-      continue;
-    }
-    std::optional<Json> doc = Json::parse(reply.payload, &error);
-    responses[idx] = doc ? std::move(*doc)
-                         : cell_transport_error_json(
-                               "shard reply unparseable: " + error);
-  }
-  if (sent < cells.size()) shard.client.close();  // resync on next batch
 }
 
 void ServeServer::wait() {

@@ -15,12 +15,6 @@
 // ExperimentEngine run of the same cells — the contract tests/test_serve.cpp
 // and the CI serve smoke assert.
 //
-// Shard-front mode: constructed with a non-empty `shards` list, the server
-// computes each cell's v4 cache key, forwards it to the owning worker
-// (consistent slot: first 64 key bits mod N, pipelined per shard) and
-// reassembles the sweep response — no local simulation.  See docs/SERVE.md
-// §Sharding.
-//
 // Lifecycle: start() binds and returns; wait() blocks until a kShutdown
 // request (or stop()); stop() closes the listen socket, wakes every
 // connection, drains in-flight work, and joins.  SIGTERM handling lives in
@@ -37,10 +31,8 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "exec/engine.h"
-#include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/tiered.h"
 
@@ -54,14 +46,8 @@ struct ServerOptions {
   /// content-addressed disk tier), use_replay.
   ExecOptions exec;
   TieredOptions tiered;
-  /// Non-empty => shard-front mode: forward cells to these "host:port"
-  /// workers by key instead of simulating locally.
-  std::vector<std::string> shards;
   int listen_backlog = 64;
 };
-
-/// Consistent shard slot for a v4 cache key: its first 64 bits mod n.
-std::size_t shard_of(const std::string& cache_key, std::size_t n_shards);
 
 class ServeServer {
  public:
@@ -82,7 +68,6 @@ class ServeServer {
   void stop();
 
   std::uint16_t port() const { return port_; }
-  bool shard_front() const { return !options_.shards.empty(); }
 
   ExperimentEngine& engine() { return *engine_; }
   TieredExecutor& tiered() { return *tiered_; }
@@ -100,15 +85,6 @@ class ServeServer {
     bool broken = false;            ///< write failed; drop, don't write
   };
 
-  /// One downstream worker in shard-front mode; the mutex serializes the
-  /// pipelined batches of concurrent requests.
-  struct Shard {
-    std::string host;
-    std::uint16_t port = 0;
-    std::mutex mu;
-    ServeClient client;
-  };
-
   void accept_loop();
   void handle_connection(std::shared_ptr<Conn> conn);
   /// Publish `reply` as response `seq` on `conn`; writes every
@@ -121,19 +97,9 @@ class ServeServer {
   Frame handle_sweep(const std::string& payload);
   Frame handle_stats();
 
-  Frame forward_cell(const CellRequest& request);
-  Frame forward_sweep(const SweepRequest& request);
-  /// Forward one batch of (index, request) cells to shard `si`; fills
-  /// `responses[index]` per cell (error documents on transport failure).
-  void forward_batch(
-      std::size_t si,
-      const std::vector<std::pair<std::size_t, CellRequest>>& cells,
-      std::vector<Json>& responses);
-
   ServerOptions options_;
   std::unique_ptr<ExperimentEngine> engine_;
   std::unique_ptr<TieredExecutor> tiered_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

@@ -173,18 +173,4 @@ bool FilteredTraceSource::next(Instr& out) {
   return true;
 }
 
-std::size_t FilteredTraceSource::next_batch(InstrBlock& out, std::size_t max) {
-  inner_.next_batch(out, max);
-  for (std::size_t i = 0; i < out.count; ++i) {
-    if (out.addr[i] != kNoAddr &&
-        (out.op[i] == OpClass::kLoad || out.op[i] == OpClass::kStore) &&
-        filter_.access(out.addr[i])) {
-      out.op[i] = OpClass::kAlu;
-      out.addr[i] = kNoAddr;
-      out.dep_dist[i] = 0;
-    }
-  }
-  return out.count;
-}
-
 }  // namespace mapg

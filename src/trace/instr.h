@@ -7,7 +7,6 @@
 // soon a consumer blocks on a load's data).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -57,31 +56,6 @@ struct Instr {
   std::uint16_t dep_dist = 0;
 };
 
-/// Fixed-capacity structure-of-arrays instruction block: the bulk-transfer
-/// unit of TraceSource::next_batch.  Each field lives in its own contiguous
-/// array so batch consumers (the batched core loop, vectorized cache index
-/// math) stream one attribute at a time instead of striding through 11-byte
-/// records — the compiler can keep the per-field loops branch-light and
-/// vectorizable.  The capacity is sized so a whole block (≈2.8 KiB) stays
-/// resident in L1 while it is consumed.
-struct InstrBlock {
-  static constexpr std::size_t kCapacity = 256;
-
-  OpClass op[kCapacity];
-  std::uint16_t dep_dist[kCapacity];
-  Addr addr[kCapacity];
-  std::size_t count = 0;
-
-  void clear() { count = 0; }
-  void push(const Instr& in) {
-    op[count] = in.op;
-    dep_dist[count] = in.dep_dist;
-    addr[count] = in.addr;
-    ++count;
-  }
-  Instr get(std::size_t i) const { return Instr{op[i], addr[i], dep_dist[i]}; }
-};
-
 /// A trace is a (possibly unbounded) stream of instructions.  Sources must
 /// be deterministic under reset(): replaying yields the identical stream.
 class TraceSource {
@@ -91,23 +65,6 @@ class TraceSource {
   virtual bool next(Instr& out) = 0;
   /// Rewind to the beginning of the stream.
   virtual void reset() = 0;
-
-  /// Bulk variant of next(): fill `out` with up to `max` instructions
-  /// (clamped to InstrBlock::kCapacity) and return the count stored, which
-  /// is also left in out.count.  The contract is exactly "repeated next()":
-  /// the concatenation of batches equals the scalar stream, a short batch
-  /// (count < max) means end-of-trace, and batches interleave freely with
-  /// scalar next() calls because both advance the same cursor.  The default
-  /// loops over next(); implementations override it to fill the block
-  /// without per-instruction virtual dispatch (docs/TRACE.md §4).
-  virtual std::size_t next_batch(InstrBlock& out,
-                                 std::size_t max = InstrBlock::kCapacity) {
-    out.clear();
-    if (max > InstrBlock::kCapacity) max = InstrBlock::kCapacity;
-    Instr instr;
-    while (out.count < max && next(instr)) out.push(instr);
-    return out.count;
-  }
 };
 
 }  // namespace mapg

@@ -11,10 +11,12 @@
 // (idle-timeout) and threshold-free gating (mapg-aggressive) do not.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cpu/core.h"
 #include "exec/engine.h"
 #include "exec/serialize.h"
 #include "obs/obs.h"
@@ -173,6 +175,39 @@ TEST(Replay, EngineSweepWithFallbacksIsByteIdentical) {
   EXPECT_EQ(replay.stats().jobs_run + replay.stats().jobs_replayed,
             sweep.workloads.size() * sweep.policy_specs.size());
   EXPECT_EQ(direct.stats().jobs_replayed, 0u);
+}
+
+// The replay tiers read every recorded window back through StallSeries, so
+// its SoA packing must return each StallEvent field exactly as stored.
+TEST(Replay, StallSeriesRoundTripsEveryField) {
+  StallSeries series;
+  std::vector<StallEvent> ref;
+  std::uint64_t x = 99;
+  for (int i = 0; i < 1'000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    StallEvent ev;
+    ev.start = x % 1'000'000;
+    ev.data_ready = ev.start + (x >> 32) % 500;
+    ev.commit = ev.start + (x >> 40) % 100;
+    ev.estimate = ev.data_ready + static_cast<Cycle>(x % 7) - 3;
+    ev.dram = (x & 8) != 0;
+    ev.reason = (x & 16) != 0 ? StallReason::kMlpLimit
+                              : StallReason::kDependence;
+    ref.push_back(ev);
+    series.push_back(ev);
+  }
+  ASSERT_EQ(series.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const StallEvent got = series[i];
+    EXPECT_EQ(got.start, ref[i].start);
+    EXPECT_EQ(got.data_ready, ref[i].data_ready);
+    EXPECT_EQ(got.commit, ref[i].commit);
+    EXPECT_EQ(got.estimate, ref[i].estimate);
+    EXPECT_EQ(got.dram, ref[i].dram);
+    EXPECT_EQ(got.reason, ref[i].reason);
+  }
+  series.clear();
+  EXPECT_TRUE(series.empty());
 }
 
 }  // namespace

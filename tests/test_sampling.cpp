@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "exec/engine.h"
 #include "exec/serialize.h"
 #include "sample/runner.h"
@@ -28,9 +30,13 @@
 namespace mapg {
 namespace {
 
-/// Unique-ish per-test temp path under the build dir's cwd.
+/// Temp path under the build dir's cwd, unique per test and process:
+/// ctest -j runs every test as its own process in the same directory.
 std::string tmp_path(const std::string& stem) {
-  return "test_sampling_" + stem + ".tmp";
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string("test_sampling_") + test->name() + "_" +
+         std::to_string(::getpid()) + "_" + stem + ".tmp";
 }
 
 struct TempFile {
@@ -178,6 +184,59 @@ TEST(TraceFile, TruncationAndCorruptionThrowRatherThanEndCleanly) {
         std::runtime_error);
     EXPECT_EQ(served, 2u * 4096u);  // both intact chunks served first
   }
+}
+
+TEST(TraceFile, RereadAfterSeekBackIsIdenticalWithMemoizedDigests) {
+  // The per-chunk digest memo (trace_file.h) must be invisible: seeking back
+  // and re-reading a chunk that was verified on first touch yields the same
+  // records.  This is the warmup-window revisit pattern of sample/runner.
+  const std::vector<Instr> ref = generate("omnetpp-like", 4'099);
+  TempFile f(tmp_path("memo"));
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(f.path, s, ref.size(), nullptr, 1024));
+  }
+  FileTraceSource src(f.path);
+  for (int pass = 0; pass < 3; ++pass) {  // passes 1 and 2 hit the memo
+    src.seek(0);
+    std::vector<Instr> got;
+    Instr instr;
+    while (src.next(instr)) got.push_back(instr);
+    EXPECT_TRUE(same_stream(ref, got)) << "pass " << pass;
+  }
+}
+
+TEST(TraceFile, CorruptChunkThrowsAfterServingTheIntactChunks) {
+  // A 4'099-record stream in 1024-record chunks (short final chunk) with one
+  // payload byte flipped in the third chunk.
+  const std::vector<Instr> ref = generate("gcc-like", 4'099);
+  TempFile f(tmp_path("corrupt1k"));
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(f.path, s, ref.size(), nullptr, 1024));
+  }
+  std::string bytes;
+  {
+    std::ifstream in(f.path, std::ios::binary);
+    bytes.assign((std::istreambuf_iterator<char>(in)),
+                 std::istreambuf_iterator<char>());
+  }
+  // Header 40 B, 5-entry index at 24 B each, two intact 1024-record chunks
+  // of 11 B records.
+  const std::size_t payload_off = 40 + 5 * 24 + 2 * 1024 * 11 + 17;
+  ASSERT_LT(payload_off, bytes.size());
+  bytes[payload_off] = static_cast<char>(bytes[payload_off] ^ 0x40);
+  std::ofstream(f.path, std::ios::binary) << bytes;
+
+  FileTraceSource src(f.path);  // index intact: open succeeds
+  Instr instr;
+  std::uint64_t served = 0;
+  EXPECT_THROW(
+      {
+        while (src.next(instr)) ++served;
+      },
+      std::runtime_error);
+  EXPECT_EQ(served, 2u * 1024u);  // exactly the two intact chunks
 }
 
 // --- converters ------------------------------------------------------------

@@ -489,64 +489,5 @@ TEST_F(ServeServerTest, ShutdownRequestUnblocksWait) {
   server_->stop();
 }
 
-TEST(ServeShard, ShardOfIsConsistentAndInRange) {
-  const std::string key_a = "00000000000000010000000000000000";
-  const std::string key_b = "ffffffffffffffff0000000000000000";
-  EXPECT_EQ(shard_of(key_a, 4), shard_of(key_a, 4));
-  EXPECT_EQ(shard_of(key_a, 4), 1u % 4);
-  EXPECT_LT(shard_of(key_b, 3), 3u);
-  EXPECT_EQ(shard_of(key_b, 1), 0u);
-}
-
-TEST_F(ServeServerTest, ShardFrontForwardsByKeyAndMatchesDirect) {
-  // Two workers + a front that owns no simulation of its own.
-  ServerOptions wopts;
-  wopts.port = 0;
-  wopts.exec.jobs = 2;
-  ServeServer worker_a(wopts), worker_b(wopts);
-  std::string error;
-  ASSERT_TRUE(worker_a.start(&error)) << error;
-  ASSERT_TRUE(worker_b.start(&error)) << error;
-
-  ServerOptions fopts;
-  fopts.port = 0;
-  fopts.shards = {"127.0.0.1:" + std::to_string(worker_a.port()),
-                  "127.0.0.1:" + std::to_string(worker_b.port())};
-  ServeServer front(fopts);
-  ASSERT_TRUE(front.start(&error)) << error;
-
-  ServeClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", front.port(), &error)) << error;
-
-  SweepRequest req;
-  req.config = {{"instructions", "40000"}, {"warmup", "5000"},
-                {"seed", "1"}};
-  req.workloads = {"mcf-like", "gcc-like"};
-  req.policies = {"none", "mapg"};
-  req.seeds = 1;
-  const std::optional<Json> doc = client.sweep(req, &error);
-  ASSERT_TRUE(doc) << error;
-  const Json& cells = doc->get("cells");
-  ASSERT_EQ(cells.size(), 4u);
-  std::size_t i = 0;
-  for (const std::string& w : req.workloads) {
-    for (const std::string& p : req.policies) {
-      const Json& cell = cells.at(i++);
-      ASSERT_TRUE(cell.get("ok").as_bool()) << cell.dump();
-      EXPECT_EQ(cell.get("result").dump(), direct_dump(tiny_job(w, p, 1)))
-          << w << "/" << p;
-    }
-  }
-  // The front simulated nothing; the workers split the cells.
-  EXPECT_EQ(front.engine().stats().jobs_run, 0u);
-  const std::uint64_t total_cells = worker_a.tiered().stats().cells +
-                                    worker_b.tiered().stats().cells;
-  EXPECT_EQ(total_cells, 4u);
-
-  front.stop();
-  worker_a.stop();
-  worker_b.stop();
-}
-
 }  // namespace
 }  // namespace mapg::serve

@@ -2,7 +2,6 @@
 //
 //   mapg_served --port=18256 --jobs=8 --cache-dir=/var/cache/mapg
 //   mapg_served --port=0                  # ephemeral; bound port on stdout
-//   mapg_served --shards=h1:18256,h2:18256   # shard front: forward by key
 //
 // Prints one `listening on ADDR:PORT` line to stdout once accepting, then
 // serves until a client sends kShutdown (mapg_client shutdown) or the
@@ -35,21 +34,6 @@ void on_signal(int) {
   [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string item;
-  for (const char c : s) {
-    if (c == ',') {
-      if (!item.empty()) out.push_back(item);
-      item.clear();
-    } else {
-      item.push_back(c);
-    }
-  }
-  if (!item.empty()) out.push_back(item);
-  return out;
-}
-
 int usage() {
   std::cout <<
       "usage: mapg_served [options]\n"
@@ -62,8 +46,6 @@ int usage() {
       "  --replay=0             disable the cached-timeline replay tier\n"
       "  --hot-entries=N        hot LRU capacity in results (default 4096)\n"
       "  --timeline-entries=N   cached reference timelines (default 8)\n"
-      "  --shards=H:P,H:P,...   shard-front mode: forward cells to these\n"
-      "                         workers by cache key; no local simulation\n"
       "  --metrics-out=FILE     metrics snapshot as JSON on exit\n"
       "  --trace-out=FILE       Chrome trace (Perfetto-loadable) on exit\n";
   return 2;
@@ -96,7 +78,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(kv.get_uint("hot-entries", 4096));
   opts.tiered.timeline_entries =
       static_cast<std::size_t>(kv.get_uint("timeline-entries", 8));
-  opts.shards = split_csv(kv.get_or("shards", ""));
 
   if (::pipe(g_signal_pipe) != 0) {
     std::cerr << "pipe: " << std::strerror(errno) << "\n";
@@ -116,10 +97,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "listening on " << opts.bind_addr << ":" << server.port()
-            << (server.shard_front()
-                    ? " (shard front, " + std::to_string(opts.shards.size()) +
-                          " workers)"
-                    : "")
             << std::endl;  // flush: scripts wait for this line
 
   bool signalled = false;
