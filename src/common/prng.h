@@ -97,12 +97,8 @@ class Prng {
   bool bernoulli(double p) { return uniform() < p; }
 
   /// Geometric: number of failures before first success, success prob p.
-  std::uint64_t geometric(double p) {
-    if (p >= 1.0) return 0;
-    if (p <= 0.0) return ~0ULL;
-    const double u = 1.0 - uniform();  // (0, 1]
-    return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
-  }
+  /// For many draws at one p, keep a Geometric (below) instead.
+  std::uint64_t geometric(double p);
 
   /// Exponential with the given mean (> 0).
   double exponential(double mean) {
@@ -132,5 +128,27 @@ class Prng {
 
   std::array<std::uint64_t, 4> state_{};
 };
+
+/// Geometric distribution: number of failures before the first success,
+/// success probability p.  log1p(-p) is computed once here rather than on
+/// every draw; each draw consumes one uniform() (none when p >= 1 or
+/// p <= 0).
+class Geometric {
+ public:
+  explicit Geometric(double p = 1.0) : p_(p), log1p_neg_p_(std::log1p(-p)) {}
+
+  std::uint64_t operator()(Prng& prng) const {
+    if (p_ >= 1.0) return 0;
+    if (p_ <= 0.0) return ~0ULL;
+    const double u = 1.0 - prng.uniform();  // (0, 1]
+    return static_cast<std::uint64_t>(std::floor(std::log(u) / log1p_neg_p_));
+  }
+
+ private:
+  double p_;
+  double log1p_neg_p_;
+};
+
+inline std::uint64_t Prng::geometric(double p) { return Geometric(p)(*this); }
 
 }  // namespace mapg

@@ -39,6 +39,7 @@ void Core::import_state(const State& s) {
   stats_base_ = s.stats_base;
   next_id_ = s.next_id;
   scoreboard_ = s.scoreboard;
+  head_ = static_cast<std::uint32_t>(next_id_ % scoreboard_.size());
   outstanding_ = s.outstanding;
   stats_ = s.stats;
 }
@@ -117,10 +118,13 @@ bool Core::step(TraceSource& trace) {
   const OpClass op = instr.op;
   const Addr addr = instr.addr;
   const std::uint16_t dep_dist = instr.dep_dist;
-  const InstrId id = next_id_++;
+  ++next_id_;
+  const std::uint32_t window = config_.scoreboard_window;
+  const std::uint32_t head = head_;
+  if (++head_ == window) head_ = 0;
 
   // 1. Dependence check: does this instruction consume an unreturned load?
-  Blocker& slot = scoreboard_[id % scoreboard_.size()];
+  Blocker& slot = scoreboard_[head];
   if (slot.ready != kNoCycle) {
     if (slot.ready > now_) stall_until(slot, StallReason::kDependence);
     slot = Blocker{};
@@ -158,9 +162,10 @@ bool Core::step(TraceSource& trace) {
       // 3. Register the consumer's blocker (keep the latest-finishing
       // producer if several loads feed the same consumer slot).
       if (dep_dist > 0) {
-        assert(dep_dist < scoreboard_.size() &&
-               "trace dep_dist exceeds scoreboard window");
-        Blocker& dep = scoreboard_[(id + dep_dist) % scoreboard_.size()];
+        assert(dep_dist < window && "trace dep_dist exceeds scoreboard window");
+        std::uint32_t consumer = head + dep_dist;
+        if (consumer >= window) consumer -= window;
+        Blocker& dep = scoreboard_[consumer];
         if (dep.ready == kNoCycle || res.complete > dep.ready) {
           dep.ready = res.complete;
           dep.commit = res.commit;

@@ -259,7 +259,11 @@ class Core {
   std::uint32_t slot_ = 0;  ///< issue slot used within the current cycle
   Cycle stats_base_ = 0;  ///< cycle at the last reset_stats()
   InstrId next_id_ = 0;
-  std::vector<Blocker> scoreboard_;  ///< ring keyed by instr id % window
+  /// Ring of scoreboard_window slots: instruction id i owns slot
+  /// i % window, and head_ is the slot of next_id_ (kept by wrap-around
+  /// rather than division).
+  std::vector<Blocker> scoreboard_;
+  std::uint32_t head_ = 0;
   /// Outstanding (non-merged) DRAM fills; bounded by mlp_window.
   std::vector<MemAccessResult> outstanding_;
   CoreStats stats_;

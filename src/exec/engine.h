@@ -64,7 +64,7 @@ struct ExperimentJob {
   SimConfig config;
   WorkloadProfile profile;
   std::string policy_spec = "none";
-  std::optional<TraceBinding> trace;
+  std::optional<TraceBinding> trace{};
 };
 
 struct JobOutcome {

@@ -330,7 +330,7 @@ std::string Json::dump() const {
     case Type::kNumber: out = scalar_; break;
     case Type::kString: append_escaped(out, scalar_); break;
     case Type::kArray: {
-      out = "[";
+      out += '[';
       for (std::size_t i = 0; i < arr_.size(); ++i) {
         if (i != 0) out += ',';
         out += arr_[i].dump();
@@ -339,7 +339,7 @@ std::string Json::dump() const {
       break;
     }
     case Type::kObject: {
-      out = "{";
+      out += '{';
       bool first = true;
       for (const auto& [k, v] : obj_) {
         if (!first) out += ',';

@@ -21,8 +21,11 @@ Cache::Cache(CacheConfig config) : config_(config) {
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(config_.line_bytes)));
   set_mask_ = config_.num_sets() - 1;
-  lines_.resize(config_.num_sets() * config_.assoc);
-  plru_bits_.assign(config_.num_sets() * config_.assoc, 0);
+  const std::uint64_t lines = config_.num_sets() * config_.assoc;
+  tags_.assign(lines, kNoAddr);
+  flags_.assign(lines, 0);
+  stamps_.assign(lines, 0);
+  plru_bits_.assign(lines, 0);
 }
 
 std::uint64_t Cache::set_index(Addr addr) const {
@@ -34,8 +37,7 @@ Addr Cache::tag_of(Addr addr) const {
 }
 
 void Cache::touch(std::uint64_t set, std::uint32_t way) {
-  Line& line = lines_[set * config_.assoc + way];
-  line.lru_stamp = ++stamp_;
+  stamps_[set * config_.assoc + way] = ++stamp_;
   if (config_.repl == ReplPolicy::kTreePlru) {
     // Walk from the root, flipping each internal node away from this way.
     std::uint8_t* bits = &plru_bits_[set * config_.assoc];
@@ -58,19 +60,24 @@ void Cache::touch(std::uint64_t set, std::uint32_t way) {
 
 std::uint32_t Cache::choose_victim(std::uint64_t set) {
   const std::uint32_t assoc = config_.assoc;
-  Line* set_lines = &lines_[set * assoc];
+  const std::uint8_t* flags = &flags_[set * assoc];
+  const std::uint64_t* stamps = &stamps_[set * assoc];
 
-  // Invalid ways first, for every policy.
-  for (std::uint32_t w = 0; w < assoc; ++w)
-    if (!set_lines[w].valid) return w;
+  // Invalid ways first, for every policy.  The same pass finds the least
+  // recently used way (the first one on a tie).
+  std::uint32_t lru = 0;
+  std::uint64_t oldest = ~std::uint64_t{0};
+  for (std::uint32_t w = 0; w < assoc; ++w) {
+    if (!(flags[w] & kValid)) return w;
+    if (stamps[w] < oldest) {
+      oldest = stamps[w];
+      lru = w;
+    }
+  }
 
   switch (config_.repl) {
-    case ReplPolicy::kLru: {
-      std::uint32_t victim = 0;
-      for (std::uint32_t w = 1; w < assoc; ++w)
-        if (set_lines[w].lru_stamp < set_lines[victim].lru_stamp) victim = w;
-      return victim;
-    }
+    case ReplPolicy::kLru:
+      return lru;
     case ReplPolicy::kTreePlru: {
       const std::uint8_t* bits = &plru_bits_[set * assoc];
       std::uint32_t node = 0;
@@ -93,28 +100,50 @@ std::uint32_t Cache::choose_victim(std::uint64_t set) {
   return 0;
 }
 
+std::uint32_t Cache::find_way(std::uint64_t set, Addr tag) const {
+  const std::uint32_t assoc = config_.assoc;
+  const Addr* tags = &tags_[set * assoc];
+  const std::uint8_t* flags = &flags_[set * assoc];
+  for (std::uint32_t w = 0; w < assoc; ++w)
+    if (tags[w] == tag && (flags[w] & kValid)) return w;
+  return assoc;
+}
+
+void Cache::install(std::uint64_t set, std::uint32_t victim, Addr tag,
+                    std::uint8_t flags, AccessResult& result) {
+  const std::uint64_t i = set * config_.assoc + victim;
+  if (flags_[i] & kValid) {
+    ++stats_.evictions;
+    if (flags_[i] & kDirty) {
+      ++stats_.writebacks;
+      result.writeback = true;
+      result.writeback_addr = tags_[i] << line_shift_;
+    }
+  }
+  tags_[i] = tag;
+  flags_[i] = flags;
+  touch(set, victim);
+}
+
 Cache::AccessResult Cache::access(Addr addr, bool is_write) {
   const std::uint64_t set = set_index(addr);
   const Addr tag = tag_of(addr);
-  Line* set_lines = &lines_[set * config_.assoc];
 
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    Line& line = set_lines[w];
-    if (line.valid && line.tag == tag) {
-      touch(set, w);
-      if (is_write) {
-        ++stats_.write_hits;
-        if (config_.write_back) line.dirty = true;
-      } else {
-        ++stats_.read_hits;
-      }
-      AccessResult result{.hit = true};
-      if (line.prefetched) {
-        line.prefetched = false;  // consume the re-trigger signal
-        result.hit_on_prefetched = true;
-      }
-      return result;
+  if (const std::uint32_t w = find_way(set, tag); w < config_.assoc) {
+    std::uint8_t& flags = flags_[set * config_.assoc + w];
+    touch(set, w);
+    if (is_write) {
+      ++stats_.write_hits;
+      if (config_.write_back) flags |= kDirty;
+    } else {
+      ++stats_.read_hits;
     }
+    AccessResult result{.hit = true};
+    if (flags & kPrefetched) {
+      flags &= static_cast<std::uint8_t>(~kPrefetched);  // consume re-trigger
+      result.hit_on_prefetched = true;
+    }
+    return result;
   }
 
   // Miss: allocate (write-allocate for both reads and writes).
@@ -123,73 +152,47 @@ Cache::AccessResult Cache::access(Addr addr, bool is_write) {
   else
     ++stats_.read_misses;
 
-  const std::uint32_t victim = choose_victim(set);
-  Line& line = set_lines[victim];
   AccessResult result;
-  if (line.valid) {
-    ++stats_.evictions;
-    if (line.dirty) {
-      ++stats_.writebacks;
-      result.writeback = true;
-      result.writeback_addr = line.tag << line_shift_;
-    }
-  }
-  line.valid = true;
-  line.tag = tag;
-  line.dirty = is_write && config_.write_back;
-  line.prefetched = false;
-  touch(set, victim);
+  install(set, choose_victim(set), tag,
+          is_write && config_.write_back ? kValid | kDirty : kValid, result);
   return result;
 }
 
 Cache::AccessResult Cache::fill(Addr addr) {
   const std::uint64_t set = set_index(addr);
   const Addr tag = tag_of(addr);
-  Line* set_lines = &lines_[set * config_.assoc];
-
-  for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-    if (set_lines[w].valid && set_lines[w].tag == tag)
-      return AccessResult{.hit = true};  // already resident: nothing to do
-  }
+  if (find_way(set, tag) < config_.assoc)
+    return AccessResult{.hit = true};  // already resident: nothing to do
 
   ++stats_.prefetch_fills;
-  const std::uint32_t victim = choose_victim(set);
-  Line& line = set_lines[victim];
   AccessResult result;
-  if (line.valid) {
-    ++stats_.evictions;
-    if (line.dirty) {
-      ++stats_.writebacks;
-      result.writeback = true;
-      result.writeback_addr = line.tag << line_shift_;
-    }
-  }
-  line.valid = true;
-  line.tag = tag;
-  line.dirty = false;
-  line.prefetched = true;
-  touch(set, victim);
+  install(set, choose_victim(set), tag, kValid | kPrefetched, result);
   return result;
 }
 
 bool Cache::contains(Addr addr) const {
-  const std::uint64_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  const Line* set_lines = &lines_[set * config_.assoc];
-  for (std::uint32_t w = 0; w < config_.assoc; ++w)
-    if (set_lines[w].valid && set_lines[w].tag == tag) return true;
-  return false;
+  return find_way(set_index(addr), tag_of(addr)) < config_.assoc;
 }
 
 void Cache::flush() {
-  for (auto& line : lines_) line = Line{};
+  tags_.assign(tags_.size(), kNoAddr);
+  flags_.assign(flags_.size(), 0);
+  stamps_.assign(stamps_.size(), 0);
   plru_bits_.assign(plru_bits_.size(), 0);
   stamp_ = 0;
 }
 
 Cache::State Cache::export_state() const {
   State s;
-  s.lines = lines_;
+  s.lines.resize(tags_.size());
+  for (std::size_t i = 0; i < tags_.size(); ++i) {
+    Line& l = s.lines[i];
+    l.tag = tags_[i];
+    l.valid = (flags_[i] & kValid) != 0;
+    l.dirty = (flags_[i] & kDirty) != 0;
+    l.prefetched = (flags_[i] & kPrefetched) != 0;
+    l.lru_stamp = stamps_[i];
+  }
   s.plru_bits = plru_bits_;
   s.stamp = stamp_;
   s.victim_prng = victim_prng_.state();
@@ -198,10 +201,17 @@ Cache::State Cache::export_state() const {
 }
 
 void Cache::import_state(const State& s) {
-  assert(s.lines.size() == lines_.size() &&
+  assert(s.lines.size() == tags_.size() &&
          s.plru_bits.size() == plru_bits_.size() &&
          "checkpoint was captured under a different CacheConfig");
-  lines_ = s.lines;
+  for (std::size_t i = 0; i < s.lines.size(); ++i) {
+    const Line& l = s.lines[i];
+    tags_[i] = l.tag;
+    flags_[i] = static_cast<std::uint8_t>((l.valid ? kValid : 0) |
+                                          (l.dirty ? kDirty : 0) |
+                                          (l.prefetched ? kPrefetched : 0));
+    stamps_[i] = l.lru_stamp;
+  }
   plru_bits_ = s.plru_bits;
   stamp_ = s.stamp;
   victim_prng_.set_state(s.victim_prng);

@@ -117,12 +117,29 @@ class Cache {
   Addr tag_of(Addr addr) const;
   std::uint32_t choose_victim(std::uint64_t set);
   void touch(std::uint64_t set, std::uint32_t way);
+  /// Way holding `tag` in `set`, or assoc when the tag is not resident.
+  std::uint32_t find_way(std::uint64_t set, Addr tag) const;
+  /// Evict whatever `victim` holds (counting the eviction and any dirty
+  /// writeback into `result`), then install `tag` there with `flags`.
+  void install(std::uint64_t set, std::uint32_t victim, Addr tag,
+               std::uint8_t flags, AccessResult& result);
+
+  /// Per-way flag bits in flags_.
+  static constexpr std::uint8_t kValid = 1;
+  static constexpr std::uint8_t kDirty = 2;
+  static constexpr std::uint8_t kPrefetched = 4;
 
   CacheConfig config_;
   std::uint64_t line_mask_;
   std::uint64_t set_mask_;
   std::uint32_t line_shift_;
-  std::vector<Line> lines_;                 ///< sets * assoc, set-major
+  // Line state split by field, each sets * assoc long and set-major (way w
+  // of set s at s * assoc + w): a probe scans only the tags and a victim
+  // search only the flags and stamps.  export_state()/import_state()
+  // convert to and from the per-line Line form.
+  std::vector<Addr> tags_;
+  std::vector<std::uint8_t> flags_;         ///< kValid | kDirty | kPrefetched
+  std::vector<std::uint64_t> stamps_;       ///< LRU stamps
   std::vector<std::uint8_t> plru_bits_;     ///< assoc-1 tree bits per set
   std::uint64_t stamp_ = 0;
   Prng victim_prng_{0xC0FFEEULL};

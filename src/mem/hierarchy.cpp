@@ -48,21 +48,16 @@ void MemoryHierarchy::import_state(const State& s) {
   dram_->import_state(s.dram);
   prefetcher_.import_state(s.prefetcher);
   stats_ = s.stats;
-  // A copied merge table may hash into different buckets, but no simulator
-  // output depends on its iteration order: lookups are keyed and
-  // prune_inflight's erase order does not affect the surviving set.
+  // No simulator output depends on the merge table's order: lookups are by
+  // line address, each line appears at most once, and prune_inflight keeps
+  // the surviving set whatever the order.
   inflight_ = s.inflight;
 }
 
 void MemoryHierarchy::prune_inflight(Cycle now) {
-  // The merge table tracks at most the core's MLP window worth of fills, so
-  // a linear sweep is cheap; erase fills whose data has already returned.
-  for (auto it = inflight_.begin(); it != inflight_.end();) {
-    if (it->second.complete <= now)
-      it = inflight_.erase(it);
-    else
-      ++it;
-  }
+  // Erase fills whose data has already returned.
+  std::erase_if(inflight_,
+                [now](const auto& e) { return e.second.complete <= now; });
 }
 
 void MemoryHierarchy::handle_l1_writeback(Addr line_addr, Cycle now) {
@@ -82,7 +77,7 @@ void MemoryHierarchy::run_prefetcher(Addr miss_line, Cycle t_req) {
   prefetcher_.observe(miss_line, config_.l2.line_bytes,
                       prefetch_scratch_);
   for (Addr target : prefetch_scratch_) {
-    if (l2_->contains(target) || inflight_.count(target) != 0) continue;
+    if (l2_->contains(target) || find_inflight(target) != nullptr) continue;
     const DramResult dres = dram_->access(target, /*is_write=*/false, t_req);
     const Cache::AccessResult fill_res = l2_->fill(target);
     if (fill_res.writeback)
@@ -95,7 +90,7 @@ void MemoryHierarchy::run_prefetcher(Addr miss_line, Cycle t_req) {
     entry.estimate = dres.estimate + config_.fill_return_latency;
     entry.served_by = ServedBy::kDram;
     entry.prefetched = true;
-    inflight_.emplace(target, entry);
+    inflight_.emplace_back(target, entry);
   }
 }
 
@@ -105,8 +100,8 @@ MemAccessResult MemoryHierarchy::access(Addr addr, bool is_write, Cycle now) {
 
   // MSHR merge: a second access to a line whose fill is outstanding waits on
   // the same fill instead of re-missing (the line was already allocated).
-  if (auto it = inflight_.find(line); it != inflight_.end()) {
-    MemAccessResult merged = it->second;
+  if (const MemAccessResult* fill = find_inflight(line)) {
+    MemAccessResult merged = *fill;
     merged.merged = true;
     ++stats_.merged;
     if (merged.prefetched) ++stats_.prefetch_merges;
@@ -155,7 +150,7 @@ MemAccessResult MemoryHierarchy::access(Addr addr, bool is_write, Cycle now) {
   res.estimate = dres.estimate + config_.fill_return_latency;
   res.served_by = ServedBy::kDram;
   ++stats_.dram_fills;
-  inflight_.emplace(line, res);
+  inflight_.emplace_back(line, res);
   run_prefetcher(line, t_req);
   return res;
 }

@@ -10,7 +10,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/types.h"
 #include "mem/cache.h"
@@ -88,7 +89,7 @@ class MemoryHierarchy {
     Dram::State dram;
     StreamPrefetcher::State prefetcher;
     HierarchyStats stats;
-    std::unordered_map<Addr, MemAccessResult> inflight;
+    std::vector<std::pair<Addr, MemAccessResult>> inflight;
   };
 
   /// Single-core form: owns the L1, L2, and DRAM.
@@ -115,7 +116,7 @@ class MemoryHierarchy {
   /// existing MSHR entry must not be charged a new miss credit.  May return
   /// true for a just-completed fill, which is safe — that access hits.
   bool line_in_flight(Addr addr) const {
-    return inflight_.count(l1_.line_addr(addr)) != 0;
+    return find_inflight(l1_.line_addr(addr)) != nullptr;
   }
 
   const HierarchyConfig& config() const { return config_; }
@@ -152,6 +153,12 @@ class MemoryHierarchy {
   /// Train the prefetcher on a demand L2 miss and launch its requests.
   void run_prefetcher(Addr miss_line, Cycle t_req);
   void prune_inflight(Cycle now);
+  /// The in-flight fill for `line`, or null.
+  const MemAccessResult* find_inflight(Addr line) const {
+    for (const auto& [a, r] : inflight_)
+      if (a == line) return &r;
+    return nullptr;
+  }
 
   HierarchyConfig config_;
   Cache l1_;
@@ -162,8 +169,10 @@ class MemoryHierarchy {
   StreamPrefetcher prefetcher_;
   std::vector<Addr> prefetch_scratch_;
   HierarchyStats stats_;
-  /// Line address -> in-flight fill result (MSHR merge table).
-  std::unordered_map<Addr, MemAccessResult> inflight_;
+  /// (line address, in-flight fill result) pairs, one per line: the MSHR
+  /// merge table.  It holds at most a few MLP windows' worth of fills, so a
+  /// flat vector with linear search beats a hash table here.
+  std::vector<std::pair<Addr, MemAccessResult>> inflight_;
 };
 
 }  // namespace mapg

@@ -110,14 +110,13 @@ enum class Phase : std::uint8_t {
 /// condition holds — exactly where the closed-form kernel places them.
 class SteppedStallKernel::PhaseFsm final : public ClockedComponent {
  public:
-  PhaseFsm(PgPolicy& policy, const PgCircuit& circuit, WakeArbiter* arbiter)
-      : policy_(policy), circuit_(circuit), arbiter_(arbiter) {}
+  PhaseFsm(PgPolicy& policy, const PgCircuit& circuit, WakeArbiter* arbiter,
+           StallWindowOutcome& out)
+      : policy_(policy), circuit_(circuit), arbiter_(arbiter), out_(out) {}
 
-  void reset(const StallEvent& ev, const GateDecision& decision,
-             StallWindowOutcome* out) {
+  void reset(const StallEvent& ev, const GateDecision& decision) {
     ev_ = ev;
     decision_ = decision;
-    out_ = out;
     phase_ = Phase::kWaiting;
     ticked_phase_ = Phase::kWaiting;
     entry_left_ = 0;
@@ -140,24 +139,24 @@ class SteppedStallKernel::PhaseFsm final : public ClockedComponent {
         if (t >= ev_.data_ready) {
           // Data arrived before any gating took hold.  If the policy wanted
           // to gate, its timeout outlasted the stall (the `>=` edge).
-          out_->timeout_missed = decision_.gate;
-          out_->resume = ev_.data_ready;
+          out_.timeout_missed = decision_.gate;
+          out_.resume = ev_.data_ready;
           phase_ = Phase::kResolved;
           break;
         }
         if (decision_.gate && t >= decision_.gate_start) {
           // Entry begins this cycle; the policy commits to a sleep mode now,
           // in the same call order as the closed-form kernel.
-          out_->gated = true;
-          out_->mode = policy_.sleep_mode(ev_);
+          out_.gated = true;
+          out_.mode = policy_.sleep_mode(ev_);
           wake_mode_ = policy_.wake_mode();
           entry_left_ = circuit_.entry_latency_cycles();
-          wake_lat_ = circuit_.wakeup_latency_cycles(out_->mode);
+          wake_lat_ = circuit_.wakeup_latency_cycles(out_.mode);
           phase_ = Phase::kEntry;
           tick_entry(t);
           break;
         }
-        ++out_->idle_ungated_cycles;
+        ++out_.idle_ungated_cycles;
         ticked_phase_ = Phase::kWaiting;
         break;
       case Phase::kEntry:
@@ -181,7 +180,7 @@ class SteppedStallKernel::PhaseFsm final : public ClockedComponent {
       tick_gated(t);
       return;
     }
-    ++out_->entry_cycles;
+    ++out_.entry_cycles;
     ticked_phase_ = Phase::kEntry;
     if (--entry_left_ == 0) phase_ = Phase::kGated;
   }
@@ -200,20 +199,20 @@ class SteppedStallKernel::PhaseFsm final : public ClockedComponent {
       tick_wake(t);
       return;
     }
-    ++out_->gated_cycles;
+    ++out_.gated_cycles;
     ticked_phase_ = Phase::kGated;
   }
 
   void tick_wake(Cycle t) {
     if (wake_left_ == 0) {  // degenerate zero-latency wake
-      out_->resume = std::max(ev_.data_ready, t);
+      out_.resume = std::max(ev_.data_ready, t);
       phase_ = Phase::kResolved;
       return;
     }
-    ++out_->wake_cycles;
+    ++out_.wake_cycles;
     ticked_phase_ = Phase::kWake;
     if (--wake_left_ == 0) {
-      out_->resume = std::max(ev_.data_ready, t + 1);
+      out_.resume = std::max(ev_.data_ready, t + 1);
       phase_ = Phase::kResolved;
     }
   }
@@ -236,10 +235,10 @@ class SteppedStallKernel::PhaseFsm final : public ClockedComponent {
   PgPolicy& policy_;
   const PgCircuit& circuit_;
   WakeArbiter* arbiter_;
+  StallWindowOutcome& out_;
 
   StallEvent ev_{};
   GateDecision decision_{};
-  StallWindowOutcome* out_ = nullptr;
   Phase phase_ = Phase::kResolved;
   Phase ticked_phase_ = Phase::kResolved;
   Cycle entry_left_ = 0;
@@ -259,12 +258,10 @@ class SteppedStallKernel::PowerDownMeter final : public ClockedComponent {
  public:
   PowerDownMeter(const PhaseFsm& fsm, const PgPolicy& policy,
                  const DramCoordinationParams& params,
-                 const StallEnergyRates& rates)
-      : fsm_(fsm), policy_(policy), params_(params), rates_(rates) {}
+                 const StallEnergyRates& rates, StallWindowOutcome& out)
+      : fsm_(fsm), policy_(policy), params_(params), rates_(rates), out_(out) {}
 
-  void reset(const StallEvent& ev, const GateDecision& decision,
-             StallWindowOutcome* out) {
-    out_ = out;
+  void reset(const StallEvent& ev, const GateDecision& decision) {
     window_ = PdWindow{};
     if (decision.gate && params_.enabled && policy_.coordinate_dram())
       window_ = coordinated_pd_window(params_, decision.gate_start,
@@ -275,8 +272,8 @@ class SteppedStallKernel::PowerDownMeter final : public ClockedComponent {
     if (!window_.eligible) return;
     if (fsm_.ticked_phase() == Phase::kResolved) return;
     if (t < window_.established || t >= window_.exit_initiate) return;
-    out_->dram_pd_cycles += params_.idle_channels;
-    out_->window_energy_j -= rates_.dram_pd_saved_j * params_.idle_channels;
+    out_.dram_pd_cycles += params_.idle_channels;
+    out_.window_energy_j -= rates_.dram_pd_saved_j * params_.idle_channels;
   }
 
  private:
@@ -284,7 +281,7 @@ class SteppedStallKernel::PowerDownMeter final : public ClockedComponent {
   const PgPolicy& policy_;
   DramCoordinationParams params_;
   StallEnergyRates rates_;
-  StallWindowOutcome* out_ = nullptr;
+  StallWindowOutcome& out_;
   PdWindow window_{};
 };
 
@@ -292,35 +289,33 @@ class SteppedStallKernel::PowerDownMeter final : public ClockedComponent {
 /// modulo — the brute-force evaluation of refresh_busy_cycles().
 class SteppedStallKernel::RefreshMeter final : public ClockedComponent {
  public:
-  RefreshMeter(const PhaseFsm& fsm, Cycle t_refi, Cycle t_rfc)
-      : fsm_(fsm), t_refi_(t_refi), t_rfc_(t_rfc) {}
-
-  void reset(StallWindowOutcome* out) { out_ = out; }
+  RefreshMeter(const PhaseFsm& fsm, Cycle t_refi, Cycle t_rfc,
+               StallWindowOutcome& out)
+      : fsm_(fsm), t_refi_(t_refi), t_rfc_(t_rfc), out_(out) {}
 
   void tick(Cycle t) override {
     if (fsm_.ticked_phase() == Phase::kResolved) return;
     if (t_refi_ != 0 && (t % t_refi_) < t_rfc_)
-      ++out_->refresh_overlap_cycles;
+      ++out_.refresh_overlap_cycles;
   }
 
  private:
   const PhaseFsm& fsm_;
   Cycle t_refi_;
   Cycle t_rfc_;
-  StallWindowOutcome* out_ = nullptr;
+  StallWindowOutcome& out_;
 };
 
 /// Integrates the stall-window energy one cycle at a time — the brute-force
 /// evaluation of stall_window_energy_j().
 class SteppedStallKernel::EnergyMeter final : public ClockedComponent {
  public:
-  EnergyMeter(const PhaseFsm& fsm, const StallEnergyRates& rates)
-      : fsm_(fsm), rates_(rates) {}
-
-  void reset(StallWindowOutcome* out) { out_ = out; }
+  EnergyMeter(const PhaseFsm& fsm, const StallEnergyRates& rates,
+              StallWindowOutcome& out)
+      : fsm_(fsm), rates_(rates), out_(out) {}
 
   void tick(Cycle) override {
-    double e;
+    double e = 0.0;
     switch (fsm_.ticked_phase()) {
       case Phase::kResolved:
         return;
@@ -329,33 +324,32 @@ class SteppedStallKernel::EnergyMeter final : public ClockedComponent {
         break;
       case Phase::kGated:
         e = rates_.leak_j + rates_.dram_background_j -
-            rates_.saved_j(out_->mode);
+            rates_.saved_j(out_.mode);
         break;
       case Phase::kEntry:
       case Phase::kWake:
         e = rates_.leak_j + rates_.dram_background_j;
         break;
     }
-    out_->window_energy_j += e;
+    out_.window_energy_j += e;
   }
 
  private:
   const PhaseFsm& fsm_;
   StallEnergyRates rates_;
-  StallWindowOutcome* out_ = nullptr;
+  StallWindowOutcome& out_;
 };
 
 SteppedStallKernel::SteppedStallKernel(PgPolicy& policy,
                                        const PgCircuit& circuit,
                                        WakeArbiter* arbiter,
                                        const StallKernelParams& params)
-    : fsm_(std::make_unique<PhaseFsm>(policy, circuit, arbiter)),
-      powerdown_(std::make_unique<PowerDownMeter>(*fsm_, policy,
-                                                  params.dram_pd,
-                                                  params.rates)),
-      refresh_(
-          std::make_unique<RefreshMeter>(*fsm_, params.t_refi, params.t_rfc)),
-      energy_(std::make_unique<EnergyMeter>(*fsm_, params.rates)) {
+    : fsm_(std::make_unique<PhaseFsm>(policy, circuit, arbiter, out_)),
+      powerdown_(std::make_unique<PowerDownMeter>(
+          *fsm_, policy, params.dram_pd, params.rates, out_)),
+      refresh_(std::make_unique<RefreshMeter>(*fsm_, params.t_refi,
+                                              params.t_rfc, out_)),
+      energy_(std::make_unique<EnergyMeter>(*fsm_, params.rates, out_)) {
   // FSM first: the meters classify cycle t by the phase it just recorded.
   components_ = {fsm_.get(), powerdown_.get(), refresh_.get(), energy_.get()};
 }
@@ -364,14 +358,12 @@ SteppedStallKernel::~SteppedStallKernel() = default;
 
 StallWindowOutcome SteppedStallKernel::resolve(const StallEvent& ev,
                                                const GateDecision& decision) {
-  StallWindowOutcome out;
-  fsm_->reset(ev, decision, &out);
-  powerdown_->reset(ev, decision, &out);
-  refresh_->reset(&out);
-  energy_->reset(&out);
+  out_ = StallWindowOutcome{};
+  fsm_->reset(ev, decision);
+  powerdown_->reset(ev, decision);
   for (Cycle t = ev.start; !fsm_->resolved(); ++t)
     for (ClockedComponent* c : components_) c->tick(t);
-  return out;
+  return out_;
 }
 
 }  // namespace mapg

@@ -109,6 +109,9 @@ class SteppedStallKernel {
   SteppedStallKernel(PgPolicy& policy, const PgCircuit& circuit,
                      WakeArbiter* arbiter, const StallKernelParams& params);
   ~SteppedStallKernel();
+  // The components hold a reference to out_.
+  SteppedStallKernel(const SteppedStallKernel&) = delete;
+  SteppedStallKernel& operator=(const SteppedStallKernel&) = delete;
 
   StallWindowOutcome resolve(const StallEvent& ev,
                              const GateDecision& decision);
@@ -119,6 +122,8 @@ class SteppedStallKernel {
   class RefreshMeter;
   class EnergyMeter;
 
+  /// The window being resolved; every component accumulates into it.
+  StallWindowOutcome out_;
   std::unique_ptr<PhaseFsm> fsm_;
   std::unique_ptr<PowerDownMeter> powerdown_;
   std::unique_ptr<RefreshMeter> refresh_;

@@ -195,8 +195,8 @@ void hash(Fnv& f, const MemoryHierarchy::State& s) {
   f.u64(s.stats.dram_fills);
   f.u64(s.stats.prefetch_issued);
   f.u64(s.stats.prefetch_merges);
-  // The merge table's bucket order is not canonical; sort by line address
-  // so equal tables always hash equal.
+  // The merge table is kept in insertion order, which is not canonical;
+  // sort by line address so equal tables always hash equal.
   std::vector<std::pair<Addr, MemAccessResult>> inflight(s.inflight.begin(),
                                                          s.inflight.end());
   std::sort(inflight.begin(), inflight.end(),

@@ -22,6 +22,9 @@ void TraceGenerator::reset() {
   // (profile, run) pairs land in unrelated xoshiro subsequences.
   SplitMix64 mixer(profile_.seed * 0x9e3779b97f4a7c15ULL + run_seed_);
   prng_.reseed(mixer.next());
+  // draw_dep_dist() returns 1 + Geometric(1/mean): mean `mean`, support
+  // {1, ...}, for mean = max(1, dep_dist_mean).
+  dep_dist_geo_ = Geometric(1.0 / std::max(1.0, profile_.dep_dist_mean));
   init_streams();
 }
 
@@ -70,9 +73,7 @@ Addr TraceGenerator::random_cold_addr() {
 
 std::uint16_t TraceGenerator::draw_dep_dist() {
   if (prng_.bernoulli(profile_.p_no_consumer)) return 0;
-  const double mean = std::max(1.0, profile_.dep_dist_mean);
-  // Geometric with mean `mean`: success probability 1/mean, support {1, ...}.
-  const std::uint64_t d = 1 + prng_.geometric(1.0 / mean);
+  const std::uint64_t d = 1 + dep_dist_geo_(prng_);
   return static_cast<std::uint16_t>(
       std::min<std::uint64_t>(d, profile_.dep_dist_max));
 }

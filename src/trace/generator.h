@@ -38,6 +38,7 @@ class TraceGenerator final : public TraceSource {
   WorkloadProfile profile_;
   std::uint64_t run_seed_;
   Prng prng_;
+  Geometric dep_dist_geo_;  ///< success probability 1 / dep_dist_mean
   std::vector<Stream> streams_;
   std::size_t next_stream_ = 0;
 
