@@ -1,9 +1,9 @@
 #include "bench_util.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "multicore/config_apply.h"
 #include "obs/obs.h"
 #include "obs/report.h"
 
@@ -12,57 +12,31 @@ namespace mapg::bench {
 BenchEnv parse_env(int argc, char** argv, std::uint64_t default_instructions,
                    std::uint64_t default_warmup) {
   KvConfig cfg;
-  const std::vector<std::string> leftovers = cfg.parse_args(argc, argv);
+  for (const std::string& word : cfg.parse_args(argc, argv))
+    if (word == "--no-cache") cfg.set("no-cache", "1");
 
   BenchEnv env;
-  env.sim.instructions = cfg.get_uint("instructions", default_instructions);
-  env.sim.warmup_instructions = cfg.get_uint("warmup", default_warmup);
-  env.sim.run_seed = cfg.get_uint("seed", 42);
-  env.sim.fast_forward = cfg.get_bool("fast-forward", true);
-  env.sim.checkpoint_stride =
-      cfg.get_uint("checkpoint-stride", env.sim.checkpoint_stride);
-  const std::string dram_power = cfg.get_or("dram-power", "off");
-  if (dram_power == "timeout")
-    env.sim.mem.dram.power.mode = DramPowerMode::kTimeout;
-  else if (dram_power == "coordinated")
-    env.sim.mem.dram.power.mode = DramPowerMode::kCoordinated;
-  // Named timing standard: applied before any later per-key override a bench
-  // may layer on, and paired with the standard's IDD-class energy set
-  // (docs/DRAM.md).  --dram-standard=ddr3-1600 is bit-identical to the
-  // default (the preset IS the default timing set).
-  if (const auto standard_name = cfg.get("dram-standard")) {
+  SimConfig base;
+  base.instructions = default_instructions;
+  base.warmup_instructions = default_warmup;
+  env.sim = apply_sim_config(cfg, base);
+  // apply_sim_config keeps the current setting for a name it does not
+  // recognize; say so for the two named presets.  --dram-standard=ddr3-1600
+  // is bit-identical to the default (the preset IS the default timing set).
+  if (const auto name = cfg.get("dram-standard")) {
     DramStandard standard;
-    if (parse_dram_standard(*standard_name, standard)) {
-      apply_dram_standard(env.sim.mem.dram, standard);
-      env.sim.dram_energy = dram_energy_for_standard(standard);
-    } else {
-      std::cerr << "warning: unknown --dram-standard '" << *standard_name
+    if (!parse_dram_standard(*name, standard))
+      std::cerr << "warning: unknown --dram-standard '" << *name
                 << "' (want ddr3-1600 | ddr4-2400 | lpddr4-3200 | custom)\n";
-    }
   }
-  if (const auto policy_name = cfg.get("page-policy")) {
+  if (const auto name = cfg.get("page-policy")) {
     PagePolicy policy;
-    if (parse_page_policy(*policy_name, policy))
-      env.sim.mem.dram.page_policy = policy;
-    else
-      std::cerr << "warning: unknown --page-policy '" << *policy_name
+    if (!parse_page_policy(*name, policy))
+      std::cerr << "warning: unknown --page-policy '" << *name
                 << "' (want open | closed | hybrid)\n";
   }
-  env.sim.mem.dram.queue_depth = static_cast<std::uint32_t>(
-      cfg.get_uint("dram.queue_depth", env.sim.mem.dram.queue_depth));
   env.csv = cfg.get_bool("csv", false);
-
-  // --- Execution engine flags ---
-  env.exec.jobs = static_cast<unsigned>(cfg.get_uint("jobs", 0));
-  const char* env_cache = std::getenv("MAPG_CACHE_DIR");
-  env.exec.cache_dir =
-      cfg.get_or("cache-dir", env_cache != nullptr ? env_cache : "");
-  env.exec.use_disk_cache = !cfg.get_bool("no-cache", false);
-  for (const std::string& word : leftovers)
-    if (word == "--no-cache") env.exec.use_disk_cache = false;
-  env.exec.progress = cfg.get_bool("progress", false);
-  env.exec.log_jsonl = cfg.get_or("runlog", "");
-  env.exec.use_replay = cfg.get_bool("replay", true);
+  env.exec = exec_options_from(cfg);
 
   // --- Observability flags (docs/OBSERVABILITY.md) ---
   env.metrics_out = cfg.get_or("metrics-out", "");

@@ -1,6 +1,8 @@
 // Shared scaffolding for the table/figure reproduction binaries.
 //
-// Every bench accepts optional "--key=value" overrides:
+// Every bench accepts optional "--key=value" overrides.  Every platform key
+// of multicore/config_apply.h applies (e.g. --l2.size_kib=64,
+// --dram.power.mode=timeout); the common ones and the front-end spellings:
 //   --instructions=N   measured instructions per run (default per-bench)
 //   --warmup=N         warmup instructions
 //   --seed=N           trace seed
@@ -69,7 +71,9 @@ struct BenchEnv {
   std::string trace_out;
 };
 
-/// Parse argv into a SimConfig starting from the repository defaults.
+/// Parse argv: the platform through apply_sim_config, starting from the
+/// repository defaults with the bench's own instruction and warmup counts,
+/// and the execution flags through exec_options_from.
 BenchEnv parse_env(int argc, char** argv, std::uint64_t default_instructions,
                    std::uint64_t default_warmup = 250'000);
 

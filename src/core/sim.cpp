@@ -104,6 +104,53 @@ StallKernelParams make_stall_kernel_params(const SimConfig& config,
   return p;
 }
 
+std::unique_ptr<PgPolicy> build_policy(const std::string& policy_spec,
+                                       const PolicyContext& ctx) {
+  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
+  if (!policy)
+    throw std::invalid_argument("unknown policy spec: " + policy_spec);
+  return policy;
+}
+
+void cross_warmup_boundary(Core& core, MemoryHierarchy& mem,
+                           PgController& controller) {
+  mem.dram().settle_power(core.now());
+  core.reset_stats();
+  mem.reset_stats();
+  controller.reset_stats();
+}
+
+SimResult finish_run(const SimConfig& config, const PgCircuit& circuit,
+                     const std::string& workload_name, const PgPolicy& policy,
+                     const Core& core, MemoryHierarchy& mem,
+                     const PgController& controller) {
+  mem.dram().settle_power(core.now());
+  SimResult result;
+  result.workload = workload_name;
+  result.policy = policy.name();
+  result.ctx = policy.context();
+  result.core = core.stats();
+  result.hier = mem.stats();
+  result.l1 = mem.l1_stats();
+  result.l2 = mem.l2_stats();
+  result.dram = mem.dram_stats();
+  result.gating = controller.stats();
+  compose_result_energy(config, circuit, result);
+  return result;
+}
+
+void compose_result_energy(const SimConfig& config, const PgCircuit& circuit,
+                           SimResult& result) {
+  result.energy = compute_energy(config.tech, &circuit, result.core,
+                                 result.gating.activity);
+  const DramEnergyBreakdown dram_e = compute_dram_energy_breakdown(
+      result.dram, config.mem.dram, config.tech, config.dram_energy,
+      result.core.cycles, result.gating.dram_pd_channel_cycles);
+  result.energy.dram_j = dram_e.total_j();
+  result.energy.dram_background_j = dram_e.background_j;
+  result.energy.dram_lowpower_saved_j = dram_e.lowpower_saved_j;
+}
+
 PolicyContext Simulator::policy_context() const {
   const PgCircuit circuit(config_.pg, config_.tech);
   return PgController::make_context(circuit);
@@ -112,12 +159,7 @@ PolicyContext Simulator::policy_context() const {
 SimResult Simulator::run(const WorkloadProfile& profile,
                          const std::string& policy_spec) const {
   TraceGenerator gen(profile, config_.run_seed);
-  const PgCircuit circuit(config_.pg, config_.tech);
-  const PolicyContext ctx = PgController::make_context(circuit);
-  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
-  if (!policy)
-    throw std::invalid_argument("unknown policy spec: " + policy_spec);
-  return run(gen, profile.name, *policy);
+  return run(gen, profile.name, policy_spec);
 }
 
 SimResult Simulator::run(TraceSource& trace, const std::string& workload_name,
@@ -127,39 +169,9 @@ SimResult Simulator::run(TraceSource& trace, const std::string& workload_name,
 
 SimResult Simulator::run(TraceSource& trace, const std::string& workload_name,
                          const std::string& policy_spec) const {
-  const PgCircuit circuit(config_.pg, config_.tech);
-  const PolicyContext ctx = PgController::make_context(circuit);
-  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
-  if (!policy)
-    throw std::invalid_argument("unknown policy spec: " + policy_spec);
+  const std::unique_ptr<PgPolicy> policy =
+      build_policy(policy_spec, policy_context());
   return run_impl(trace, workload_name, *policy, nullptr);
-}
-
-SimResult Simulator::run_recorded(const WorkloadProfile& profile,
-                                  const std::string& policy_spec,
-                                  RunRecord& record,
-                                  const CheckpointHook& hook) const {
-  // The trace is materialized in the same pass that runs it (TeeTraceSource
-  // above): generation is a pure function of (profile, run_seed) and the
-  // core consumes exactly warmup + measured instructions, so the buffer
-  // ends the run holding the complete stream every policy sees.
-  auto buf = std::make_shared<std::vector<Instr>>();
-  buf->reserve(
-      static_cast<std::size_t>(config_.warmup_instructions +
-                               config_.instructions));
-  record.warmup_stalls.clear();
-  record.stalls.clear();
-
-  const PgCircuit circuit(config_.pg, config_.tech);
-  const PolicyContext ctx = PgController::make_context(circuit);
-  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
-  if (!policy)
-    throw std::invalid_argument("unknown policy spec: " + policy_spec);
-  TraceGenerator gen(profile, config_.run_seed);
-  TeeTraceSource tee(gen, *buf);
-  SimResult result = run_impl(tee, profile.name, *policy, &record, hook);
-  record.trace = std::move(buf);
-  return result;
 }
 
 SimResult Simulator::run_recorded(TraceSource& trace,
@@ -167,9 +179,9 @@ SimResult Simulator::run_recorded(TraceSource& trace,
                                   const std::string& policy_spec,
                                   RunRecord& record,
                                   const CheckpointHook& hook) const {
-  // Trace-source variant of the profile overload: same single-pass tee, but
-  // the stream comes from an external source (a trace-file window in sampled
-  // simulation) instead of a generator.
+  // The trace is materialized in the same pass that runs it (TeeTraceSource
+  // above): the core consumes exactly warmup + measured instructions, so
+  // the buffer ends the run holding the complete stream every policy sees.
   auto buf = std::make_shared<std::vector<Instr>>();
   buf->reserve(
       static_cast<std::size_t>(config_.warmup_instructions +
@@ -177,11 +189,8 @@ SimResult Simulator::run_recorded(TraceSource& trace,
   record.warmup_stalls.clear();
   record.stalls.clear();
 
-  const PgCircuit circuit(config_.pg, config_.tech);
-  const PolicyContext ctx = PgController::make_context(circuit);
-  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
-  if (!policy)
-    throw std::invalid_argument("unknown policy spec: " + policy_spec);
+  const std::unique_ptr<PgPolicy> policy =
+      build_policy(policy_spec, policy_context());
   TeeTraceSource tee(trace, *buf);
   SimResult result = run_impl(tee, workload_name, *policy, &record, hook);
   record.trace = std::move(buf);
@@ -245,12 +254,7 @@ SimResult Simulator::run_impl(TraceSource& trace,
   // realistic), but its statistics are discarded.
   if (config_.warmup_instructions > 0) {
     run_phase(config_.warmup_instructions, 0, true);
-    // Classify warmup idle before the reset so the measured residency
-    // counters cover exactly the measured window.
-    mem.dram().settle_power(core.now());
-    core.reset_stats();
-    mem.reset_stats();
-    controller.reset_stats();
+    cross_warmup_boundary(core, mem, controller);
     // The most valuable checkpoint: captured after the boundary resets, so
     // resuming from it skips the whole warmup for any policy penalized only
     // in the measured phase.
@@ -259,26 +263,8 @@ SimResult Simulator::run_impl(TraceSource& trace,
   if (record != nullptr) recorder.set_sink(record->stalls);
 
   run_phase(config_.instructions, config_.warmup_instructions, false);
-  mem.dram().settle_power(core.now());
-
-  SimResult result;
-  result.workload = workload_name;
-  result.policy = policy.name();
-  result.ctx = policy.context();
-  result.core = core.stats();
-  result.hier = mem.stats();
-  result.l1 = mem.l1_stats();
-  result.l2 = mem.l2_stats();
-  result.dram = mem.dram_stats();
-  result.gating = controller.stats();
-  result.energy = compute_energy(config_.tech, &circuit, result.core,
-                                 result.gating.activity);
-  const DramEnergyBreakdown dram_e = compute_dram_energy_breakdown(
-      result.dram, config_.mem.dram, config_.tech, config_.dram_energy,
-      result.core.cycles, result.gating.dram_pd_channel_cycles);
-  result.energy.dram_j = dram_e.total_j();
-  result.energy.dram_background_j = dram_e.background_j;
-  result.energy.dram_lowpower_saved_j = dram_e.lowpower_saved_j;
+  SimResult result = finish_run(config_, circuit, workload_name, policy, core,
+                                mem, controller);
   MAPG_OBS_ONLY(record_run_metrics(result);)
   return result;
 }
@@ -286,11 +272,8 @@ SimResult Simulator::run_impl(TraceSource& trace,
 ThermalResult Simulator::run_thermal(const WorkloadProfile& profile,
                                      const std::string& policy_spec) const {
   TraceGenerator gen(profile, config_.run_seed);
-  const PgCircuit circuit(config_.pg, config_.tech);
-  const PolicyContext ctx = PgController::make_context(circuit);
-  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
-  if (!policy)
-    throw std::invalid_argument("unknown policy spec: " + policy_spec);
+  const std::unique_ptr<PgPolicy> policy =
+      build_policy(policy_spec, policy_context());
   return run_thermal(gen, profile.name, *policy);
 }
 
@@ -361,34 +344,14 @@ ThermalResult Simulator::run_thermal(TraceSource& trace,
 
   if (config_.warmup_instructions > 0) {
     run_phase(config_.warmup_instructions, nullptr);
-    mem.dram().settle_power(core.now());
-    core.reset_stats();
-    mem.reset_stats();
-    controller.reset_stats();
+    cross_warmup_boundary(core, mem, controller);
   }
 
   ThermalResult result;
   run_phase(config_.instructions, &result);
-  mem.dram().settle_power(core.now());
+  result.sim = finish_run(config_, circuit, workload_name, policy, core, mem,
+                          controller);
   result.final_temperature_c = thermal.temperature_c();
-
-  result.sim.workload = workload_name;
-  result.sim.policy = policy.name();
-  result.sim.ctx = policy.context();
-  result.sim.core = core.stats();
-  result.sim.hier = mem.stats();
-  result.sim.l1 = mem.l1_stats();
-  result.sim.l2 = mem.l2_stats();
-  result.sim.dram = mem.dram_stats();
-  result.sim.gating = controller.stats();
-  result.sim.energy = compute_energy(tech, &circuit, result.sim.core,
-                                     result.sim.gating.activity);
-  const DramEnergyBreakdown dram_e = compute_dram_energy_breakdown(
-      result.sim.dram, config_.mem.dram, tech, config_.dram_energy,
-      result.sim.core.cycles, result.sim.gating.dram_pd_channel_cycles);
-  result.sim.energy.dram_j = dram_e.total_j();
-  result.sim.energy.dram_background_j = dram_e.background_j;
-  result.sim.energy.dram_lowpower_saved_j = dram_e.lowpower_saved_j;
   MAPG_OBS_ONLY(record_run_metrics(result.sim);)
   return result;
 }

@@ -137,11 +137,11 @@ class Simulator {
   SimResult run(TraceSource& trace, const std::string& workload_name,
                 PgPolicy& policy) const;
 
-  /// Spec-based variant of the trace-source overload: builds the policy from
-  /// `policy_spec` exactly like run(profile, spec) does, but draws
-  /// instructions from `trace`.  Feeding the same stream a TraceGenerator
-  /// would produce gives a bit-identical result; the replay engine uses this
-  /// to share one materialized trace across a sweep group's fallback cells.
+  /// Spec-based variant of the trace-source overload; run(profile, spec) is
+  /// this overload fed by the profile's TraceGenerator.  Feeding the same
+  /// stream from elsewhere gives a bit-identical result; the replay engine
+  /// uses this to share one materialized trace across a sweep group's
+  /// fallback cells.
   SimResult run(TraceSource& trace, const std::string& workload_name,
                 const std::string& policy_spec) const;
 
@@ -155,20 +155,15 @@ class Simulator {
       const Core& core, const MemoryHierarchy& mem, std::uint64_t instr_pos,
       bool in_warmup)>;
 
-  /// Like run(profile, policy_spec), but additionally materializes the trace
-  /// into `record.trace` and captures every full-core StallEvent (warmup and
-  /// measured phases separately).  The returned result is bit-identical to
-  /// the unrecorded run — recording only tees, it never perturbs timing.
-  /// With a non-null `hook` and config().checkpoint_stride > 0, the hook is
-  /// invoked at every stride boundary and at the warmup boundary
-  /// (src/replay/checkpoint.h captures SimCheckpoints there).
-  SimResult run_recorded(const WorkloadProfile& profile,
-                         const std::string& policy_spec, RunRecord& record,
-                         const CheckpointHook& hook = nullptr) const;
-
-  /// Trace-source variant of run_recorded: identical tee/record semantics,
-  /// but instructions come from `trace` (e.g. a file-trace window in sampled
-  /// simulation, src/sample) instead of the profile's generator.
+  /// Like run(trace, workload_name, policy_spec), but additionally
+  /// materializes the stream into `record.trace` and captures every
+  /// full-core StallEvent (warmup and measured phases separately).  The
+  /// returned result is bit-identical to the unrecorded run — recording only
+  /// tees, it never perturbs timing.  With a non-null `hook` and
+  /// config().checkpoint_stride > 0, the hook is invoked at every stride
+  /// boundary and at the warmup boundary (src/replay/checkpoint.h captures
+  /// SimCheckpoints there).  record_timeline (src/replay) feeds it either a
+  /// profile's TraceGenerator or an external window (sampled simulation).
   SimResult run_recorded(TraceSource& trace, const std::string& workload_name,
                          const std::string& policy_spec, RunRecord& record,
                          const CheckpointHook& hook = nullptr) const;
@@ -194,6 +189,31 @@ class Simulator {
 
   SimConfig config_;
 };
+
+/// make_policy (pg/factory.h) for every run path: where make_policy would
+/// return nullptr, throws std::invalid_argument naming the spec.
+std::unique_ptr<PgPolicy> build_policy(const std::string& policy_spec,
+                                       const PolicyContext& ctx);
+
+/// The warmup boundary of every simulated run: classify the warmup's DRAM
+/// idle time, then zero core, hierarchy and controller stats so the
+/// measured counters cover exactly the measured window.
+void cross_warmup_boundary(Core& core, MemoryHierarchy& mem,
+                           PgController& controller);
+
+/// The end of every simulated run (direct, thermal, prefix-resume): settle
+/// DRAM power residency at the core's clock, then fill a SimResult from
+/// core, hierarchy and controller stats plus the composed energy.
+SimResult finish_run(const SimConfig& config, const PgCircuit& circuit,
+                     const std::string& workload_name, const PgPolicy& policy,
+                     const Core& core, MemoryHierarchy& mem,
+                     const PgController& controller);
+
+/// The energy half of finish_run, for a result whose core, DRAM and gating
+/// stats are already in place (replay copies the reference's and swaps in
+/// its own gating): core energy plus the DRAM breakdown.
+void compose_result_energy(const SimConfig& config, const PgCircuit& circuit,
+                           SimResult& result);
 
 /// Stall-kernel inputs derived from the platform configuration: stepping
 /// mode, DRAM refresh timing for the overlap meter, per-cycle energy rates

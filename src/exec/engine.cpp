@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -25,6 +26,19 @@ double now_ms() {
 }
 
 }  // namespace
+
+ExecOptions exec_options_from(const KvConfig& kv) {
+  ExecOptions opts;
+  opts.jobs = static_cast<unsigned>(kv.get_uint("jobs", 0));
+  const char* env_cache = std::getenv("MAPG_CACHE_DIR");
+  opts.cache_dir =
+      kv.get_or("cache-dir", env_cache != nullptr ? env_cache : "");
+  opts.use_disk_cache = !kv.get_bool("no-cache", false);
+  opts.progress = kv.get_bool("progress", false);
+  opts.log_jsonl = kv.get_or("runlog", "");
+  opts.use_replay = kv.get_bool("replay", true);
+  return opts;
+}
 
 const SimResult& SweepResult::result(std::size_t vi, std::size_t wi,
                                      std::size_t pi, std::size_t si) const {
@@ -373,71 +387,48 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
     ++stats_.timelines_recorded;
   }
 
-  // 4. Resolve each missing cell: the `none` cell is the reference itself;
-  // other policies replay, falling back to a direct simulation over the
-  // shared trace buffer when replay is not exact.
+  // 4. Resolve each missing cell on the timeline (resolve_on_timeline:
+  // reference, replay, prefix-resume); what no exact tier answers is
+  // simulated directly over the shared trace buffer.
   for (const std::size_t c : missing) {
     const ExperimentJob& job = jobs[c];
     if (!recorded) {
       outcomes[c] = execute(job);
       continue;
     }
-    const std::string key =
-        cache_key(job.config, job.profile, job.policy_spec);
-    if (job.policy_spec == "none") {
-      JobOutcome out;
-      out.result = cache_->store(key, SimResult(*timeline.reference));
-      out.ok = true;
-      out.wall_ms = record_ms;  // the recording run WAS this cell
-      account(job, key, out, 0);
-      outcomes[c] = std::move(out);
-      continue;
-    }
     const double t0 = now_ms();
-    ReplayOutcome replayed;
-    bool replay_threw = false;
+    TimelineOutcome exact;
     try {
-      replayed = replay_policy(timeline, job.policy_spec);
+      exact = resolve_on_timeline(timeline, job.policy_spec);
     } catch (...) {
-      replay_threw = true;  // e.g. bad spec — direct path reports the error
-    }
-    if (!replayed.ok) {
-      // The prefix before the first penalized window is still exact:
-      // resume direct simulation from the latest checkpoint inside it
-      // (replay/checkpoint.h) instead of re-simulating from cycle 0.
-      if (!replay_threw && !timeline.checkpoints.empty() &&
-          replayed.windows > 0) {
-        ResumeOutcome resumed =
-            resume_policy(timeline, job.policy_spec, replayed.windows - 1);
-        if (resumed.ok) {
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.replay_prefix_resumes;
-            stats_.replay_windows_saved += resumed.windows_replayed;
-          }
-          JobOutcome out;
-          out.result = cache_->store(key, std::move(resumed.result));
-          out.ok = true;
-          out.from_resume = true;
-          out.wall_ms = now_ms() - t0;
-          account(job, key, out, 0);
-          outcomes[c] = std::move(out);
-          continue;
-        }
-      }
-      if (!replay_threw) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.replay_fallbacks;
-        MAPG_OBS_COUNTER_INC("sim.replay.full_fallbacks");
-      }
+      // A bad spec: the direct path reports the exact error.
       outcomes[c] = execute(job, timeline.record.trace);
       continue;
     }
+    if (exact.tier == TimelineTier::kDirect) {
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++stats_.replay_fallbacks;
+      }
+      MAPG_OBS_COUNTER_INC("sim.replay.full_fallbacks");
+      outcomes[c] = execute(job, timeline.record.trace);
+      continue;
+    }
+    if (exact.tier == TimelineTier::kResume) {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++stats_.replay_prefix_resumes;
+      stats_.replay_windows_saved += exact.windows_saved;
+    }
+    const std::string key =
+        cache_key(job.config, job.profile, job.policy_spec);
     JobOutcome out;
-    out.result = cache_->store(key, std::move(replayed.result));
+    out.result = cache_->store(key, std::move(exact.result));
     out.ok = true;
-    out.from_replay = true;
-    out.wall_ms = now_ms() - t0;
+    out.from_replay = exact.tier == TimelineTier::kReplay;
+    out.from_resume = exact.tier == TimelineTier::kResume;
+    // The recording run WAS the `none` cell.
+    out.wall_ms =
+        exact.tier == TimelineTier::kReference ? record_ms : now_ms() - t0;
     account(job, key, out, 0);
     outcomes[c] = std::move(out);
   }

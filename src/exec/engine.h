@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.h"
 #include "core/sim.h"
 #include "exec/result_cache.h"
 #include "exec/serialize.h"
@@ -52,6 +53,11 @@ struct ExecOptions {
   /// the equivalence stays falsifiable (--replay=0 on every bench).
   bool use_replay = true;
 };
+
+/// The execution flags every front end takes (docs/EXEC.md): --jobs (0 =
+/// all hardware threads), --cache-dir (default $MAPG_CACHE_DIR when set),
+/// --no-cache, --progress, --runlog, --replay.
+ExecOptions exec_options_from(const KvConfig& kv);
 
 /// One experiment cell.  The trace seed rides inside config.run_seed.
 /// With `trace` set, instructions come from the bound on-disk trace window

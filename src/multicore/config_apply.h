@@ -7,7 +7,8 @@
 // publish wrong numbers.
 //
 // Supported keys (defaults in parentheses are the DESIGN.md §7 platform):
-//   instructions, warmup, seed
+//   instructions, warmup, seed, fast_forward (1),
+//   checkpoint-stride (1000000)   [single-core SimConfig only]
 //   core.mlp_window (8), core.div_latency (20), core.mul_latency (3),
 //   core.fp_latency (4), core.scoreboard (128)
 //   l1.size_kib (32), l1.assoc (8), l1.latency (3)
@@ -16,9 +17,14 @@
 //   dram.channels (2), dram.banks (8), dram.row_bytes (8192),
 //   dram.t_rcd (41), dram.t_rp (41), dram.t_cl (41), dram.t_bl (15),
 //   dram.t_ras (105), dram.t_rfc (480), dram.t_refi (23400)
+//   dram.standard (ddr3-1600 | ddr4-2400 | lpddr4-3200 | custom; applied
+//   before the dram.t_* and dram_energy.* keys, which override it),
+//   dram.page_policy (open | closed | hybrid), dram.hybrid_bits (2),
+//   dram.queue_depth (0), dram.write_starve (512)
 //   dram.power.mode (off | timeout | coordinated), dram.power.t_pd (8),
 //   dram.power.t_xp (18), dram.power.t_cke (17), dram.power.t_xs (510),
 //   dram.power.pd_timeout (192), dram.power.sr_timeout (0)
+//   dram-power (alias for dram.power.mode; an explicit dram.power.mode wins)
 //   prefetch.enable (0), prefetch.degree (2), prefetch.table (16),
 //   prefetch.confirm (1)
 //   tech.freq_ghz (3.0), tech.vdd (1.0), tech.core_leakage_w (0.5),

@@ -115,9 +115,7 @@ MulticoreResult MulticoreSim::run_impl(
     }
     s.mem = std::make_unique<MemoryHierarchy>(config_.mem, shared_l2,
                                               shared_dram);
-    s.policy = make_policy(policy_spec, ctx);
-    if (!s.policy)
-      throw std::invalid_argument("unknown policy spec: " + policy_spec);
+    s.policy = build_policy(policy_spec, ctx);
     s.controller = std::make_unique<PgController>(*s.policy, circuit,
                                                   arbiter_ptr, kparams);
     s.core =

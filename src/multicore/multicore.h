@@ -49,7 +49,8 @@ struct MulticoreConfig {
   /// the second-smallest clock would overtake it, amortizing dispatch from
   /// O(num_cores) per instruction to O(log num_cores) per lead change.
   /// false: the historical per-instruction linear min-scan.  Results are
-  /// bit-identical either way (tests/test_differential.cpp).
+  /// bit-identical either way (tests/test_differential.cpp).  Not a config
+  /// key: the scan is a reference oracle that tests select directly.
   bool heap_scheduler = true;
 };
 

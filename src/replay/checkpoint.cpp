@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -237,10 +236,8 @@ SimResult resume_from_checkpoint(const StallTimeline& timeline,
                                  const std::string& policy_spec) {
   const SimConfig& cfg = timeline.config;
   const PgCircuit circuit(cfg.pg, cfg.tech);
-  const PolicyContext ctx = PgController::make_context(circuit);
-  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
-  if (!policy)
-    throw std::invalid_argument("unknown policy spec: " + policy_spec);
+  const std::unique_ptr<PgPolicy> policy =
+      build_policy(policy_spec, PgController::make_context(circuit));
   const StallKernelParams kparams = make_stall_kernel_params(cfg, circuit);
   PgController controller(*policy, circuit, nullptr, kparams);
 
@@ -273,44 +270,19 @@ SimResult resume_from_checkpoint(const StallTimeline& timeline,
 
   // Continue direct simulation, replicating run_impl's phase sequence from
   // the restore point on.  A boundary checkpoint (in_warmup == false,
-  // instr_pos == warmup) was captured after the settle/reset sequence, so
-  // the else branch needs no boundary handling; the trailing settle_power
-  // is idempotent either way.
+  // instr_pos == warmup) was captured after the boundary settle/reset, so
+  // the else branch needs no boundary handling.  The run-level obs roll-up
+  // is intentionally not repeated here, matching replay_policy.
   if (ck.in_warmup) {
     core.run(trace, cfg.warmup_instructions - ck.instr_pos);
-    mem.dram().settle_power(core.now());
-    core.reset_stats();
-    mem.reset_stats();
-    controller.reset_stats();
+    cross_warmup_boundary(core, mem, controller);
     core.run(trace, cfg.instructions);
   } else {
     core.run(trace,
              cfg.warmup_instructions + cfg.instructions - ck.instr_pos);
   }
-  mem.dram().settle_power(core.now());
-
-  // Assemble exactly as run_impl does (replay_policy already duplicates the
-  // energy recomputation; the run-level obs roll-up is intentionally not
-  // repeated here, matching replay_policy).
-  SimResult result;
-  result.workload = timeline.profile.name;
-  result.policy = policy->name();
-  result.ctx = policy->context();
-  result.core = core.stats();
-  result.hier = mem.stats();
-  result.l1 = mem.l1_stats();
-  result.l2 = mem.l2_stats();
-  result.dram = mem.dram_stats();
-  result.gating = controller.stats();
-  result.energy = compute_energy(cfg.tech, &circuit, result.core,
-                                 result.gating.activity);
-  const DramEnergyBreakdown dram_e = compute_dram_energy_breakdown(
-      result.dram, cfg.mem.dram, cfg.tech, cfg.dram_energy,
-      result.core.cycles, result.gating.dram_pd_channel_cycles);
-  result.energy.dram_j = dram_e.total_j();
-  result.energy.dram_background_j = dram_e.background_j;
-  result.energy.dram_lowpower_saved_j = dram_e.lowpower_saved_j;
-  return result;
+  return finish_run(cfg, circuit, timeline.profile.name, *policy, core, mem,
+                    controller);
 }
 
 ResumeOutcome resume_policy(const StallTimeline& timeline,

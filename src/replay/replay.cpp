@@ -1,6 +1,6 @@
 #include "replay/replay.h"
 
-#include <stdexcept>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -8,9 +8,18 @@ namespace mapg {
 
 StallTimeline record_timeline(const SimConfig& config,
                               const WorkloadProfile& profile) {
+  TraceGenerator gen(profile, config.run_seed);
+  StallTimeline tl = record_timeline_traced(config, gen, profile.name);
+  tl.profile = profile;
+  return tl;
+}
+
+StallTimeline record_timeline_traced(const SimConfig& config,
+                                     TraceSource& trace,
+                                     const std::string& workload_name) {
   StallTimeline tl;
   tl.config = config;
-  tl.profile = profile;
+  tl.profile.name = workload_name;  // stub: replay reads only the name
   // The hook reads the recorder's sinks live: at capture time they hold
   // exactly the events resolved so far, which is the prefix a resumed
   // controller must be fed (SimCheckpoint::windows).  At the warmup
@@ -26,28 +35,8 @@ StallTimeline record_timeline(const SimConfig& config,
     };
   }
   tl.reference = std::make_shared<const SimResult>(
-      Simulator(config).run_recorded(profile, "none", tl.record, hook));
-  MAPG_OBS_COUNTER_INC("sim.replay.timelines");
-  return tl;
-}
-
-StallTimeline record_timeline_traced(const SimConfig& config,
-                                     TraceSource& trace,
-                                     const std::string& workload_name) {
-  StallTimeline tl;
-  tl.config = config;
-  tl.profile.name = workload_name;  // stub: replay reads only the name
-  Simulator::CheckpointHook hook;
-  if (config.checkpoint_stride > 0) {
-    hook = [&tl](const Core& core, const MemoryHierarchy& mem,
-                 std::uint64_t instr_pos, bool in_warmup) {
-      tl.checkpoints.push_back(capture_checkpoint(
-          core, mem, instr_pos, in_warmup,
-          tl.record.warmup_stalls.size() + tl.record.stalls.size()));
-    };
-  }
-  tl.reference = std::make_shared<const SimResult>(Simulator(config).run_recorded(
-      trace, workload_name, "none", tl.record, hook));
+      Simulator(config).run_recorded(trace, workload_name, "none", tl.record,
+                                     hook));
   MAPG_OBS_COUNTER_INC("sim.replay.timelines");
   return tl;
 }
@@ -56,10 +45,8 @@ ReplayOutcome replay_policy(const StallTimeline& timeline,
                             const std::string& policy_spec) {
   const SimConfig& cfg = timeline.config;
   const PgCircuit circuit(cfg.pg, cfg.tech);
-  const PolicyContext ctx = PgController::make_context(circuit);
-  std::unique_ptr<PgPolicy> policy = make_policy(policy_spec, ctx);
-  if (!policy)
-    throw std::invalid_argument("unknown policy spec: " + policy_spec);
+  const std::unique_ptr<PgPolicy> policy =
+      build_policy(policy_spec, PgController::make_context(circuit));
   // Same kernel parameters (mode, refresh timing, energy rates,
   // coordinated-PD inputs) and a null arbiter, exactly as the single-core
   // direct path constructs them — the controller cannot tell it is being
@@ -96,22 +83,42 @@ ReplayOutcome replay_policy(const StallTimeline& timeline,
   // Every window resolved penalty-free: core timing, trace consumption,
   // hierarchy and DRAM state match the reference bit for bit, so those
   // statistics are copied; gating comes from the replayed controller and
-  // energy is a pure function of the two (same formulas as run_impl).
+  // energy is a pure function of the two (the direct path's composition).
   SimResult r = *timeline.reference;
   r.policy = policy->name();
   r.ctx = policy->context();
   r.gating = controller.stats();
-  r.energy = compute_energy(cfg.tech, &circuit, r.core, r.gating.activity);
-  const DramEnergyBreakdown dram_e = compute_dram_energy_breakdown(
-      r.dram, cfg.mem.dram, cfg.tech, cfg.dram_energy, r.core.cycles,
-      r.gating.dram_pd_channel_cycles);
-  r.energy.dram_j = dram_e.total_j();
-  r.energy.dram_background_j = dram_e.background_j;
-  r.energy.dram_lowpower_saved_j = dram_e.lowpower_saved_j;
+  compose_result_energy(cfg, circuit, r);
 
   out.ok = true;
   out.result = std::move(r);
   MAPG_OBS_COUNTER_INC("sim.replay.cells");
+  return out;
+}
+
+TimelineOutcome resolve_on_timeline(const StallTimeline& timeline,
+                                    const std::string& policy_spec) {
+  TimelineOutcome out;
+  if (policy_spec == "none") {
+    out.tier = TimelineTier::kReference;
+    out.result = *timeline.reference;
+    return out;
+  }
+  ReplayOutcome replayed = replay_policy(timeline, policy_spec);
+  if (replayed.ok) {
+    out.tier = TimelineTier::kReplay;
+    out.result = std::move(replayed.result);
+    return out;
+  }
+  // The prefix before the first penalized window (the last one the failed
+  // replay consumed) is still exact: resume direct simulation from the
+  // latest checkpoint inside it.
+  ResumeOutcome resumed =
+      resume_policy(timeline, policy_spec, replayed.windows - 1);
+  if (!resumed.ok) return out;
+  out.tier = TimelineTier::kResume;
+  out.result = std::move(resumed.result);
+  out.windows_saved = resumed.windows_replayed;
   return out;
 }
 

@@ -21,11 +21,12 @@
 // Exactness guard: the replayer checks resume == data_ready per window as
 // it goes.  The first penalized window voids the equivalence — a penalty
 // shifts all later timing, refresh alignment, and DRAM state — so the
-// replayer bails out (ReplayOutcome::ok == false) and the caller falls back
-// to direct simulation for that cell.  The fallback no longer has to start
-// from cycle 0: record_timeline also captures periodic architectural
-// checkpoints, and resume_policy (replay/checkpoint.h) continues direct
-// simulation from the latest checkpoint before the first penalized window.
+// replayer bails out (ReplayOutcome::ok == false).  The cell then need not
+// re-simulate from cycle 0: record_timeline also captures periodic
+// architectural checkpoints, and resume_policy (replay/checkpoint.h)
+// continues direct simulation from the latest checkpoint before the first
+// penalized window.  resolve_on_timeline() owns that order (reference,
+// replay, resume, else direct) for every caller.
 // tests/test_replay.cpp proves replay == direct JSON-identical for eligible
 // cells and byte-identical fallback; tests/test_checkpoint.cpp proves the
 // same for prefix-resume at every checkpoint index.
@@ -33,6 +34,7 @@
 // Layering: exec -> replay -> core.  Nothing in core depends on replay.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,18 +58,19 @@ struct StallTimeline {
   std::vector<SimCheckpoint> checkpoints;
 };
 
-/// Run the `none` reference once and capture the timeline.  Deterministic
-/// function of (config, profile); the reference result is bit-identical to
-/// Simulator(config).run(profile, "none").
+/// Run the `none` reference once and capture the timeline: the traced
+/// variant below fed by the profile's TraceGenerator, keeping the full
+/// profile.  Deterministic function of (config, profile); the reference
+/// result is bit-identical to Simulator(config).run(profile, "none").
 StallTimeline record_timeline(const SimConfig& config,
                               const WorkloadProfile& profile);
 
-/// Trace-source variant: records the reference from an externally provided
-/// stream (e.g. a file-trace window in sampled simulation, src/sample)
-/// instead of a profile's generator.  The timeline's `profile` is a stub
-/// carrying only `workload_name` — replay_policy and resume_policy consult
-/// nothing else (they feed recorded events / the materialized trace), so
-/// every replay tier applies to traced timelines unchanged.
+/// Trace-source variant: records the reference from any stream (e.g. a
+/// file-trace window in sampled simulation, src/sample).  The timeline's
+/// `profile` is a stub carrying only `workload_name` — replay_policy and
+/// resume_policy consult nothing else (they feed recorded events / the
+/// materialized trace), so every replay tier applies to traced timelines
+/// unchanged.
 StallTimeline record_timeline_traced(const SimConfig& config,
                                      TraceSource& trace,
                                      const std::string& workload_name);
@@ -89,5 +92,29 @@ struct ReplayOutcome {
 /// a full from-zero simulation was needed — sim.replay.full_fallbacks).
 ReplayOutcome replay_policy(const StallTimeline& timeline,
                             const std::string& policy_spec);
+
+/// Which exact tier answered a cell on a recorded timeline.
+enum class TimelineTier : std::uint8_t {
+  kReference,  ///< `none`: the recorded reference run itself
+  kReplay,     ///< every window penalty-free (replay_policy)
+  kResume,     ///< resumed from the latest checkpoint before the first
+               ///< penalized window (resume_policy)
+  kDirect,     ///< no exact tier: the caller must simulate directly
+};
+
+struct TimelineOutcome {
+  TimelineTier tier = TimelineTier::kDirect;
+  SimResult result;                 ///< valid unless tier == kDirect
+  std::uint64_t windows_saved = 0;  ///< kResume: prefix events not simulated
+};
+
+/// The tier ladder for one cell on a recorded timeline, shared by every
+/// caller that holds one (ExperimentEngine::run_group, the server's
+/// TieredExecutor, SampledRunner): the reference for `none`, else an exact
+/// replay, else a prefix-resume, else kDirect.  Every answered result is
+/// bit-identical to a direct run; each caller keeps its own accounting and
+/// its own direct step.  Throws std::invalid_argument on an unknown spec.
+TimelineOutcome resolve_on_timeline(const StallTimeline& timeline,
+                                    const std::string& policy_spec);
 
 }  // namespace mapg

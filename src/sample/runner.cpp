@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -110,16 +111,11 @@ const StallTimeline& SampledRunner::timeline_for(std::size_t cluster) {
 
 SimResult SampledRunner::simulate_cell(const StallTimeline& timeline,
                                        const std::string& policy_spec) const {
-  // Same tier ladder as the experiment engine's replay groups: exact replay
-  // first, checkpoint prefix-resume second, direct simulation over the
-  // materialized window last.  Every tier is bit-identical to direct.
-  const ReplayOutcome replayed = replay_policy(timeline, policy_spec);
-  if (replayed.ok) return replayed.result;
-  if (!timeline.checkpoints.empty() && replayed.windows > 0) {
-    const ResumeOutcome resumed =
-        resume_policy(timeline, policy_spec, replayed.windows - 1);
-    if (resumed.ok) return resumed.result;
-  }
+  // The shared tier ladder; what no exact tier answers is simulated
+  // directly over the materialized window.  Every tier is bit-identical to
+  // direct.
+  TimelineOutcome exact = resolve_on_timeline(timeline, policy_spec);
+  if (exact.tier != TimelineTier::kDirect) return std::move(exact.result);
   SharedTraceView view(timeline.record.trace);
   return Simulator(timeline.config)
       .run(view, timeline.profile.name, policy_spec);

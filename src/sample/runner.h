@@ -4,9 +4,10 @@
 // For every cluster representative the runner records one reference
 // timeline over the representative's trace window — warmup clamped to the
 // prefix available before the region — and then serves each requested
-// policy through the SAME three tiers the experiment engine uses for
-// generated workloads (replay exact -> checkpoint prefix-resume -> direct
-// fallback over the materialized window).  Per-representative results are
+// policy through the SAME tier ladder the experiment engine and the server
+// use (resolve_on_timeline: reference -> exact replay -> checkpoint
+// prefix-resume), falling back to direct simulation over the materialized
+// window.  Per-representative results are
 // therefore bit-identical to directly simulating that window; approximation
 // enters ONLY in the projection step, where extensive metrics are scaled by
 // cluster weights and summed:

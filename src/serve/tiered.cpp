@@ -33,7 +33,9 @@ const char* tier_name(Tier tier) {
 
 TieredExecutor::TieredExecutor(ExperimentEngine& engine,
                                TieredOptions options)
-    : engine_(engine), options_(options), hot_(options.hot_entries) {
+    : engine_(engine),
+      hot_(options.hot_entries),
+      timelines_(options.timeline_entries) {
   // Pre-register the serve counter set (same rationale as the engine's:
   // every snapshot carries the full set, zeros included).
   MAPG_OBS_ONLY({
@@ -53,42 +55,10 @@ ServeStats TieredExecutor::stats() const {
   return stats_;
 }
 
-std::size_t TieredExecutor::timelines_cached() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return timeline_lru_.size();
-}
-
-TieredExecutor::TimelinePtr TieredExecutor::timeline_get(
-    const std::string& ref_key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = timeline_index_.find(ref_key);
-  if (it == timeline_index_.end()) return nullptr;
-  timeline_lru_.splice(timeline_lru_.begin(), timeline_lru_, it->second);
-  return it->second->second;
-}
-
-void TieredExecutor::timeline_put(const std::string& ref_key,
-                                  TimelinePtr timeline) {
-  if (options_.timeline_entries == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = timeline_index_.find(ref_key);
-  if (it != timeline_index_.end()) {
-    it->second->second = std::move(timeline);
-    timeline_lru_.splice(timeline_lru_.begin(), timeline_lru_, it->second);
-    return;
-  }
-  timeline_lru_.emplace_front(ref_key, std::move(timeline));
-  timeline_index_[ref_key] = timeline_lru_.begin();
-  if (timeline_lru_.size() > options_.timeline_entries) {
-    timeline_index_.erase(timeline_lru_.back().first);
-    timeline_lru_.pop_back();
-  }
-}
-
 TieredExecutor::TimelinePtr TieredExecutor::ensure_timeline(
     const ExperimentJob& group_job, const std::string& ref_key) {
   if (!engine_.options().use_replay) return nullptr;
-  if (TimelinePtr cached = timeline_get(ref_key)) return cached;
+  if (TimelinePtr cached = timelines_.get(ref_key)) return cached;
   TimelinePtr timeline;
   try {
     timeline = std::make_shared<const StallTimeline>(
@@ -102,7 +72,7 @@ TieredExecutor::TimelinePtr TieredExecutor::ensure_timeline(
   // (and any later request for it) is a cache hit, exactly like
   // ExperimentEngine::run_group does.
   engine_.cache().store(ref_key, SimResult(*timeline->reference));
-  timeline_put(ref_key, timeline);
+  timelines_.put(ref_key, timeline);
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.timelines_recorded;
@@ -128,60 +98,39 @@ ServeOutcome TieredExecutor::resolve(const ExperimentJob& job,
   if (engine_.options().use_replay) {
     const std::string ref_key =
         cache_key(job.config, job.profile, "none");
-    if (TimelinePtr timeline = timeline_get(ref_key)) {
+    if (TimelinePtr timeline = timelines_.get(ref_key)) {
       {
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.timelines_reused;
       }
       MAPG_OBS_COUNTER_INC("serve.timeline.reused");
       const double t0 = now_ms();
-      if (job.policy_spec == "none") {
-        out.job.result =
-            engine_.cache().store(key, SimResult(*timeline->reference));
-        out.job.ok = true;
-        out.job.from_replay = true;
-        out.job.wall_ms = now_ms() - t0;
-        out.tier = Tier::kReplay;
-        return out;
-      }
-      ReplayOutcome replayed;
-      bool replay_threw = false;
+      TimelineOutcome exact;
+      bool spec_error = false;
       try {
-        replayed = replay_policy(*timeline, job.policy_spec);
+        exact = resolve_on_timeline(*timeline, job.policy_spec);
       } catch (...) {
-        replay_threw = true;  // bad spec — the direct path reports it
+        spec_error = true;  // bad spec — the direct path reports it
       }
-      if (replayed.ok) {
-        out.job.result =
-            engine_.cache().store(key, std::move(replayed.result));
-        out.job.ok = true;
-        out.job.from_replay = true;
-        out.job.wall_ms = now_ms() - t0;
-        out.tier = Tier::kReplay;
-        return out;
-      }
-      // Penalized window: resume direct simulation from the latest
-      // checkpoint before it (replay/checkpoint.h) when one exists.
-      if (!replay_threw && !timeline->checkpoints.empty() &&
-          replayed.windows > 0) {
-        ResumeOutcome resumed =
-            resume_policy(*timeline, job.policy_spec, replayed.windows - 1);
-        if (resumed.ok) {
+      if (exact.tier != TimelineTier::kDirect) {
+        if (exact.tier == TimelineTier::kResume) {
           {
             std::lock_guard<std::mutex> lk(mu_);
             ++stats_.replay_prefix_resumes;
           }
           MAPG_OBS_COUNTER_INC("serve.replay.prefix_resumes");
-          out.job.result =
-              engine_.cache().store(key, std::move(resumed.result));
-          out.job.ok = true;
-          out.job.from_resume = true;
-          out.job.wall_ms = now_ms() - t0;
-          out.tier = Tier::kCompute;  // a (shortened) simulation, not a replay
-          return out;
         }
+        out.job.result = engine_.cache().store(key, std::move(exact.result));
+        out.job.ok = true;
+        out.job.from_replay = exact.tier != TimelineTier::kResume;
+        out.job.from_resume = exact.tier == TimelineTier::kResume;
+        out.job.wall_ms = now_ms() - t0;
+        // A resume is a (shortened) simulation, not a replay.
+        out.tier = exact.tier == TimelineTier::kResume ? Tier::kCompute
+                                                       : Tier::kReplay;
+        return out;
       }
-      if (!replay_threw) {
+      if (!spec_error) {
         {
           std::lock_guard<std::mutex> lk(mu_);
           ++stats_.replay_fallbacks;

@@ -9,22 +9,20 @@
 // N concurrent identical keys cost one computation, and a timeline cache
 // that persists ACROSS requests: a sweep records one `none` reference per
 // (config, workload, seed) group (exactly like ExperimentEngine::run_sweep
-// does within a batch), keeps it in a small LRU, and any later request
-// whose cell belongs to the same group — tomorrow's query for a new policy
-// on a known platform — replays instead of simulating.  Cells whose replay
-// hits a penalized window resume direct simulation from the timeline's
-// latest architectural checkpoint before that window (replay/checkpoint.h),
-// falling back to a from-zero run over the shared trace buffer
-// (exec::run_one_traced) when no checkpoint is eligible — either way
-// preserving the bit-identity contract: every tier returns the same bytes a
-// batch ExperimentEngine run would (tests/test_serve.cpp, CI serve smoke).
+// does within a batch), keeps it in a small LRU (the hot tier's LruCache),
+// and any later request whose cell belongs to the same group — tomorrow's
+// query for a new policy on a known platform — climbs the shared tier
+// ladder (resolve_on_timeline, replay/replay.h) instead of simulating:
+// replay, else resume from the timeline's latest checkpoint before the
+// first penalized window, else a from-zero run over the shared trace buffer
+// (exec::run_one_traced).  Every tier preserves the bit-identity contract:
+// it returns the same bytes a batch ExperimentEngine run would
+// (tests/test_serve.cpp, CI serve smoke).
 //
 // Thread-safe; shared by all server connections.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -101,15 +99,10 @@ class TieredExecutor {
   ServeStats stats() const;
   ExperimentEngine& engine() { return engine_; }
   const HotCache& hot_cache() const { return hot_; }
-  std::size_t timelines_cached() const;
+  std::size_t timelines_cached() const { return timelines_.size(); }
 
  private:
   using TimelinePtr = std::shared_ptr<const StallTimeline>;
-
-  /// Timeline LRU lookup by the group's reference key
-  /// (cache_key(config, profile, "none")).
-  TimelinePtr timeline_get(const std::string& ref_key);
-  void timeline_put(const std::string& ref_key, TimelinePtr timeline);
 
   /// Record (or fetch) the reference timeline for a group; nullptr when
   /// recording fails or replay is disabled.  Also publishes the reference
@@ -121,16 +114,14 @@ class TieredExecutor {
   ServeOutcome resolve(const ExperimentJob& job, const std::string& key);
 
   ExperimentEngine& engine_;
-  const TieredOptions options_;
   HotCache hot_;
+  /// Reference timelines by their group's reference key
+  /// (cache_key(config, profile, "none")).
+  LruCache<StallTimeline> timelines_;
   RequestCoalescer coalescer_;
 
-  mutable std::mutex mu_;  ///< guards stats_ and the timeline LRU
+  mutable std::mutex mu_;  ///< guards stats_
   ServeStats stats_;
-  std::list<std::pair<std::string, TimelinePtr>> timeline_lru_;
-  std::map<std::string,
-           std::list<std::pair<std::string, TimelinePtr>>::iterator>
-      timeline_index_;
 };
 
 }  // namespace mapg::serve

@@ -233,6 +233,32 @@ TEST(Checkpoint, ResumePolicyPicksLatestEligibleAndCounts) {
   }
 }
 
+TEST(Checkpoint, LadderLandsOnEachTier) {
+  // resolve_on_timeline, the ladder the engine, the server and the sampler
+  // share: on one timeline, one policy per outcome.
+  const SimConfig cfg = late_penalty_config(0);
+  const WorkloadProfile* p = find_profile("mcf-like");
+  ASSERT_NE(p, nullptr);
+  const StallTimeline tl = record_timeline(cfg, *p);
+  const struct {
+    const char* spec;
+    TimelineTier tier;
+  } cases[] = {{"none", TimelineTier::kReference},
+               {"mapg", TimelineTier::kReplay},
+               {kLatePolicy, TimelineTier::kResume},
+               {"idle-timeout:64", TimelineTier::kDirect}};
+  for (const auto& c : cases) {
+    const TimelineOutcome out = resolve_on_timeline(tl, c.spec);
+    EXPECT_EQ(out.tier, c.tier) << c.spec;
+    EXPECT_EQ(out.windows_saved > 0, c.tier == TimelineTier::kResume)
+        << c.spec;
+    if (out.tier == TimelineTier::kDirect) continue;
+    EXPECT_EQ(dump(out.result), dump(Simulator(cfg).run(*p, c.spec)))
+        << c.spec;
+  }
+  EXPECT_THROW(resolve_on_timeline(tl, "not-a-policy"), std::invalid_argument);
+}
+
 TEST(Checkpoint, UnknownSpecThrows) {
   SimConfig cfg = late_penalty_config(0);
   cfg.instructions = 2'000;

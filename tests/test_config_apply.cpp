@@ -112,6 +112,31 @@ TEST(ConfigApply, MulticoreKeysAcceptedBySimWithoutWarning) {
   EXPECT_TRUE(unknown.empty());
 }
 
+TEST(ConfigApply, CheckpointStrideFlag) {
+  KvConfig kv;
+  kv.set("checkpoint-stride", "5000");
+  std::vector<std::string> unknown;
+  const SimConfig cfg = apply_sim_config(kv, SimConfig{}, &unknown);
+  EXPECT_TRUE(unknown.empty());
+  EXPECT_EQ(cfg.checkpoint_stride, 5000u);
+  EXPECT_EQ(apply_sim_config(KvConfig{}).checkpoint_stride,
+            SimConfig{}.checkpoint_stride);
+}
+
+TEST(ConfigApply, DramPowerAliasYieldsToExplicitMode) {
+  KvConfig kv;
+  kv.set("dram-power", "coordinated");
+  std::vector<std::string> unknown;
+  EXPECT_EQ(apply_sim_config(kv, SimConfig{}, &unknown).mem.dram.power.mode,
+            DramPowerMode::kCoordinated);
+  EXPECT_TRUE(unknown.empty());
+  EXPECT_EQ(apply_multicore_config(kv).mem.dram.power.mode,
+            DramPowerMode::kCoordinated);
+  kv.set("dram.power.mode", "timeout");
+  EXPECT_EQ(apply_sim_config(kv).mem.dram.power.mode,
+            DramPowerMode::kTimeout);
+}
+
 TEST(Replicate, AggregatesAcrossSeeds) {
   SimConfig cfg;
   cfg.instructions = 100'000;

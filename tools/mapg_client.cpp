@@ -19,7 +19,6 @@
 //
 //   diff <(mapg_client cell ... --result-only=1 --local=1)
 //        <(mapg_client cell ... --result-only=1)
-#include <cstdlib>
 #include <iostream>
 #include <set>
 #include <sstream>
@@ -96,14 +95,7 @@ int run_local_cell(const KvConfig& kv, const serve::CellRequest& req) {
   job.profile = *profile;
   job.policy_spec = req.policy;
 
-  ExecOptions opts;
-  opts.jobs = 1;
-  const char* env_cache = std::getenv("MAPG_CACHE_DIR");
-  opts.cache_dir =
-      kv.get_or("cache-dir", env_cache != nullptr ? env_cache : "");
-  opts.use_disk_cache = !kv.get_bool("no-cache", false);
-  opts.use_replay = kv.get_bool("replay", true);
-  ExperimentEngine engine(opts);
+  ExperimentEngine engine(exec_options_from(kv));
   const JobOutcome out = engine.run_one(job);
   if (!out.ok) return fail(out.error);
   std::cout << result_to_json(*out.result).dump() << "\n";

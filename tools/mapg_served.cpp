@@ -10,7 +10,6 @@
 // ServeServer::stop(), which drains in-flight requests before exit — so
 // `kill` gives the same clean shutdown the protocol does.
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <thread>
@@ -44,6 +43,7 @@ int usage() {
       "                         (default: $MAPG_CACHE_DIR)\n"
       "  --no-cache=1           skip the disk cache tier\n"
       "  --replay=0             disable the cached-timeline replay tier\n"
+      "  --runlog=FILE          append per-job JSONL telemetry\n"
       "  --hot-entries=N        hot LRU capacity in results (default 4096)\n"
       "  --timeline-entries=N   cached reference timelines (default 8)\n"
       "  --metrics-out=FILE     metrics snapshot as JSON on exit\n"
@@ -68,12 +68,7 @@ int main(int argc, char** argv) {
   serve::ServerOptions opts;
   opts.bind_addr = kv.get_or("bind", "127.0.0.1");
   opts.port = static_cast<std::uint16_t>(kv.get_uint("port", 18256));
-  opts.exec.jobs = static_cast<unsigned>(kv.get_uint("jobs", 0));
-  const char* env_cache = std::getenv("MAPG_CACHE_DIR");
-  opts.exec.cache_dir =
-      kv.get_or("cache-dir", env_cache != nullptr ? env_cache : "");
-  opts.exec.use_disk_cache = !kv.get_bool("no-cache", false);
-  opts.exec.use_replay = kv.get_bool("replay", true);
+  opts.exec = exec_options_from(kv);
   opts.tiered.hot_entries =
       static_cast<std::size_t>(kv.get_uint("hot-entries", 4096));
   opts.tiered.timeline_entries =
