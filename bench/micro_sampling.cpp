@@ -25,8 +25,9 @@
 //
 // Usage: micro_sampling [--count=N] [--regions=N] [--clusters=K]
 //                       [--sample-warmup=N] [--seed=N] [--workload=NAME]
-//                       [--smoke=1] [--json=FILE] [--keep=1]
+//                       [--smoke=1] [--json=FILE] [--keep=1] [--jobs=N]
 //   --count=N     trace length in instructions (default 50M; smoke 2M)
+//   --jobs=N      threads for the cold signature scan (default: all)
 //   --smoke=1     small trace + bound assertion only (CI mode)
 //   --json=FILE   machine-readable record (scripts/bench_report.sh)
 //   --keep=1      keep the generated trace file
@@ -42,6 +43,7 @@
 
 #include "bench_util.h"
 #include "common/config.h"
+#include "exec/engine.h"
 #include "exec/json.h"
 #include "sample/runner.h"
 #include "trace/generator.h"
@@ -93,6 +95,9 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = cfg.get_uint("seed", 42);
   const std::string workload = cfg.get_or("workload", "mcf-like");
   const std::string json_path = cfg.get_or("json", "");
+  const unsigned jobs = exec_options_from(cfg).jobs;
+  const unsigned scan_threads =
+      jobs == 0 ? ThreadPool::default_threads() : jobs;
   const std::vector<std::string> policies = {"none", "mapg"};
   const std::vector<std::string> metrics = {
       "ipc", "mpki", "gated_time_fraction", "energy_total_j", "cycles"};
@@ -107,11 +112,12 @@ int main(int argc, char** argv) {
       "==== micro_sampling: phase-sampled projection vs full simulation "
       "====\n"
       "trace: %s x %llu instrs; regions of %llu, %llu clusters, warmup %llu"
-      "%s\n",
+      ", cold scan on %u threads%s\n",
       workload.c_str(), static_cast<unsigned long long>(count),
       static_cast<unsigned long long>(region_instrs),
       static_cast<unsigned long long>(clusters),
-      static_cast<unsigned long long>(sample_warmup), smoke ? "; SMOKE" : "");
+      static_cast<unsigned long long>(sample_warmup), scan_threads,
+      smoke ? "; SMOKE" : "");
 
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string trace_path = std::string(tmpdir ? tmpdir : "/tmp") +
@@ -155,7 +161,7 @@ int main(int argc, char** argv) {
   std::uint64_t plan_regions = 0, plan_clusters = 0, plan_sampled = 0;
   auto sampled_pass = [&](std::vector<SampledResult>& out) {
     FileTraceSource trace(trace_path);
-    SamplePlan plan = build_sample_plan(trace, scfg);
+    SamplePlan plan = build_sample_plan(trace, scfg, jobs);
     SampledRunner runner(sim_cfg, trace, std::move(plan),
                          "trace:" + workload);
     for (const std::string& spec : policies) out.push_back(runner.run(spec));
@@ -251,6 +257,7 @@ int main(int argc, char** argv) {
     j["sampled_instructions"] = Json::number(plan_sampled);
     j["full_s"] = Json::number(full_s);
     j["sample_cold_s"] = Json::number(cold_s);
+    j["scan_threads"] = Json::number(scan_threads);
     j["sample_warm_s"] = Json::number(warm_s);
     j["speedup_cold"] = Json::number(speedup_cold);
     j["speedup"] = Json::number(speedup);

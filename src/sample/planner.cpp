@@ -89,7 +89,7 @@ SamplePlan build_sample_plan(TraceSource& trace,
 }
 
 SamplePlan build_sample_plan(FileTraceSource& trace,
-                             const SampleConfig& config) {
+                             const SampleConfig& config, unsigned jobs) {
   constexpr std::uint64_t kLineBytes = 64;  // compute_region_signatures default
   const std::uint64_t digest = trace.info().stream_digest;
   if (!config.signature_cache.empty()) {
@@ -99,9 +99,8 @@ SamplePlan build_sample_plan(FileTraceSource& trace,
       return plan_from_signatures(std::move(*cached), config);
     }
   }
-  trace.seek(0);
-  std::vector<RegionSignature> sigs =
-      compute_region_signatures(trace, config.region_instructions, kLineBytes);
+  std::vector<RegionSignature> sigs = compute_file_signatures(
+      trace, config.region_instructions, kLineBytes, jobs);
   if (!config.signature_cache.empty()) {
     // Best-effort refresh: a failed write costs the NEXT run a rescan, never
     // correctness — the load path re-verifies digest and slicing anyway.

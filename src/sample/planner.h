@@ -75,7 +75,10 @@ SamplePlan build_sample_plan(TraceSource& trace, const SampleConfig& config);
 /// `config.signature_cache` — signatures depend only on trace content and
 /// slicing, so a matching cache skips the full-trace scan entirely, which is
 /// where steady-state sampled runs get their speedup (bench/micro_sampling).
+/// On a cache miss the scan runs on up to `jobs` threads, with the --jobs
+/// meaning (0 = every hardware thread, 1 = serial on the calling thread);
+/// the plan and the cache bytes are identical for every `jobs`.
 SamplePlan build_sample_plan(FileTraceSource& trace,
-                             const SampleConfig& config);
+                             const SampleConfig& config, unsigned jobs = 0);
 
 }  // namespace mapg

@@ -1,9 +1,15 @@
 #include "sample/signature.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iterator>
+#include <memory>
+
+#include "exec/thread_pool.h"
 
 namespace mapg {
 namespace {
@@ -197,40 +203,120 @@ struct RegionAccum {
   }
 };
 
+std::uint64_t line_shift_for(std::uint64_t line_bytes) {
+  std::uint64_t line_shift = 0;
+  while ((1ULL << line_shift) < line_bytes) ++line_shift;
+  return line_shift;
+}
+
+/// The one per-region scan behind both signature passes: reset `acc`, feed
+/// it the next (up to) `limit` instructions of `trace`, and return how many
+/// there were.
+std::uint64_t scan_region(TraceSource& trace, std::uint64_t limit,
+                          std::uint64_t line_shift, RegionAccum& acc) {
+  acc.reset();
+  std::uint64_t n = 0;
+  Instr instr;
+  while (n < limit && trace.next(instr)) {
+    acc.add(instr, line_shift);
+    ++n;
+  }
+  return n;
+}
+
+/// A trailing sliver (< 1% of nominal) would make a meaningless
+/// representative, so when there is a predecessor to absorb its weight it
+/// is folded into that region's length.
+void merge_trailing_sliver(std::vector<RegionSignature>& sigs,
+                           std::uint64_t region_instructions) {
+  if (sigs.size() >= 2 && sigs.back().length < region_instructions / 100) {
+    sigs[sigs.size() - 2].length += sigs.back().length;
+    sigs.pop_back();
+  }
+}
+
 }  // namespace
 
 std::vector<RegionSignature> compute_region_signatures(
     TraceSource& trace, std::uint64_t region_instructions,
     std::uint64_t line_bytes) {
   if (region_instructions == 0) region_instructions = 1;
-  std::uint64_t line_shift = 0;
-  while ((1ULL << line_shift) < line_bytes) ++line_shift;
-
+  const std::uint64_t line_shift = line_shift_for(line_bytes);
   std::vector<RegionSignature> out;
   RegionAccum acc;
-  std::uint64_t region_start = 0, in_region = 0, consumed = 0;
-  Instr instr;
-  while (trace.next(instr)) {
-    acc.add(instr, line_shift);
-    ++in_region;
-    ++consumed;
-    if (in_region == region_instructions) {
-      out.push_back(acc.finish(region_start, in_region));
-      acc.reset();
-      region_start = consumed;
-      in_region = 0;
-    }
+  for (std::uint64_t start = 0;; start += region_instructions) {
+    const std::uint64_t n =
+        scan_region(trace, region_instructions, line_shift, acc);
+    if (n > 0) out.push_back(acc.finish(start, n));
+    if (n < region_instructions) break;
   }
-  if (in_region > 0) {
-    // A trailing sliver (< 1% of nominal) would make a meaningless
-    // representative; fold it into the signature of nothing rather than
-    // emit it only when there is a predecessor to absorb its weight.
-    if (!out.empty() && in_region < region_instructions / 100) {
-      out.back().length += in_region;
-    } else {
-      out.push_back(acc.finish(region_start, in_region));
-    }
+  merge_trailing_sliver(out, region_instructions);
+  return out;
+}
+
+std::vector<RegionSignature> compute_file_signatures(
+    FileTraceSource& trace, std::uint64_t region_instructions,
+    std::uint64_t line_bytes, unsigned jobs) {
+  if (region_instructions == 0) region_instructions = 1;
+  const std::uint64_t total = trace.size();
+  const std::uint64_t regions = total / region_instructions +
+                                (total % region_instructions != 0 ? 1 : 0);
+  const std::uint64_t workers = std::min<std::uint64_t>(
+      jobs == 0 ? ThreadPool::default_threads() : jobs, regions);
+  trace.seek(0);
+  // A MAPGTRC1 file is one chunk, and every reader opened on it re-digests
+  // the whole payload, so it keeps the serial scan.
+  if (workers <= 1 || trace.info().version == 1)
+    return compute_region_signatures(trace, region_instructions, line_bytes);
+
+  // Worker 0 is the calling thread, scanning through the caller's reader;
+  // the pool's workers each get their own reader on the same path, so every
+  // chunk served is still digest-checked.  Readers and accumulators are all
+  // built here, on the calling thread: glibc serves a thread's allocations
+  // from that thread's arena and keeps them there after free, so buffers
+  // born on pool threads stay resident beside whatever the caller allocates
+  // next.  (A region accumulator's line map still grows where it scans.)
+  std::vector<std::unique_ptr<FileTraceSource>> own;
+  std::vector<FileTraceSource*> readers{&trace};
+  for (std::uint64_t w = 1; w < workers; ++w) {
+    own.push_back(std::make_unique<FileTraceSource>(trace.path()));
+    readers.push_back(own.back().get());
   }
+  std::vector<RegionAccum> accs(workers);
+  const std::uint64_t line_shift = line_shift_for(line_bytes);
+
+  std::vector<RegionSignature> out(regions);
+  std::vector<std::exception_ptr> errors(regions);
+  std::atomic<std::uint64_t> next_region{0};
+  // Every region is attempted even after one fails, so which errors are
+  // recorded never depends on thread timing.
+  const auto work = [&](std::uint64_t w) {
+    for (;;) {
+      const std::uint64_t r = next_region.fetch_add(1);
+      if (r >= regions) return;
+      const std::uint64_t start = r * region_instructions;
+      const std::uint64_t length = std::min(region_instructions, total - start);
+      try {
+        readers[w]->seek(start);
+        scan_region(*readers[w], length, line_shift, accs[w]);
+        out[r] = accs[w].finish(start, length);
+      } catch (...) {
+        errors[r] = std::current_exception();
+      }
+    }
+  };
+  {
+    ThreadPool pool(static_cast<unsigned>(workers - 1));
+    for (std::uint64_t w = 1; w < workers; ++w)
+      pool.submit([&work, w] { work(w); });
+    work(0);
+  }  // ~ThreadPool joins every pool worker
+  // The serial scan stops at its first error, which lies in the lowest
+  // failing region.
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  merge_trailing_sliver(out, region_instructions);
+  trace.seek(total);  // leave the cursor where the serial scan does
   return out;
 }
 
@@ -244,6 +330,9 @@ double signature_l1(const std::array<double, kSignatureDims>& a,
 namespace {
 
 constexpr char kSigMagic[8] = {'M', 'A', 'P', 'G', 'S', 'I', 'G', '1'};
+constexpr std::size_t kSigHeaderBytes = sizeof(kSigMagic) + 4 * 8;
+/// start, length, mem_ops, distinct_lines, first_touch_fraction, v[].
+constexpr std::size_t kSigRecordBytes = 5 * 8 + kSignatureDims * 8;
 
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
@@ -282,7 +371,7 @@ bool save_region_signatures(const std::string& path, std::uint64_t digest,
                             const std::vector<RegionSignature>& sigs,
                             std::string* error) {
   std::string buf;
-  buf.reserve(40 + sigs.size() * (8 * 4 + 8 + kSignatureDims * 8));
+  buf.reserve(kSigHeaderBytes + sigs.size() * kSigRecordBytes);
   buf.append(kSigMagic, sizeof(kSigMagic));
   put_u64(buf, digest);
   put_u64(buf, region_instructions);
@@ -313,7 +402,7 @@ std::optional<std::vector<RegionSignature>> load_region_signatures(
   if (!in) return std::nullopt;
   std::string buf((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
-  if (buf.size() < 40 ||
+  if (buf.size() < kSigHeaderBytes ||
       std::memcmp(buf.data(), kSigMagic, sizeof(kSigMagic)) != 0)
     return std::nullopt;
   std::size_t pos = sizeof(kSigMagic);
@@ -326,8 +415,11 @@ std::optional<std::vector<RegionSignature>> load_region_signatures(
   if (got_digest != digest || got_region != region_instructions ||
       got_line != line_bytes)
     return std::nullopt;
+  // The count is untrusted: one the remaining bytes cannot hold is a
+  // damaged cache (a miss to rescan), and must never size an allocation.
+  if (count > (buf.size() - pos) / kSigRecordBytes) return std::nullopt;
   std::vector<RegionSignature> sigs;
-  sigs.reserve(count);
+  sigs.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     RegionSignature s;
     if (!get_u64(buf, pos, &s.start) || !get_u64(buf, pos, &s.length) ||

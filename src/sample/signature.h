@@ -23,8 +23,10 @@
 //
 // Reuse state is cleared at every region boundary, so signature extraction
 // streams with O(region footprint) memory and regions are position-
-// independent.  Auxiliary raw counts (mem ops, distinct lines, first-touch
-// fraction) ride along for the projection's dispersion model (runner.h).
+// independent: an on-disk trace's regions can be scanned in any order, on
+// any number of threads (compute_file_signatures).  Auxiliary raw counts
+// (mem ops, distinct lines, first-touch fraction) ride along for the
+// projection's dispersion model (runner.h).
 #pragma once
 
 #include <array>
@@ -33,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/trace_io.h"
+#include "trace/trace_file.h"
 
 namespace mapg {
 
@@ -71,6 +73,20 @@ std::vector<RegionSignature> compute_region_signatures(
     TraceSource& trace, std::uint64_t region_instructions,
     std::uint64_t line_bytes = 64);
 
+/// The same signatures for the WHOLE of an on-disk trace (seeks to 0 first,
+/// leaves the cursor at the end), computed on up to `jobs` worker threads
+/// with the --jobs meaning: 0 = every hardware thread, 1 = the serial scan
+/// above on the calling thread.  Regions are independent (reuse state
+/// clears at each boundary), so each worker seeks its own reader to a
+/// region's start and scans it whole; the result is identical for every
+/// `jobs`.  A MAPGTRC1 file always takes the serial scan.  If regions fail
+/// to read (short read, chunk digest mismatch, bad op class), the error of
+/// the lowest failing region is rethrown, which is the one the serial scan
+/// meets first.
+std::vector<RegionSignature> compute_file_signatures(
+    FileTraceSource& trace, std::uint64_t region_instructions,
+    std::uint64_t line_bytes, unsigned jobs);
+
 /// L1 distance between two signature vectors (the clustering metric).
 double signature_l1(const std::array<double, kSignatureDims>& a,
                     const std::array<double, kSignatureDims>& b);
@@ -88,12 +104,14 @@ double signature_l1(const std::array<double, kSignatureDims>& a,
 //   16      8     u64 region_instructions
 //   24      8     u64 line_bytes
 //   32      8     u64 region count N
-//   40      96*N  per region: u64 start, u64 length, u64 mem_ops,
+//   40      296*N per region: u64 start, u64 length, u64 mem_ops,
 //                 u64 distinct_lines, f64 first_touch_fraction,
 //                 f64 v[32]  (IEEE-754 bit patterns — reload is exact)
 //
 // Loaders REJECT (return nullopt) on any mismatch of magic, digest, or
-// slicing parameters, so a stale cache can never silently shape a plan.
+// slicing parameters, so a stale cache can never silently shape a plan; a
+// region count the file's bytes cannot hold is a miss too, never an
+// allocation.
 
 /// Write `sigs` to `path`.  Returns false (with `*error` set) on I/O error.
 bool save_region_signatures(const std::string& path, std::uint64_t digest,

@@ -46,15 +46,21 @@ constexpr std::string_view op_class_name(OpClass op) {
   return "?";
 }
 
+/// Fields are declared in on-disk record order (trace_file.h: u8 op,
+/// u16 dep_dist, u64 addr); in that order the two small fields share the
+/// first eight bytes and the struct packs into 16.  Every materialized trace
+/// (tee buffers, SharedTraceView, sampled windows) is a vector of these, so
+/// the size is pinned below.
 struct Instr {
   OpClass op = OpClass::kAlu;
-  /// Byte address touched by kLoad/kStore; kNoAddr otherwise.
-  Addr addr = kNoAddr;
   /// For kLoad: number of instructions after this one at which the first
   /// consumer of the loaded value appears (1 = the very next instruction).
   /// 0 means no consumer inside the scheduling window (prefetch-like).
   std::uint16_t dep_dist = 0;
+  /// Byte address touched by kLoad/kStore; kNoAddr otherwise.
+  Addr addr = kNoAddr;
 };
+static_assert(sizeof(Instr) == 16, "Instr must stay packed to 16 bytes");
 
 /// A trace is a (possibly unbounded) stream of instructions.  Sources must
 /// be deterministic under reset(): replaying yields the identical stream.

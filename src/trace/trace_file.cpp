@@ -18,6 +18,7 @@ constexpr std::size_t kIndexEntrySize = 3 * 8;
 constexpr std::size_t kV1HeaderSize = 8 + 8;
 /// Same defensive cap as the v1 reader: refuse absurd headers, not OOM.
 constexpr std::uint64_t kMaxRecords = 1ULL << 40;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 void put_u16(char* p, std::uint16_t v) {
   p[0] = static_cast<char>(v & 0xff);
@@ -61,6 +62,21 @@ Instr unpack_record(const char* rec, std::uint64_t index) {
   return instr;
 }
 
+/// Advance two FNV-1a64 chains over the same bytes in one pass (the
+/// writer's chunk digest and stream digest).  The chains are independent,
+/// so their multiplies overlap and the pair costs about one chain.
+void trace_digest_update_pair(const char* data, std::size_t len,
+                              std::uint64_t& a, std::uint64_t& b) {
+  std::uint64_t ha = a, hb = b;  // locals: `data` may alias the references
+  for (std::size_t i = 0; i < len; ++i) {
+    const auto byte = static_cast<unsigned char>(data[i]);
+    ha = (ha ^ byte) * kFnvPrime;
+    hb = (hb ^ byte) * kFnvPrime;
+  }
+  a = ha;
+  b = hb;
+}
+
 }  // namespace
 
 std::uint64_t trace_digest_update(const char* data, std::size_t len,
@@ -68,7 +84,7 @@ std::uint64_t trace_digest_update(const char* data, std::size_t len,
   std::uint64_t h = seed;
   for (std::size_t i = 0; i < len; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -103,34 +119,28 @@ std::uint64_t write_trace_v2(std::ostream& os, TraceSource& source,
   };
   std::vector<Meta> metas;
   metas.reserve(reserved_chunks);
-  std::vector<char> payload;
-  payload.reserve(static_cast<std::size_t>(
+  std::vector<char> payload(static_cast<std::size_t>(
       std::min<std::uint64_t>(chunk_size, count) * kRecordSize));
 
   std::uint64_t written = 0;
   std::uint64_t stream_digest = kTraceDigestSeed;
   Instr instr;
-  char rec[kRecordSize];
   while (written < count) {
-    payload.clear();
     const std::uint64_t want = std::min(chunk_size, count - written);
     std::uint64_t got = 0;
-    while (got < want && source.next(instr)) {
+    for (char* rec = payload.data(); got < want && source.next(instr);
+         rec += kRecordSize, ++got)
       pack_record(rec, instr);
-      payload.insert(payload.end(), rec, rec + kRecordSize);
-      ++got;
-    }
     if (got == 0) break;
+    const std::size_t bytes = static_cast<std::size_t>(got * kRecordSize);
     Meta m;
     m.offset = static_cast<std::uint64_t>(os.tellp() - base) +
                static_cast<std::uint64_t>(base);
     m.records = got;
-    m.digest =
-        trace_digest_update(payload.data(), payload.size(), kTraceDigestSeed);
-    stream_digest =
-        trace_digest_update(payload.data(), payload.size(), stream_digest);
+    m.digest = kTraceDigestSeed;
+    trace_digest_update_pair(payload.data(), bytes, m.digest, stream_digest);
     metas.push_back(m);
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    os.write(payload.data(), static_cast<std::streamsize>(bytes));
     written += got;
     if (got < want) break;  // source ended early
   }
@@ -245,7 +255,10 @@ FileTraceSource::FileTraceSource(const std::string& path)
     chunks_[i].offset = get_u64(e);
     chunks_[i].records = get_u64(e + 8);
     chunks_[i].digest = get_u64(e + 16);
-    if (chunks_[i].records == 0 || chunks_[i].records > info_.chunk_size)
+    // next() finds record p in chunk p / chunk_size, so every chunk but the
+    // last must be full; a short one would serve bytes past its payload.
+    if (chunks_[i].records == 0 || chunks_[i].records > info_.chunk_size ||
+        (i + 1 < info_.n_chunks && chunks_[i].records != info_.chunk_size))
       throw std::runtime_error(path + ": malformed chunk index entry " +
                                std::to_string(i));
     if (chunks_[i].offset + chunks_[i].records * kRecordSize > file_size)
@@ -257,10 +270,19 @@ FileTraceSource::FileTraceSource(const std::string& path)
     throw std::runtime_error(
         path + ": chunk index records disagree with header count");
   verified_.assign(chunks_.size(), 0);
+  // Size the chunk buffer here, on the constructing thread, for the largest
+  // chunk (each one was just checked to fit in the file).  A reader built on
+  // one thread and read on another (the parallel signature scan,
+  // sample/signature.h) then never allocates it on the reading thread,
+  // whose glibc arena would keep it after the reader is gone.
+  std::uint64_t largest = 0;
+  for (const ChunkMeta& c : chunks_) largest = std::max(largest, c.records);
+  buf_.reserve(static_cast<std::size_t>(largest * kRecordSize));
 }
 
 void FileTraceSource::load_chunk(std::uint64_t chunk_index) {
   const ChunkMeta& m = chunks_.at(chunk_index);
+  buf_chunk_ = ~0ULL;  // a load that throws leaves no chunk resident
   buf_.resize(static_cast<std::size_t>(m.records * kRecordSize));
   is_.clear();
   is_.seekg(static_cast<std::streamoff>(m.offset));

@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -33,6 +34,19 @@ std::uint64_t get_u64(const char* p) {
   for (int i = 7; i >= 0; --i)
     v = (v << 8) | static_cast<unsigned char>(p[i]);
   return v;
+}
+
+/// Whole records left between the read position and the end of `is`; 0
+/// when the stream cannot seek (a pipe) and so cannot say.
+std::uint64_t records_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  if (here == std::streampos(-1)) return 0;
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  const std::streamoff left = end == std::streampos(-1) ? 0 : end - here;
+  return left > 0 ? static_cast<std::uint64_t>(left) / kRecordSize : 0;
 }
 
 }  // namespace
@@ -85,7 +99,10 @@ bool read_trace(std::istream& is, std::vector<Instr>& out, std::string* error) {
     return false;
   }
   out.clear();
-  out.reserve(count);
+  // The count is untrusted: reserve only what the stream actually holds, so
+  // a short file claiming billions of records fails at its first missing
+  // record below instead of in the allocator.
+  out.reserve(static_cast<std::size_t>(std::min(count, records_left(is))));
   char rec[kRecordSize];
   for (std::uint64_t i = 0; i < count; ++i) {
     is.read(rec, kRecordSize);

@@ -37,8 +37,8 @@ TEST(Analytic, SerializedChaseMatchesClosedForm) {
   prog.reserve(n);
   for (int i = 0; i < n; ++i)
     prog.push_back(Instr{.op = OpClass::kLoad,
-                         .addr = (1ULL << 24) + static_cast<Addr>(i) * 16384,
-                         .dep_dist = 1});
+                         .dep_dist = 1,
+                         .addr = (1ULL << 24) + static_cast<Addr>(i) * 16384});
 
   const Simulator sim(cfg);
   VectorTraceSource trace(prog);
@@ -73,8 +73,8 @@ TEST(Analytic, MapgSavingsMatchClosedFormOnChase) {
   std::vector<Instr> prog;
   for (int i = 0; i < n; ++i)
     prog.push_back(Instr{.op = OpClass::kLoad,
-                         .addr = (1ULL << 24) + static_cast<Addr>(i) * 16384,
-                         .dep_dist = 1});
+                         .dep_dist = 1,
+                         .addr = (1ULL << 24) + static_cast<Addr>(i) * 16384});
 
   const Simulator sim(cfg);
   const PolicyContext ctx = sim.policy_context();
@@ -125,8 +125,8 @@ TEST(Analytic, StreamingThroughputBetweenCoreAndBandwidthBounds) {
   std::vector<Instr> prog;
   for (int i = 0; i < n; ++i)
     prog.push_back(Instr{.op = OpClass::kLoad,
-                         .addr = (1ULL << 26) + static_cast<Addr>(i) * 8,
-                         .dep_dist = 0});
+                         .dep_dist = 0,
+                         .addr = (1ULL << 26) + static_cast<Addr>(i) * 8});
 
   const Simulator sim(cfg);
   VectorTraceSource trace(prog);

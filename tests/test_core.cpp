@@ -31,7 +31,7 @@ HierarchyConfig tiny_mem() {
 
 Instr alu() { return Instr{.op = OpClass::kAlu}; }
 Instr load(Addr a, std::uint16_t dep) {
-  return Instr{.op = OpClass::kLoad, .addr = a, .dep_dist = dep};
+  return Instr{.op = OpClass::kLoad, .dep_dist = dep, .addr = a};
 }
 
 /// Distinct cold addresses guaranteed to miss to DRAM (new row each).

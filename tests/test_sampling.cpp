@@ -64,6 +64,25 @@ std::vector<Instr> read_all(const std::string& path) {
   return out;
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Little-endian u64 access into raw file bytes, for forging headers.
+std::uint64_t le64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 8; i-- > 0;)
+    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+  return v;
+}
+
+void put_le64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
 bool same_stream(const std::vector<Instr>& a, const std::vector<Instr>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -239,6 +258,41 @@ TEST(TraceFile, CorruptChunkThrowsAfterServingTheIntactChunks) {
   EXPECT_EQ(served, 2u * 1024u);  // exactly the two intact chunks
 }
 
+TEST(TraceFile, ShortChunkBeforeTheLastIsRejectedAtOpen) {
+  // 4'099 records in 1024-record chunks: chunks 0-3 full, chunk 4 holds 3.
+  // Move 24 records from chunk 0 to chunk 4 (the counts still sum to the
+  // header), pad the file so chunk 4 fits, and re-forge both chunk digests:
+  // only the layout is wrong.  Records are found by division, so serving
+  // record 1000 would read past chunk 0's payload; open must refuse.
+  const std::vector<Instr> ref = generate("gcc-like", 4'099);
+  TempFile f(tmp_path("shortchunk"));
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(f.path, s, ref.size(), nullptr, 1024));
+  }
+  std::string bytes = file_bytes(f.path);
+  bytes.append(24 * 11, '\0');  // 24 ALU records of zeros
+  const auto forge = [&bytes](std::size_t chunk, std::uint64_t records) {
+    const std::size_t entry = 40 + 24 * chunk;
+    const std::uint64_t offset = le64_at(bytes, entry);
+    put_le64(bytes, entry + 8, records);
+    put_le64(bytes, entry + 16,
+             trace_digest_update(bytes.data() + offset, records * 11,
+                                 kTraceDigestSeed));
+  };
+  forge(0, 1000);
+  forge(4, 27);
+  std::ofstream(f.path, std::ios::binary) << bytes;
+  try {
+    FileTraceSource src(f.path);
+    ADD_FAILURE() << "short first chunk accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("malformed chunk index entry 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- converters ------------------------------------------------------------
 
 TEST(Convert, RwDialectGolden) {
@@ -351,8 +405,8 @@ TEST(Convert, CacheFilterRewritesHitsPreservesCount) {
   // Two lines ping-ponged: first touches miss, every repeat hits.
   std::vector<Instr> instrs;
   for (int i = 0; i < 10; ++i) {
-    instrs.push_back({OpClass::kLoad, 0x1000, 1});
-    instrs.push_back({OpClass::kStore, 0x2000, 0});
+    instrs.push_back({.op = OpClass::kLoad, .dep_dist = 1, .addr = 0x1000});
+    instrs.push_back({.op = OpClass::kStore, .dep_dist = 0, .addr = 0x2000});
   }
   VectorTraceSource src(instrs);
   CacheFilter l1(32 * 1024, 64, 4);
@@ -486,6 +540,129 @@ TEST(SamplePlan, SignatureCacheHitIsByteIdenticalAndStaleCacheRejected) {
   }
   EXPECT_FALSE(load_region_signatures(cache.path, digest,
                                       cfg.region_instructions, 64));
+}
+
+TEST(SamplePlan, SignatureCacheClaimingHugeCountIsAMissNotAnAllocation) {
+  // A MAPGSIG1 header whose region count the file cannot hold (2^40 regions
+  // in a header-only file) is damage: a miss that rescans and rewrites the
+  // cache, never a reserve() that throws std::bad_alloc.
+  PlannedTrace t(150'000);
+  SampleConfig cfg = small_sample_config();
+  TempFile cache(tmp_path("sigs"));
+  cfg.signature_cache = cache.path;
+  FileTraceSource src(t.file.path);
+  const std::uint64_t digest = src.info().stream_digest;
+  {
+    std::string header = "MAPGSIG1";
+    header.resize(40);
+    put_le64(header, 8, digest);
+    put_le64(header, 16, cfg.region_instructions);
+    put_le64(header, 24, 64);
+    put_le64(header, 32, std::uint64_t{1} << 40);
+    std::ofstream(cache.path, std::ios::binary) << header;
+  }
+  EXPECT_FALSE(load_region_signatures(cache.path, digest,
+                                      cfg.region_instructions, 64));
+  const SamplePlan plan = build_sample_plan(src, cfg);
+  EXPECT_EQ(plan.regions.size(), 150'000u / cfg.region_instructions);
+  const auto rewritten = load_region_signatures(cache.path, digest,
+                                                cfg.region_instructions, 64);
+  ASSERT_TRUE(rewritten.has_value());
+  EXPECT_EQ(rewritten->size(), plan.regions.size());
+}
+
+TEST(SamplePlan, ParallelScanIsIdenticalForEveryJobsCount) {
+  // 4096-record chunks against 20'000-instruction regions, so chunks
+  // straddle region boundaries and two workers verify the same chunk.  The
+  // three tails: a sliver under 1 % of a region (merged into its
+  // predecessor), a short last region of at least 1 % (kept), and a trace
+  // shorter than one region.
+  constexpr std::uint64_t kRegion = 20'000;
+  const std::vector<std::uint64_t> lengths = {5 * kRegion + 150,
+                                              5 * kRegion + 3'000, 7'000};
+  for (const std::uint64_t n : lengths) {
+    const std::vector<Instr> ref = generate("mcf-like", n, 11);
+    TempFile f(tmp_path("jobs" + std::to_string(n)));
+    {
+      VectorTraceSource s(ref);
+      ASSERT_TRUE(write_trace_file_v2(f.path, s, n, nullptr, 4096));
+    }
+    SampleConfig cfg = small_sample_config();
+    cfg.region_instructions = kRegion;
+    TempFile cache(tmp_path("jobs_sigs"));
+    cfg.signature_cache = cache.path;
+
+    // The plain-stream serial scan is the reference for every jobs value.
+    VectorTraceSource stream(ref);
+    const SamplePlan want = build_sample_plan(stream, cfg);
+    ASSERT_FALSE(want.regions.empty());
+    std::string want_bytes;
+    for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
+      std::remove(cache.path.c_str());
+      FileTraceSource src(f.path);
+      const SamplePlan got = build_sample_plan(src, cfg, jobs);
+      EXPECT_TRUE(plans_identical(want, got)) << "n=" << n << " jobs=" << jobs;
+      EXPECT_EQ(src.pos(), n) << "jobs=" << jobs;
+      const std::string bytes = file_bytes(cache.path);
+      ASSERT_FALSE(bytes.empty());
+      if (jobs == 1) want_bytes = bytes;
+      EXPECT_EQ(bytes, want_bytes) << "n=" << n << " jobs=" << jobs;
+    }
+    // The cache bytes carry every field, aux counts included; reloading
+    // them gives the plain-stream scan's signatures exactly.
+    FileTraceSource src(f.path);
+    const auto sigs = load_region_signatures(
+        cache.path, src.info().stream_digest, kRegion, 64);
+    ASSERT_TRUE(sigs.has_value());
+    ASSERT_EQ(sigs->size(), want.regions.size());
+    for (std::size_t i = 0; i < sigs->size(); ++i) {
+      EXPECT_EQ((*sigs)[i].mem_ops, want.regions[i].mem_ops);
+      EXPECT_EQ((*sigs)[i].distinct_lines, want.regions[i].distinct_lines);
+      EXPECT_EQ((*sigs)[i].first_touch_fraction,
+                want.regions[i].first_touch_fraction);
+    }
+  }
+}
+
+TEST(SamplePlan, CorruptChunkThrowsTheSerialScansErrorForAnyJobs) {
+  // Six 20'000-instruction regions in 4096-record chunks.  Chunk 18 lies
+  // late inside region 3 and chunk 25 early inside region 5; both are
+  // damaged, so with several workers the region-5 error can come first in
+  // time.  Every jobs value must still report chunk 18, the error the
+  // serial scan meets first.
+  constexpr std::uint64_t kRegion = 20'000;
+  const std::vector<Instr> ref = generate("gcc-like", 6 * kRegion);
+  TempFile f(tmp_path("corrupt_mid"));
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(f.path, s, ref.size(), nullptr, 4096));
+  }
+  std::string bytes = file_bytes(f.path);
+  for (const std::size_t chunk : {18u, 25u}) {
+    const std::uint64_t offset = le64_at(bytes, 40 + 24 * chunk);  // payload
+    ASSERT_LT(offset + 17, bytes.size());
+    bytes[offset + 17] = static_cast<char>(bytes[offset + 17] ^ 0x40);
+  }
+  std::ofstream(f.path, std::ios::binary) << bytes;
+
+  SampleConfig cfg = small_sample_config();
+  cfg.region_instructions = kRegion;
+  std::vector<std::string> errors;
+  for (const unsigned jobs : {1u, 4u, 8u}) {
+    FileTraceSource src(f.path);  // index intact: open succeeds
+    try {
+      build_sample_plan(src, cfg, jobs);
+      ADD_FAILURE() << "jobs=" << jobs << ": corrupt trace planned";
+    } catch (const std::runtime_error& e) {
+      errors.push_back(e.what());
+    }
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_NE(errors[0].find("chunk 18 payload digest mismatch"),
+            std::string::npos)
+      << errors[0];
+  EXPECT_EQ(errors[1], errors[0]);
+  EXPECT_EQ(errors[2], errors[0]);
 }
 
 // --- sampled simulation ----------------------------------------------------

@@ -312,6 +312,22 @@ TEST(TraceIo, RejectsTruncatedBody) {
   EXPECT_NE(err.find("truncated"), std::string::npos);
 }
 
+TEST(TraceIo, HugeCountInShortStreamFailsWithoutAllocating) {
+  // A 16-byte MAPGTRC1 stream (magic + count) claiming 2^31 records: the
+  // count passes the 2^32 sanity cap, but reserving it would ask for tens
+  // of GB.  It must fail as the truncated input it is.
+  std::string bytes = "MAPGTRC1";
+  const std::uint64_t count = std::uint64_t{1} << 31;
+  for (int i = 0; i < 8; ++i)
+    bytes.push_back(static_cast<char>(count >> (8 * i)));
+  std::stringstream buf(bytes);
+  std::vector<Instr> loaded;
+  std::string err;
+  EXPECT_FALSE(read_trace(buf, loaded, &err));
+  EXPECT_EQ(err, "truncated at record 0");
+  EXPECT_TRUE(loaded.empty());
+}
+
 TEST(TraceIo, FileRoundTrip) {
   const WorkloadProfile* p = find_profile("astar-like");
   TraceGenerator g(*p, 37);

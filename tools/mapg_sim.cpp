@@ -67,7 +67,7 @@ int usage() {
       "  --sample-seed=N                 clustering seed\n"
       "  --sample-sig-cache=FILE         signature cache (MAPGSIG1): load\n"
       "                                  when digest+slicing match, else\n"
-      "                                  scan and refresh\n"
+      "                                  scan (on --jobs threads) and refresh\n"
       "  --instructions=N --warmup=N --seed=N\n"
       "  --jobs=N                        worker threads (default: all cores)\n"
       "  --cache-dir=DIR                 persistent result cache\n"
@@ -280,7 +280,8 @@ int run_trace(const KvConfig& kv, const std::vector<std::string>& specs,
     scfg.warmup_instructions = kv.get_uint("sample-warmup", 200'000);
     scfg.seed = kv.get_uint("sample-seed", 42);
     scfg.signature_cache = kv.get_or("sample-sig-cache", "");
-    SamplePlan plan = build_sample_plan(trace, scfg);
+    SamplePlan plan =
+        build_sample_plan(trace, scfg, exec_options_from(kv).jobs);
     std::cout << name << ": " << plan.total_instructions << " instructions, "
               << plan.regions.size() << " regions, " << plan.clusters.size()
               << " clusters"

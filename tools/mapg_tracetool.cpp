@@ -4,7 +4,7 @@
 //   mapg_trace convert --in=app.txt --dialect=rw --out=app.trc
 //   mapg_trace inspect --in=app.trc [--chunks]
 //   mapg_trace filter  --in=app.trc --out=app.l1f.trc --filter-kb=32
-//   mapg_trace plan    --in=app.trc --regions=100000 --clusters=8
+//   mapg_trace plan    --in=app.trc --regions=100000 --clusters=8 [--jobs=N]
 //   mapg_trace info    --in=mcf.trc
 //   mapg_trace stats   --workload=lbm-like --count=500000   # from generator
 //   mapg_trace stats   --in=mcf.trc                         # from file
@@ -25,6 +25,7 @@
 #include "common/config.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "exec/engine.h"
 #include "sample/planner.h"
 #include "trace/convert.h"
 #include "trace/generator.h"
@@ -50,7 +51,7 @@ int usage() {
       "  filter  --in=FILE --out=FILE --filter-kb=N [--filter-ways=N]\n"
       "          [--line=N] [--format=v1|v2]\n"
       "  plan    --in=FILE [--regions=N] [--clusters=K] [--seed=N]\n"
-      "          [--sig-cache=FILE]\n"
+      "          [--sig-cache=FILE] [--jobs=N]\n"
       "  info    --in=FILE\n"
       "  stats   (--workload=NAME --count=N [--seed=N]) | (--in=FILE)\n";
   return 2;
@@ -183,7 +184,8 @@ int cmd_plan(const KvConfig& kv) {
   cfg.signature_cache = kv.get_or("sig-cache", "");
   try {
     FileTraceSource src(in);
-    const SamplePlan plan = build_sample_plan(src, cfg);
+    const SamplePlan plan =
+        build_sample_plan(src, cfg, exec_options_from(kv).jobs);
     std::cout << in << ": " << plan.total_instructions << " instructions, "
               << plan.regions.size() << " regions of "
               << cfg.region_instructions << ", " << plan.clusters.size()
