@@ -11,7 +11,7 @@
 #
 # BENCH_sampling.json carries the sampled-simulation record: speedup over
 # full simulation, per-metric projection error, and 95% CI coverage on a
-# 50M-instruction MAPGTRC2 trace (docs/TRACE.md §6).
+# 50M-instruction MAPGTRC2 trace (docs/TRACE.md §5).
 #
 # e.g.  scripts/bench_report.sh                      # build/, replay, tab1 axis
 #       scripts/bench_report.sh build serve          # serving QPS -> BENCH_serve.json

@@ -91,6 +91,9 @@ std::uint64_t KvConfig::get_uint(const std::string& key,
                                  std::uint64_t dflt) const {
   auto v = get(key);
   if (!v) return dflt;
+  // strtoull negates a leading '-' (so "-1" would be 2^64 - 1); no
+  // unsigned literal contains one, so treat it as unparsable.
+  if (v->find('-') != std::string::npos) return dflt;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(v->c_str(), &end, 0);
   return (end && *end == '\0' && !v->empty()) ? parsed : dflt;

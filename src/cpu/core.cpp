@@ -2,8 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mapg {
+namespace {
+
+/// Kept out of line so the per-load check in Core::step stays one compare.
+[[noreturn]] void throw_dep_dist_too_far(InstrId index, std::uint16_t dep_dist,
+                                         std::uint32_t window) {
+  throw std::runtime_error(
+      "instruction " + std::to_string(index) + ": load dep_dist " +
+      std::to_string(dep_dist) + " reaches the scoreboard window of " +
+      std::to_string(window) + " (raise core.scoreboard above " +
+      std::to_string(dep_dist) + ")");
+}
+
+}  // namespace
 
 Core::Core(CoreConfig config, MemoryHierarchy& mem, StallHandler* handler)
     : config_(config),
@@ -162,7 +177,10 @@ bool Core::step(TraceSource& trace) {
       // 3. Register the consumer's blocker (keep the latest-finishing
       // producer if several loads feed the same consumer slot).
       if (dep_dist > 0) {
-        assert(dep_dist < window && "trace dep_dist exceeds scoreboard window");
+        // A trace or text converter can carry any u16 dep_dist; the ring
+        // below holds only `window` slots.
+        if (dep_dist >= window)
+          throw_dep_dist_too_far(next_id_ - 1, dep_dist, window);
         std::uint32_t consumer = head + dep_dist;
         if (consumer >= window) consumer -= window;
         Blocker& dep = scoreboard_[consumer];

@@ -34,7 +34,8 @@ struct CoreConfig {
   std::uint32_t issue_width = 1;
   /// Maximum outstanding DRAM fills before a new load stalls issue.
   std::uint32_t mlp_window = 8;
-  /// Scoreboard depth; must exceed the largest trace dep_dist.
+  /// Scoreboard depth; must exceed the largest trace dep_dist (step()
+  /// throws on a load whose dep_dist reaches it).
   std::uint32_t scoreboard_window = 128;
 
   bool valid() const {

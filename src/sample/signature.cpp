@@ -264,9 +264,7 @@ std::vector<RegionSignature> compute_file_signatures(
   const std::uint64_t workers = std::min<std::uint64_t>(
       jobs == 0 ? ThreadPool::default_threads() : jobs, regions);
   trace.seek(0);
-  // A MAPGTRC1 file is one chunk, and every reader opened on it re-digests
-  // the whole payload, so it keeps the serial scan.
-  if (workers <= 1 || trace.info().version == 1)
+  if (workers <= 1)
     return compute_region_signatures(trace, region_instructions, line_bytes);
 
   // Worker 0 is the calling thread, scanning through the caller's reader;

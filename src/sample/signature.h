@@ -79,10 +79,9 @@ std::vector<RegionSignature> compute_region_signatures(
 /// above on the calling thread.  Regions are independent (reuse state
 /// clears at each boundary), so each worker seeks its own reader to a
 /// region's start and scans it whole; the result is identical for every
-/// `jobs`.  A MAPGTRC1 file always takes the serial scan.  If regions fail
-/// to read (short read, chunk digest mismatch, bad op class), the error of
-/// the lowest failing region is rethrown, which is the one the serial scan
-/// meets first.
+/// `jobs`.  If regions fail to read (short read, chunk digest mismatch, bad
+/// op class), the error of the lowest failing region is rethrown, which is
+/// the one the serial scan meets first.
 std::vector<RegionSignature> compute_file_signatures(
     FileTraceSource& trace, std::uint64_t region_instructions,
     std::uint64_t line_bytes, unsigned jobs);

@@ -1,6 +1,7 @@
 #include "trace/convert.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -8,12 +9,15 @@
 namespace mapg {
 namespace {
 
+/// An address is unsigned and never the kNoAddr sentinel (strtoull would
+/// negate a leading '-' into an address near 2^64).
 bool parse_addr(const std::string& tok, int base, Addr& out) {
-  if (tok.empty()) return false;
+  if (tok.empty() || tok[0] == '-') return false;
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(tok.c_str(), &end, base);
-  if (errno != 0 || end == tok.c_str() || *end != '\0') return false;
+  if (errno != 0 || end == tok.c_str() || *end != '\0' || v == kNoAddr)
+    return false;
   out = static_cast<Addr>(v);
   return true;
 }

@@ -8,15 +8,12 @@
 namespace mapg {
 namespace {
 
-constexpr std::array<char, 8> kMagicV1 = {'M', 'A', 'P', 'G',
-                                          'T', 'R', 'C', '1'};
-constexpr std::array<char, 8> kMagicV2 = {'M', 'A', 'P', 'G',
-                                          'T', 'R', 'C', '2'};
+constexpr std::array<char, 8> kMagic = {'M', 'A', 'P', 'G',
+                                        'T', 'R', 'C', '2'};
 constexpr std::size_t kRecordSize = 1 + 2 + 8;
-constexpr std::size_t kV2HeaderSize = 8 + 4 * 8;  ///< magic + 4 u64 fields
+constexpr std::size_t kHeaderSize = 8 + 4 * 8;  ///< magic + 4 u64 fields
 constexpr std::size_t kIndexEntrySize = 3 * 8;
-constexpr std::size_t kV1HeaderSize = 8 + 8;
-/// Same defensive cap as the v1 reader: refuse absurd headers, not OOM.
+/// Defensive cap: refuse absurd headers rather than OOM.
 constexpr std::uint64_t kMaxRecords = 1ULL << 40;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -110,7 +107,7 @@ std::uint64_t write_trace_v2(std::ostream& os, TraceSource& source,
   // Placeholder header + index; backpatched once the true chunk layout is
   // known (the source may end early).  Payload offsets are explicit, so the
   // reserved-but-unused index tail is dead space, not a format violation.
-  std::vector<char> zeros(kV2HeaderSize + reserved_chunks * kIndexEntrySize,
+  std::vector<char> zeros(kHeaderSize + reserved_chunks * kIndexEntrySize,
                           0);
   os.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
 
@@ -147,13 +144,13 @@ std::uint64_t write_trace_v2(std::ostream& os, TraceSource& source,
 
   // Backpatch header + valid index entries.
   os.seekp(base);
-  char header[kV2HeaderSize];
-  std::copy(kMagicV2.begin(), kMagicV2.end(), header);
+  char header[kHeaderSize];
+  std::copy(kMagic.begin(), kMagic.end(), header);
   put_u64(header + 8, written);
   put_u64(header + 16, chunk_size);
   put_u64(header + 24, metas.size());
   put_u64(header + 32, stream_digest);
-  os.write(header, kV2HeaderSize);
+  os.write(header, kHeaderSize);
   char entry[kIndexEntrySize];
   for (const Meta& m : metas) {
     put_u64(entry, m.offset);
@@ -191,52 +188,11 @@ FileTraceSource::FileTraceSource(const std::string& path)
 
   std::array<char, 8> magic{};
   is_.read(magic.data(), magic.size());
-  if (!is_) throw std::runtime_error(path + ": truncated magic");
-
-  if (magic == kMagicV1) {
-    char header[8];
-    is_.read(header, 8);
-    if (!is_) throw std::runtime_error(path + ": truncated MAPGTRC1 header");
-    info_.version = 1;
-    info_.records = get_u64(header);
-    if (info_.records > kMaxRecords)
-      throw std::runtime_error(path + ": record count too large");
-    if (file_size < kV1HeaderSize + info_.records * kRecordSize)
-      throw std::runtime_error(
-          path + ": file shorter than the header's record count");
-    info_.chunk_size = std::max<std::uint64_t>(info_.records, 1);
-    info_.n_chunks = info_.records > 0 ? 1 : 0;
-    // v1 carries no digest: one streaming scan computes it (and is the only
-    // whole-file pass this reader ever makes).
-    std::vector<char> block(1 << 20);
-    std::uint64_t left = info_.records * kRecordSize;
-    std::uint64_t digest = kTraceDigestSeed;
-    while (left > 0) {
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(left, block.size()));
-      is_.read(block.data(), static_cast<std::streamsize>(take));
-      if (!is_) throw std::runtime_error(path + ": short read scanning v1");
-      digest = trace_digest_update(block.data(), take, digest);
-      left -= take;
-    }
-    info_.stream_digest = digest;
-    ChunkMeta meta;
-    meta.offset = kV1HeaderSize;
-    meta.records = info_.records;
-    meta.digest = digest;
-    if (info_.records > 0) chunks_.push_back(meta);
-    // The open scan just digested the whole payload, so the single v1
-    // chunk is already verified.
-    verified_.assign(chunks_.size(), 1);
-    return;
-  }
-
-  if (magic != kMagicV2)
-    throw std::runtime_error(path + ": not a MAPGTRC1/MAPGTRC2 trace");
-  char header[kV2HeaderSize - 8];
+  if (!is_ || magic != kMagic)
+    throw std::runtime_error(path + ": not a MAPGTRC2 trace (bad magic)");
+  char header[kHeaderSize - 8];
   is_.read(header, sizeof header);
   if (!is_) throw std::runtime_error(path + ": truncated MAPGTRC2 header");
-  info_.version = 2;
   info_.records = get_u64(header);
   info_.chunk_size = get_u64(header + 8);
   info_.n_chunks = get_u64(header + 16);
@@ -244,6 +200,12 @@ FileTraceSource::FileTraceSource(const std::string& path)
   if (info_.records > kMaxRecords || info_.chunk_size == 0 ||
       info_.n_chunks > (info_.records / info_.chunk_size) + 1)
     throw std::runtime_error(path + ": malformed MAPGTRC2 header");
+  // The header is untrusted: bound the index by the bytes actually present
+  // before it sizes anything.
+  if (info_.n_chunks > (file_size - kHeaderSize) / kIndexEntrySize)
+    throw std::runtime_error(path + ": chunk index of " +
+                             std::to_string(info_.n_chunks) +
+                             " entries does not fit in the file");
 
   chunks_.resize(info_.n_chunks);
   std::vector<char> index(info_.n_chunks * kIndexEntrySize);
@@ -261,7 +223,9 @@ FileTraceSource::FileTraceSource(const std::string& path)
         (i + 1 < info_.n_chunks && chunks_[i].records != info_.chunk_size))
       throw std::runtime_error(path + ": malformed chunk index entry " +
                                std::to_string(i));
-    if (chunks_[i].offset + chunks_[i].records * kRecordSize > file_size)
+    // offset + records * kRecordSize > file_size, without wrapping.
+    if (chunks_[i].records > file_size / kRecordSize ||
+        chunks_[i].offset > file_size - chunks_[i].records * kRecordSize)
       throw std::runtime_error(path + ": chunk " + std::to_string(i) +
                                " extends past end of file");
     total += chunks_[i].records;
@@ -309,8 +273,7 @@ void FileTraceSource::load_chunk(std::uint64_t chunk_index) {
 
 bool FileTraceSource::next(Instr& out) {
   if (pos_ >= info_.records) return false;
-  const std::uint64_t chunk =
-      info_.version == 1 ? 0 : pos_ / info_.chunk_size;
+  const std::uint64_t chunk = pos_ / info_.chunk_size;
   if (chunk != buf_chunk_) load_chunk(chunk);
   const std::uint64_t local = pos_ - buf_first_;
   out = unpack_record(buf_.data() + local * kRecordSize, pos_);
@@ -320,18 +283,6 @@ bool FileTraceSource::next(Instr& out) {
 
 void FileTraceSource::seek(std::uint64_t pos) {
   pos_ = std::min(pos, info_.records);
-}
-
-bool trace_file_digest(const std::string& path, std::uint64_t& digest,
-                       std::string* error) {
-  try {
-    const FileTraceSource src(path);
-    digest = src.info().stream_digest;
-    return true;
-  } catch (const std::exception& e) {
-    if (error) *error = e.what();
-    return false;
-  }
 }
 
 }  // namespace mapg

@@ -1,20 +1,17 @@
-// MAPGTRC2: chunked, streamable binary traces + the streaming file reader.
+// MAPGTRC2: the on-disk trace format + its streaming reader.
 //
-// MAPGTRC1 (trace_io.h) is a flat record dump: fine for the few-million-
-// instruction traces the generator benches freeze, hopeless for the
-// 50 M+-instruction captures sampled simulation ingests — a reader either
-// materializes the whole file or loses random access.  MAPGTRC2 keeps the
-// record encoding (11 bytes: u8 op, u16 dep_dist, u64 addr, little-endian)
-// but adds a chunk index so a reader can stream with a one-chunk buffer,
-// seek to any instruction in O(1), and detect payload corruption per chunk:
+// Captures of 50 M+ instructions feed sampled simulation, so a reader must
+// neither materialize the whole file nor lose random access.  Each record
+// is 11 bytes (u8 op, u16 dep_dist, u64 addr, little-endian), and a chunk
+// index lets a reader stream with a one-chunk buffer, seek to any
+// instruction in O(1), and detect payload corruption per chunk:
 //
 //   offset 0   8 bytes   magic "MAPGTRC2"
 //          8   u64       total record count
 //         16   u64       chunk_size (records per chunk; last may be short)
 //         24   u64       n_chunks (== ceil(count / chunk_size))
 //         32   u64       stream digest: FNV-1a64 over ALL record payload
-//                        bytes in stream order (format/chunking independent —
-//                        a converted MAPGTRC1 file keeps its digest)
+//                        bytes in stream order (chunking independent)
 //         40   index     n_chunks x { u64 payload_offset (absolute),
 //                                     u64 record_count,
 //                                     u64 chunk digest (FNV-1a64 over the
@@ -42,12 +39,11 @@
 
 namespace mapg {
 
-/// Parsed header of an on-disk trace, either format version.
+/// Parsed header of an on-disk trace.
 struct TraceFileInfo {
-  int version = 0;               ///< 1 (MAPGTRC1) or 2 (MAPGTRC2)
   std::uint64_t records = 0;     ///< total instruction count
-  std::uint64_t chunk_size = 0;  ///< records per chunk (v1: == records)
-  std::uint64_t n_chunks = 0;    ///< v1: 1
+  std::uint64_t chunk_size = 0;  ///< records per chunk (the last may be short)
+  std::uint64_t n_chunks = 0;
   std::uint64_t stream_digest = 0;
   /// 16 lowercase hex chars of stream_digest — the cache-identity form.
   std::string digest_hex() const;
@@ -71,16 +67,15 @@ bool write_trace_file_v2(const std::string& path, TraceSource& source,
                          std::uint64_t count, std::string* error = nullptr,
                          std::uint64_t chunk_size = kTraceChunkRecords);
 
-/// Streaming reader for both on-disk formats.  Never materializes the
-/// trace: v2 files are read one chunk at a time (each chunk's digest is
-/// verified as it is loaded); v1 files are read through a fixed-size block
-/// buffer (their stream digest is computed by a single scan at open, since
-/// the v1 header carries none).
+/// Streaming MAPGTRC2 reader.  Never materializes the trace: the file is
+/// read one chunk at a time, and each chunk's digest is verified the first
+/// time it is loaded.
 ///
 /// Error contract (documented field-for-field in docs/TRACE.md):
-///  - the constructor throws std::runtime_error on open failure, bad magic,
-///    a header that promises more payload than the file holds, or a
-///    malformed/overflowing chunk index;
+///  - the constructor throws std::runtime_error naming the path on open
+///    failure, bad magic, a header that promises more payload than the
+///    file holds, or a malformed or overflowing chunk index, and it checks
+///    the index against the file size before sizing anything from it;
 ///  - next() returns false exactly at clean end-of-trace (info().records
 ///    instructions served) and throws std::runtime_error on a short read or
 ///    a chunk whose payload digest does not match its index entry;
@@ -126,15 +121,9 @@ class FileTraceSource final : public SeekableTraceSource {
   std::vector<char> verified_;
 };
 
-/// Compute the stream digest of an on-disk trace (either version) without
-/// keeping it in memory: v2 answers from the header, v1 scans the payload.
-/// False + `error` on unreadable/malformed input.
-bool trace_file_digest(const std::string& path, std::uint64_t& digest,
-                       std::string* error = nullptr);
-
-/// FNV-1a64 over a byte range — the digest primitive shared by the writer,
-/// the reader's per-chunk verification, and trace_file_digest.  `seed`
-/// chains calls so a digest can be computed incrementally.
+/// FNV-1a64 over a byte range — the digest primitive shared by the writer
+/// and the reader's per-chunk verification.  `seed` chains calls so a
+/// digest can be computed incrementally.
 std::uint64_t trace_digest_update(const char* data, std::size_t len,
                                   std::uint64_t seed);
 inline constexpr std::uint64_t kTraceDigestSeed = 14695981039346656037ULL;

@@ -1,40 +1,14 @@
-// Binary trace persistence + in-memory trace sources.
+// In-memory trace sources: a vector, a shared immutable buffer, and the
+// limiting and address-rebasing wrappers, plus the SeekableTraceSource
+// interface the sampled-simulation layer positions at region starts.
 //
-// Two on-disk format versions, both little-endian, both built from the same
-// 11-byte record { u8 op, u16 dep_dist, u64 addr }:
-//
-//   MAPGTRC1 (this file):
-//     8 bytes   magic "MAPGTRC1"
-//     u64       record count
-//     records   packed, contiguous, no index
-//   MAPGTRC2 (trace_file.h):
-//     chunked framing — magic "MAPGTRC2", header with total count, chunk
-//     size, per-chunk record counts and payload digests, and a whole-stream
-//     content digest used as the trace's cache identity.  Streamable and
-//     seekable; the record encoding is unchanged, so converting between
-//     versions preserves the instruction stream byte-for-byte.
-//
-// Error contract for v1 readers here (v2's streaming contract is documented
-// on FileTraceSource in trace_file.h):
-//   - read_trace / read_trace_file return false (with `error` filled when
-//     given) on bad magic, a truncated header, a header count so large it
-//     could only be corruption, an out-of-range op class, or a payload that
-//     ends before the promised record count — a SHORT READ is malformed
-//     input, never a silent short trace;
-//   - end-of-trace is only ever signaled by TraceSource::next() returning
-//     false after exactly the header's record count instructions; a v1 file
-//     that parses successfully always yields its full count.
-//   - write_trace backpatches the count header if the source ends early, so
-//     a written file is always internally consistent.
-//
-// Used to freeze generator output for exact cross-run replay and to feed the
-// simulator from externally captured traces (docs/TRACE.md).
+// The on-disk trace format (MAPGTRC2) and its streaming reader live in
+// trace_file.h (docs/TRACE.md).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/instr.h"
@@ -148,21 +122,5 @@ class OffsetTraceSource final : public TraceSource {
   TraceSource& inner_;
   Addr offset_;
 };
-
-/// Serialize `count` instructions pulled from `source`.  Returns the number
-/// actually written (short if the source ends early).
-std::uint64_t write_trace(std::ostream& os, TraceSource& source,
-                          std::uint64_t count);
-
-/// Deserialize a full trace.  Returns false on malformed input; on success
-/// `out` holds the instructions.
-bool read_trace(std::istream& is, std::vector<Instr>& out,
-                std::string* error = nullptr);
-
-/// Convenience file wrappers.
-bool write_trace_file(const std::string& path, TraceSource& source,
-                      std::uint64_t count, std::string* error = nullptr);
-bool read_trace_file(const std::string& path, std::vector<Instr>& out,
-                     std::string* error = nullptr);
 
 }  // namespace mapg

@@ -285,6 +285,9 @@ TEST(KvConfig, TypedGettersAndDefaults) {
   EXPECT_EQ(c.get_int("junk", -1), -1);   // unparsable -> default
   EXPECT_EQ(c.get_int("missing", 7), 7);
   EXPECT_EQ(c.get_uint("i", 0), 42u);
+  c.set("neg", "-1");  // strtoull alone would wrap this to 2^64 - 1
+  EXPECT_EQ(c.get_uint("neg", 7), 7u);
+  EXPECT_EQ(c.get_int("neg", 7), -1);
 }
 
 TEST(KvConfig, ParseArgsCollectsLeftovers) {

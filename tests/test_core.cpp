@@ -2,6 +2,8 @@
 // crediting, stall-event reporting, and the StallHandler contract.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/prng.h"
@@ -223,6 +225,30 @@ TEST(Core, ScoreboardKeepsLatestFinishingProducer) {
   ASSERT_EQ(h.events.size(), 1u);
   EXPECT_TRUE(h.events[0].dram);             // classified by the slow one
   EXPECT_GT(h.events[0].length(), 100u);
+}
+
+TEST(Core, DepDistReachingScoreboardWindowThrows) {
+  // The scoreboard is a ring of `window` slots, so a consumer `window` or
+  // more instructions ahead has no slot of its own; window - 1 is the
+  // farthest a load may reach.
+  CoreConfig cfg;
+  cfg.scoreboard_window = 37;
+  MemoryHierarchy mem(tiny_mem());
+  EXPECT_EQ(run_core({alu(), load(0, 36), alu()}, mem, nullptr, cfg).instrs,
+            3u);
+
+  Core core(cfg, mem);
+  VectorTraceSource src({alu(), alu(), alu(), load(64, 37)});
+  try {
+    core.run(src, 4);
+    ADD_FAILURE() << "dep_dist == window accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("instruction 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("dep_dist 37"), std::string::npos) << what;
+    EXPECT_NE(what.find("window of 37"), std::string::npos) << what;
+    EXPECT_NE(what.find("core.scoreboard"), std::string::npos) << what;
+  }
 }
 
 TEST(Core, StoresNeverBlockIssue) {

@@ -245,6 +245,15 @@ SweepSpec test_sweep(unsigned n_seeds = 4) {
   return spec;
 }
 
+TEST(ExecOptions, NegativeJobsIsUnparsableAndMeansAllThreads) {
+  // Parsed only: "-1" must not wrap to 4294967295 pool threads.
+  KvConfig kv;
+  kv.set("jobs", "-1");
+  EXPECT_EQ(exec_options_from(kv).jobs, 0u);
+  kv.set("jobs", "3");
+  EXPECT_EQ(exec_options_from(kv).jobs, 3u);
+}
+
 TEST(ExperimentEngine, ExpansionOrderAndShape) {
   const SweepSpec spec = test_sweep(2);
   const auto jobs = ExperimentEngine::expand(spec);

@@ -1,18 +1,19 @@
 // Trace ingestion + sampled simulation suite (docs/TRACE.md).
 //
-// Pins the contracts the sampling pipeline is allowed to claim: the two
-// on-disk formats carry the identical stream (and the identical
-// content digest), the reader throws on damage instead of reporting a
-// short trace, the text converters produce exactly the documented
-// records, plans are deterministic functions of (content, config) — across
-// runs, thread counts, and the MAPGSIG1 signature cache — and the
-// degenerate clusters >= regions case is bit-identical to full simulation.
+// Pins the contracts the sampling pipeline is allowed to claim: chunking
+// changes neither the stored stream nor its content digest, the reader
+// throws on damage instead of reporting a short trace or over-allocating,
+// the text converters produce exactly the documented records, plans are
+// deterministic functions of (content, config) — across runs, thread
+// counts, and the MAPGSIG1 signature cache — and the degenerate
+// clusters >= regions case is bit-identical to full simulation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +84,16 @@ void put_le64(std::string& bytes, std::size_t at, std::uint64_t v) {
     bytes[at + i] = static_cast<char>(v >> (8 * i));
 }
 
+/// What FileTraceSource's constructor throws for `path`; "" if it opens.
+std::string open_error(const std::string& path) {
+  try {
+    FileTraceSource src(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 bool same_stream(const std::vector<Instr>& a, const std::vector<Instr>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -97,33 +108,39 @@ std::string dump(const SimResult& r) { return result_to_json(r).dump(); }
 // --- formats ---------------------------------------------------------------
 
 TEST(TraceFile, V1AndV2CarryTheIdenticalStreamAndDigest) {
+  // Chunking is framing, not content: neither the chunk size nor a source
+  // that ends before the requested count (the writer then leaves its
+  // reserved index tail unused) may change the stream or the digest.
   const std::vector<Instr> ref = generate("mcf-like", 200'000);
-  TempFile v1(tmp_path("v1")), v2(tmp_path("v2")), v2small(tmp_path("v2s"));
+  TempFile whole(tmp_path("whole")), small(tmp_path("small")),
+      cut(tmp_path("short"));
   {
     VectorTraceSource s(ref);
-    ASSERT_TRUE(write_trace_file(v1.path, s, ref.size()));
+    ASSERT_TRUE(write_trace_file_v2(whole.path, s, ref.size()));
   }
   {
     VectorTraceSource s(ref);
-    ASSERT_TRUE(write_trace_file_v2(v2.path, s, ref.size()));
-  }
-  {
-    // Chunking is framing, not content: a different chunk size must change
-    // neither the stream nor the digest.
-    VectorTraceSource s(ref);
-    ASSERT_TRUE(write_trace_file_v2(v2small.path, s, ref.size(), nullptr,
+    ASSERT_TRUE(write_trace_file_v2(small.path, s, ref.size(), nullptr,
                                     /*chunk_size=*/1000));
   }
-  EXPECT_TRUE(same_stream(ref, read_all(v1.path)));
-  EXPECT_TRUE(same_stream(ref, read_all(v2.path)));
-  EXPECT_TRUE(same_stream(ref, read_all(v2small.path)));
+  {
+    VectorTraceSource s(ref);
+    std::ofstream os(cut.path, std::ios::binary);
+    EXPECT_EQ(write_trace_v2(os, s, ref.size() + 50'000, 1000), ref.size());
+  }
+  EXPECT_TRUE(same_stream(ref, read_all(whole.path)));
+  EXPECT_TRUE(same_stream(ref, read_all(small.path)));
+  EXPECT_TRUE(same_stream(ref, read_all(cut.path)));
 
-  FileTraceSource a(v1.path), b(v2.path), c(v2small.path);
-  EXPECT_EQ(a.info().version, 1);
-  EXPECT_EQ(b.info().version, 2);
+  FileTraceSource a(whole.path), b(small.path), c(cut.path);
   EXPECT_EQ(a.info().stream_digest, b.info().stream_digest);
   EXPECT_EQ(b.info().stream_digest, c.info().stream_digest);
-  EXPECT_EQ(c.info().n_chunks, (ref.size() + 999) / 1000);
+  EXPECT_EQ(b.info().n_chunks, (ref.size() + 999) / 1000);
+  // The short write counts only what it wrote, behind 50 unused entries.
+  EXPECT_EQ(c.info().records, ref.size());
+  EXPECT_EQ(c.info().n_chunks, b.info().n_chunks);
+  EXPECT_EQ(file_bytes(cut.path).size(),
+            file_bytes(small.path).size() + 50 * 24);
 }
 
 TEST(TraceFile, SeekWindowMatchesMaterializedSlice) {
@@ -172,13 +189,42 @@ TEST(TraceFile, TruncationAndCorruptionThrowRatherThanEndCleanly) {
     EXPECT_THROW(FileTraceSource src(t.path), std::runtime_error);
   }
 
-  // Bad magic.
-  {
+  // Bad magic, including a v1-style header ('1' in place of the final '2'):
+  // refused at open with an error that names the file.
+  for (const std::size_t at : {std::size_t{0}, std::size_t{7}}) {
     TempFile t(tmp_path("magic"));
     std::string mutated = bytes;
-    mutated[0] = 'X';
+    mutated[at] = at == 0 ? 'X' : '1';
     std::ofstream(t.path, std::ios::binary) << mutated;
-    EXPECT_THROW(FileTraceSource src(t.path), std::runtime_error);
+    const std::string err = open_error(t.path);
+    EXPECT_NE(err.find(t.path + ": not a MAPGTRC2 trace"), std::string::npos)
+        << err;
+  }
+
+  // A bare 40-byte header claiming 2^40 one-record chunks: the index is
+  // checked against the file size before it sizes anything (24 TiB here).
+  {
+    TempFile t(tmp_path("hugeindex"));
+    std::string mutated = bytes.substr(0, 40);
+    put_le64(mutated, 8, std::uint64_t{1} << 40);   // records
+    put_le64(mutated, 16, 1);                       // chunk_size
+    put_le64(mutated, 24, std::uint64_t{1} << 40);  // n_chunks
+    std::ofstream(t.path, std::ios::binary) << mutated;
+    const std::string err = open_error(t.path);
+    EXPECT_NE(err.find("entries does not fit in the file"), std::string::npos)
+        << err;
+  }
+
+  // Chunk 0's offset forged to 2^64 - 16: offset + payload length wraps
+  // below the file size, so only an overflow-safe compare refuses it.
+  {
+    TempFile t(tmp_path("wrap"));
+    std::string mutated = bytes;
+    put_le64(mutated, 40, ~std::uint64_t{0} - 15);
+    std::ofstream(t.path, std::ios::binary) << mutated;
+    const std::string err = open_error(t.path);
+    EXPECT_NE(err.find("chunk 0 extends past end of file"), std::string::npos)
+        << err;
   }
 
   // Flip one payload byte in the third chunk: open succeeds (the index is
@@ -283,14 +329,9 @@ TEST(TraceFile, ShortChunkBeforeTheLastIsRejectedAtOpen) {
   forge(0, 1000);
   forge(4, 27);
   std::ofstream(f.path, std::ios::binary) << bytes;
-  try {
-    FileTraceSource src(f.path);
-    ADD_FAILURE() << "short first chunk accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("malformed chunk index entry 0"),
-              std::string::npos)
-        << e.what();
-  }
+  const std::string err = open_error(f.path);
+  EXPECT_NE(err.find("malformed chunk index entry 0"), std::string::npos)
+      << err;
 }
 
 // --- converters ------------------------------------------------------------
@@ -364,12 +405,27 @@ TEST(Convert, ChampsimDialectGolden) {
 }
 
 TEST(Convert, MalformedLineFailsWithLineNumber) {
-  std::istringstream text("R 0x1000\nQ 0x2000\n");
+  const struct {
+    const char* dialect;
+    const char* text;
+  } cases[] = {
+      {"rw", "R 0x1000\nQ 0x2000\n"},
+      // Negative addresses and the kNoAddr sentinel are not addresses.
+      {"rw", "R 0x1000\nR -1\n"},
+      {"rw", "R 0x1000\nW -0x40\n"},
+      {"rw", "R 0x1000\nR 0xffffffffffffffff\n"},
+      {"dinero", "0 1000\n0 -10\n"},
+      {"dinero", "0 1000\n1 ffffffffffffffff\n"},
+  };
   ConvertOptions opts;
-  std::vector<Instr> out;
-  std::string err;
-  EXPECT_FALSE(convert_text_trace(text, "rw", opts, out, &err));
-  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  for (const auto& c : cases) {
+    std::istringstream text(c.text);
+    std::vector<Instr> out;
+    std::string err;
+    EXPECT_FALSE(convert_text_trace(text, c.dialect, opts, out, &err))
+        << c.text;
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  }
 }
 
 TEST(Convert, ChampsimMalformedLinesFailWithLineNumber) {
@@ -388,6 +444,10 @@ TEST(Convert, ChampsimMalformedLinesFailWithLineNumber) {
       {"zzz 0x1000 L\n", "bad hex instruction pointer"},
       // Non-hex data address.
       {"0x400 0xqq L\n", "bad hex address"},
+      // Negative data address, the kNoAddr sentinel, a negative IP.
+      {"0x400 -0x40 L\n", "bad hex address"},
+      {"0x400 0xffffffffffffffff S\n", "bad hex address"},
+      {"-0x400 0x1000 L\n", "bad hex instruction pointer"},
       // Trailing garbage.
       {"0x400 0x1000 L extra\n", "trailing token"},
   };
@@ -705,7 +765,7 @@ TEST(SampledRun, DegenerateClustersEqualsRegionsIsBitIdenticalToFull) {
 
 TEST(SampledRun, ProjectionBracketsAndTracksTheFullRun) {
   // Regions must be long enough for the dispersion model's brackets to be
-  // meaningful (TRACE.md §9); this axis mirrors bench/micro_sampling's
+  // meaningful (TRACE.md §8); this axis mirrors bench/micro_sampling's
   // smoke configuration, where measured coverage holds for every timing
   // metric.
   PlannedTrace t(2'000'000);  // 20 regions of 100k

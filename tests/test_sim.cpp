@@ -7,7 +7,8 @@
 
 #include "core/sim.h"
 #include "exec/runner.h"
-#include "trace/trace_io.h"
+#include "multicore/config_apply.h"
+#include "trace/trace_file.h"
 
 namespace mapg {
 namespace {
@@ -224,22 +225,37 @@ TEST(Sim, FileTraceReproducesGeneratorRun) {
   TraceGenerator gen(*p, cfg.run_seed);
   const std::string path = ::testing::TempDir() + "mapg_sim_trace.bin";
   std::string err;
-  ASSERT_TRUE(write_trace_file(path, gen, 100'000, &err)) << err;
+  ASSERT_TRUE(write_trace_file_v2(path, gen, 100'000, &err)) << err;
 
   auto ctx = sim.policy_context();
   MapgPolicy policy(ctx, {});
   TraceGenerator gen2(*p, cfg.run_seed);
   const SimResult live = sim.run(gen2, "live", policy);
 
-  std::vector<Instr> frozen;
-  ASSERT_TRUE(read_trace_file(path, frozen, &err)) << err;
-  VectorTraceSource replay(frozen);
+  FileTraceSource replay(path);
   MapgPolicy policy2(ctx, {});
   const SimResult replayed = sim.run(replay, "replay", policy2);
 
   EXPECT_EQ(live.core.cycles, replayed.core.cycles);
   EXPECT_EQ(live.gating.gated_events, replayed.gating.gated_events);
   std::remove(path.c_str());
+}
+
+TEST(Sim, ScoreboardNarrowerThanTheProfilesDepDistThrows) {
+  // lbm-like draws load dep_dist up to 64, so a 32-slot scoreboard meets a
+  // load it cannot track within the first few hundred instructions: the run
+  // must stop with an error naming the key, not index past the ring.
+  KvConfig kv;
+  kv.set("core.scoreboard", "32");
+  const Simulator sim(apply_sim_config(kv, fast_config()));
+  try {
+    sim.run(*find_profile("lbm-like"), "none");
+    ADD_FAILURE() << "run with core.scoreboard=32 completed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("core.scoreboard"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Unit tests for src/trace: generator determinism, profile shape, mix
-// convergence, dependency distances, and trace file round-trips.
+// convergence, dependency distances, and the in-memory trace sources (the
+// on-disk format is pinned in test_sampling.cpp).
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
-#include <sstream>
 
 #include "trace/generator.h"
 #include "trace/instr.h"
@@ -256,88 +255,6 @@ TEST(LimitedSource, CapsAndResets) {
   n = 0;
   while (lim.next(instr)) ++n;
   EXPECT_EQ(n, 100);
-}
-
-TEST(TraceIo, RoundTripThroughStream) {
-  const WorkloadProfile* p = find_profile("mcf-like");
-  TraceGenerator g(*p, 29);
-  std::stringstream buf;
-  EXPECT_EQ(write_trace(buf, g, 5000), 5000u);
-
-  std::vector<Instr> loaded;
-  std::string err;
-  ASSERT_TRUE(read_trace(buf, loaded, &err)) << err;
-  ASSERT_EQ(loaded.size(), 5000u);
-
-  g.reset();
-  Instr instr;
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    g.next(instr);
-    ASSERT_EQ(loaded[i].op, instr.op);
-    ASSERT_EQ(loaded[i].addr, instr.addr);
-    ASSERT_EQ(loaded[i].dep_dist, instr.dep_dist);
-  }
-}
-
-TEST(TraceIo, ShortSourceRewritesCount) {
-  std::vector<Instr> v(10);
-  VectorTraceSource src(v);
-  std::stringstream buf;
-  EXPECT_EQ(write_trace(buf, src, 100), 10u);  // asked 100, source had 10
-  std::vector<Instr> loaded;
-  ASSERT_TRUE(read_trace(buf, loaded));
-  EXPECT_EQ(loaded.size(), 10u);
-}
-
-TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream buf;
-  buf << "NOTATRACE-------";
-  std::vector<Instr> loaded;
-  std::string err;
-  EXPECT_FALSE(read_trace(buf, loaded, &err));
-  EXPECT_EQ(err, "bad magic");
-}
-
-TEST(TraceIo, RejectsTruncatedBody) {
-  const WorkloadProfile* p = find_profile("gcc-like");
-  TraceGenerator g(*p, 31);
-  std::stringstream buf;
-  write_trace(buf, g, 100);
-  std::string data = buf.str();
-  data.resize(data.size() - 5);  // chop mid-record
-  std::stringstream cut(data);
-  std::vector<Instr> loaded;
-  std::string err;
-  EXPECT_FALSE(read_trace(cut, loaded, &err));
-  EXPECT_NE(err.find("truncated"), std::string::npos);
-}
-
-TEST(TraceIo, HugeCountInShortStreamFailsWithoutAllocating) {
-  // A 16-byte MAPGTRC1 stream (magic + count) claiming 2^31 records: the
-  // count passes the 2^32 sanity cap, but reserving it would ask for tens
-  // of GB.  It must fail as the truncated input it is.
-  std::string bytes = "MAPGTRC1";
-  const std::uint64_t count = std::uint64_t{1} << 31;
-  for (int i = 0; i < 8; ++i)
-    bytes.push_back(static_cast<char>(count >> (8 * i)));
-  std::stringstream buf(bytes);
-  std::vector<Instr> loaded;
-  std::string err;
-  EXPECT_FALSE(read_trace(buf, loaded, &err));
-  EXPECT_EQ(err, "truncated at record 0");
-  EXPECT_TRUE(loaded.empty());
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  const WorkloadProfile* p = find_profile("astar-like");
-  TraceGenerator g(*p, 37);
-  const std::string path = ::testing::TempDir() + "mapg_trace_test.bin";
-  std::string err;
-  ASSERT_TRUE(write_trace_file(path, g, 1000, &err)) << err;
-  std::vector<Instr> loaded;
-  ASSERT_TRUE(read_trace_file(path, loaded, &err)) << err;
-  EXPECT_EQ(loaded.size(), 1000u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

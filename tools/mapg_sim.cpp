@@ -58,7 +58,7 @@ int usage() {
       "                                  DRAM page-management policy (alias\n"
       "                                  for dram.page_policy; docs/DRAM.md)\n"
       "  --trace=FILE                    simulate an on-disk trace\n"
-      "                                  (MAPGTRC1/2; docs/TRACE.md) instead\n"
+      "                                  (MAPGTRC2; docs/TRACE.md) instead\n"
       "                                  of a generated workload\n"
       "  --sample-regions=N              sampled simulation: region size in\n"
       "                                  instructions (0 = full run)\n"

@@ -2,16 +2,16 @@
 //
 //   mapg_trace gen     --workload=mcf-like --count=1000000 --out=mcf.trc
 //   mapg_trace convert --in=app.txt --dialect=rw --out=app.trc
-//   mapg_trace inspect --in=app.trc [--chunks]
+//   mapg_trace inspect --in=app.trc [--chunks=1]
 //   mapg_trace filter  --in=app.trc --out=app.l1f.trc --filter-kb=32
 //   mapg_trace plan    --in=app.trc --regions=100000 --clusters=8 [--jobs=N]
 //   mapg_trace info    --in=mcf.trc
 //   mapg_trace stats   --workload=lbm-like --count=500000   # from generator
 //   mapg_trace stats   --in=mcf.trc                         # from file
 //
-// gen/convert/filter write MAPGTRC2 by default (--format=v1 for the legacy
-// flat format); every file-reading subcommand accepts both versions through
-// the streaming FileTraceSource.  `convert` ingests text traces (dialects
+// gen/convert/filter write MAPGTRC2, and every file-reading subcommand reads
+// it through the streaming FileTraceSource.  Each subcommand rejects any
+// flag it does not read (exit 2).  `convert` ingests text traces (dialects
 // `rw`: "R <addr>" / "W <addr>"; `dinero`: "0|1|2 <hexaddr>"; `champsim`:
 // "<hexip> <hexaddr> <L|S>", the IP validated then dropped) and `filter`
 // models a capture-side L1 that rewrites hits to ALU filler without
@@ -21,6 +21,7 @@
 #include <iostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "common/stats.h"
@@ -31,7 +32,6 @@
 #include "trace/generator.h"
 #include "trace/profile.h"
 #include "trace/trace_file.h"
-#include "trace/trace_io.h"
 
 using namespace mapg;
 
@@ -42,29 +42,18 @@ int usage() {
       "usage: mapg_trace <gen|convert|inspect|filter|plan|info|stats> "
       "[options]\n"
       "  gen     --workload=NAME --count=N --out=FILE [--seed=N]\n"
-      "          [--format=v1|v2]\n"
       "  convert --in=TEXT --dialect=rw|dinero|champsim --out=FILE\n"
       "          [--dep-dist=N]\n"
       "          [--pad=N] [--filter-kb=N [--filter-ways=N] [--line=N]]\n"
-      "          [--format=v1|v2]\n"
       "  inspect --in=FILE [--chunks=1]\n"
       "  filter  --in=FILE --out=FILE --filter-kb=N [--filter-ways=N]\n"
-      "          [--line=N] [--format=v1|v2]\n"
+      "          [--line=N]\n"
       "  plan    --in=FILE [--regions=N] [--clusters=K] [--seed=N]\n"
       "          [--sig-cache=FILE] [--jobs=N]\n"
       "  info    --in=FILE\n"
-      "  stats   (--workload=NAME --count=N [--seed=N]) | (--in=FILE)\n";
+      "  stats   (--workload=NAME --count=N [--seed=N]) | (--in=FILE)\n"
+      "Traces are MAPGTRC2 (docs/TRACE.md); any other flag is an error.\n";
   return 2;
-}
-
-/// Write `source` to `out` in the requested on-disk format.
-bool write_out(const KvConfig& kv, const std::string& out,
-               TraceSource& source, std::uint64_t count, std::string& err) {
-  const std::string format = kv.get_or("format", "v2");
-  if (format == "v1") return write_trace_file(out, source, count, &err);
-  if (format == "v2") return write_trace_file_v2(out, source, count, &err);
-  err = "unknown --format '" + format + "' (want v1 or v2)";
-  return false;
 }
 
 int cmd_gen(const KvConfig& kv) {
@@ -78,7 +67,7 @@ int cmd_gen(const KvConfig& kv) {
   const std::string out = kv.get_or("out", name + ".trc");
   TraceGenerator gen(*p, kv.get_uint("seed", 42));
   std::string err;
-  if (!write_out(kv, out, gen, count, err)) {
+  if (!write_trace_file_v2(out, gen, count, &err)) {
     std::cerr << "write failed: " << err << "\n";
     return 1;
   }
@@ -106,7 +95,7 @@ int cmd_convert(const KvConfig& kv) {
     CacheFilter filter(kb * 1024, kv.get_uint("line", 64),
                        kv.get_uint("filter-ways", 4));
     FilteredTraceSource filtered(src, filter);
-    if (!write_out(kv, out, filtered, count, err)) {
+    if (!write_trace_file_v2(out, filtered, count, &err)) {
       std::cerr << "write failed: " << err << "\n";
       return 1;
     }
@@ -115,7 +104,7 @@ int cmd_convert(const KvConfig& kv) {
               << filter.misses() << " misses kept)\n";
     return 0;
   }
-  if (!write_out(kv, out, src, count, err)) {
+  if (!write_trace_file_v2(out, src, count, &err)) {
     std::cerr << "write failed: " << err << "\n";
     return 1;
   }
@@ -129,8 +118,6 @@ int cmd_inspect(const KvConfig& kv) {
     FileTraceSource src(in);
     const TraceFileInfo& info = src.info();
     Table t({"field", "value"});
-    t.begin_row().cell("format").cell("MAPGTRC" +
-                                      std::to_string(info.version));
     t.begin_row().cell("records").cell(info.records);
     t.begin_row().cell("chunk size").cell(info.chunk_size);
     t.begin_row().cell("chunks").cell(info.n_chunks);
@@ -161,7 +148,7 @@ int cmd_filter(const KvConfig& kv) {
                        kv.get_uint("filter-ways", 4));
     FilteredTraceSource filtered(src, filter);
     std::string err;
-    if (!write_out(kv, out, filtered, src.size(), err)) {
+    if (!write_trace_file_v2(out, filtered, src.size(), &err)) {
       std::cerr << "write failed: " << err << "\n";
       return 1;
     }
@@ -215,8 +202,7 @@ int cmd_info(const KvConfig& kv) {
   const std::string in = kv.get_or("in", "");
   try {
     FileTraceSource src(in);
-    std::cout << in << ": " << src.size() << " instructions (MAPGTRC"
-              << src.info().version << ", digest "
+    std::cout << in << ": " << src.size() << " instructions (digest "
               << src.info().digest_hex() << ")\n";
   } catch (const std::exception& e) {
     std::cerr << "read failed: " << e.what() << "\n";
@@ -308,13 +294,33 @@ int main(int argc, char** argv) {
   KvConfig kv;
   const auto leftovers = kv.parse_args(argc, argv);
   if (leftovers.size() != 1) return usage();
-  const std::string& cmd = leftovers[0];
-  if (cmd == "gen") return cmd_gen(kv);
-  if (cmd == "convert") return cmd_convert(kv);
-  if (cmd == "inspect") return cmd_inspect(kv);
-  if (cmd == "filter") return cmd_filter(kv);
-  if (cmd == "plan") return cmd_plan(kv);
-  if (cmd == "info") return cmd_info(kv);
-  if (cmd == "stats") return cmd_stats(kv);
+  // Every subcommand with the flags it reads: any other flag is an error, so
+  // a typo never falls back to a default silently.
+  const struct {
+    const char* name;
+    int (*run)(const KvConfig&);
+    std::set<std::string> flags;
+  } commands[] = {
+      {"gen", cmd_gen, {"workload", "count", "out", "seed"}},
+      {"convert", cmd_convert,
+       {"in", "out", "dialect", "dep-dist", "pad", "filter-kb", "filter-ways",
+        "line"}},
+      {"inspect", cmd_inspect, {"in", "chunks"}},
+      {"filter", cmd_filter, {"in", "out", "filter-kb", "filter-ways", "line"}},
+      {"plan", cmd_plan,
+       {"in", "regions", "clusters", "seed", "sig-cache", "jobs"}},
+      {"info", cmd_info, {"in"}},
+      {"stats", cmd_stats, {"workload", "count", "seed", "in"}},
+  };
+  for (const auto& c : commands) {
+    if (leftovers[0] != c.name) continue;
+    for (const auto& [key, value] : kv.all())
+      if (c.flags.count(key) == 0) {
+        std::cerr << "mapg_trace " << c.name << ": unknown flag --" << key
+                  << "\n";
+        return 2;
+      }
+    return c.run(kv);
+  }
   return usage();
 }
