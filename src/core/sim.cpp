@@ -174,6 +174,12 @@ SimResult Simulator::run(TraceSource& trace, const std::string& workload_name,
   return run_impl(trace, workload_name, *policy, nullptr);
 }
 
+void RunRecord::reserve(std::uint64_t warmup, std::uint64_t instructions) {
+  trace_buffer.reserve(static_cast<std::size_t>(warmup + instructions));
+  warmup_stalls.reserve(static_cast<std::size_t>(2 * warmup));
+  stalls.reserve(static_cast<std::size_t>(2 * instructions));
+}
+
 SimResult Simulator::run_recorded(TraceSource& trace,
                                   const std::string& workload_name,
                                   const std::string& policy_spec,
@@ -182,18 +188,21 @@ SimResult Simulator::run_recorded(TraceSource& trace,
   // The trace is materialized in the same pass that runs it (TeeTraceSource
   // above): the core consumes exactly warmup + measured instructions, so
   // the buffer ends the run holding the complete stream every policy sees.
-  auto buf = std::make_shared<std::vector<Instr>>();
-  buf->reserve(
-      static_cast<std::size_t>(config_.warmup_instructions +
-                               config_.instructions));
+  // Clearing keeps capacity, so buffers RunRecord::reserve sized are
+  // adopted as they are.
+  std::vector<Instr>& buf = record.trace_buffer;
+  buf.clear();
+  buf.reserve(static_cast<std::size_t>(config_.warmup_instructions +
+                                       config_.instructions));
   record.warmup_stalls.clear();
   record.stalls.clear();
 
   const std::unique_ptr<PgPolicy> policy =
       build_policy(policy_spec, policy_context());
-  TeeTraceSource tee(trace, *buf);
+  TeeTraceSource tee(trace, buf);
   SimResult result = run_impl(tee, workload_name, *policy, &record, hook);
-  record.trace = std::move(buf);
+  // Moving leaves trace_buffer empty: the published trace owns the storage.
+  record.trace = std::make_shared<std::vector<Instr>>(std::move(buf));
   return result;
 }
 

@@ -121,6 +121,21 @@ struct RunRecord {
   std::shared_ptr<const std::vector<Instr>> trace;
   StallSeries warmup_stalls;  ///< SoA (cpu/core.h): replay scans stream it
   StallSeries stalls;         ///< measured-phase stalls, in order
+
+  /// The buffer a recording run fills before publishing it as `trace`:
+  /// empty outside a run unless reserve() sized it.
+  std::vector<Instr> trace_buffer;
+
+  /// Reserve every buffer a recording of `warmup` + `instructions` fills,
+  /// so the run allocates none of them: `trace_buffer`, which run_recorded
+  /// adopts, and each stall series at its bound.  A core stalls at most
+  /// once per instruction on a dependence plus once per load for an MLP
+  /// credit (cpu/core.cpp), so at most twice per instruction; pages the
+  /// run never touches are never made resident.  Sampled recording
+  /// (src/sample) calls this on the calling thread before a pool worker
+  /// records, because glibc keeps memory a pool thread allocated in that
+  /// thread's arena after it is freed.
+  void reserve(std::uint64_t warmup, std::uint64_t instructions);
 };
 
 class Simulator {
@@ -156,8 +171,9 @@ class Simulator {
       bool in_warmup)>;
 
   /// Like run(trace, workload_name, policy_spec), but additionally
-  /// materializes the stream into `record.trace` and captures every
-  /// full-core StallEvent (warmup and measured phases separately).  The
+  /// materializes the stream into `record.trace` (through
+  /// `record.trace_buffer`, whose reserved capacity it adopts) and captures
+  /// every full-core StallEvent (warmup and measured phases separately).  The
   /// returned result is bit-identical to the unrecorded run — recording only
   /// tees, it never perturbs timing.  With a non-null `hook` and
   /// config().checkpoint_stride > 0, the hook is invoked at every stride

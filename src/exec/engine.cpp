@@ -7,6 +7,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/log.h"
 #include "exec/serialize.h"
 #include "obs/obs.h"
 #include "obs/report.h"
@@ -29,7 +30,13 @@ double now_ms() {
 
 ExecOptions exec_options_from(const KvConfig& kv) {
   ExecOptions opts;
-  opts.jobs = static_cast<unsigned>(kv.get_uint("jobs", 0));
+  const std::uint64_t jobs = kv.get_uint("jobs", 0);
+  if (jobs > ThreadPool::kMaxThreads)
+    log_warn() << "--jobs=" << jobs << " exceeds the ceiling of "
+               << ThreadPool::kMaxThreads << " threads; using "
+               << ThreadPool::kMaxThreads;
+  opts.jobs = static_cast<unsigned>(
+      std::min<std::uint64_t>(jobs, ThreadPool::kMaxThreads));
   const char* env_cache = std::getenv("MAPG_CACHE_DIR");
   opts.cache_dir =
       kv.get_or("cache-dir", env_cache != nullptr ? env_cache : "");

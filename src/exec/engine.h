@@ -55,8 +55,9 @@ struct ExecOptions {
 };
 
 /// The execution flags every front end takes (docs/EXEC.md): --jobs (0 =
-/// all hardware threads), --cache-dir (default $MAPG_CACHE_DIR when set),
-/// --no-cache, --progress, --runlog, --replay.
+/// all hardware threads; above ThreadPool::kMaxThreads it is clamped with
+/// a warning), --cache-dir (default $MAPG_CACHE_DIR when set), --no-cache,
+/// --progress, --runlog, --replay.
 ExecOptions exec_options_from(const KvConfig& kv);
 
 /// One experiment cell.  The trace seed rides inside config.run_seed.

@@ -1,6 +1,9 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 
 #include "obs/obs.h"
 
@@ -11,18 +14,36 @@ unsigned ThreadPool::default_threads() {
   return hw > 0 ? hw : 1;
 }
 
+unsigned ThreadPool::workers_for(unsigned jobs, std::size_t items) {
+  const std::size_t want = jobs == 0 ? default_threads() : jobs;
+  return static_cast<unsigned>(std::max<std::size_t>(
+      1, std::min({want, items, std::size_t{kMaxThreads}})));
+}
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = default_threads();
+  threads = std::min(threads, kMaxThreads);
   queues_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
     queues_.push_back(std::make_unique<Worker>());
   workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (unsigned i = 0; i < threads; ++i)
+      workers_.emplace_back([this, i] { worker_loop(i); });
+  } catch (...) {
+    // A joinable std::thread destroyed during unwinding calls
+    // std::terminate, so the started workers are joined first.
+    stop_and_join();
+    throw;
+  }
 }
 
 ThreadPool::~ThreadPool() {
   wait_idle();
+  stop_and_join();
+}
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
@@ -99,6 +120,34 @@ void ThreadPool::worker_loop(std::size_t self) {
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lk(mu_);
   idle_.wait(lk, [this] { return pending_ == 0; });
+}
+
+void for_each_claimed(
+    std::size_t items, unsigned workers,
+    const std::function<void(std::size_t item, unsigned worker)>& body) {
+  std::vector<std::exception_ptr> errors(items);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&](unsigned worker) {
+    for (;;) {
+      const std::size_t item = next.fetch_add(1);
+      if (item >= items) return;
+      try {
+        body(item, worker);
+      } catch (...) {
+        errors[item] = std::current_exception();
+      }
+    }
+  };
+  if (workers <= 1) {
+    work(0);
+  } else {
+    ThreadPool pool(workers - 1);
+    for (unsigned w = 1; w <= pool.size(); ++w)
+      pool.submit([&work, w] { work(w); });
+    work(0);
+  }  // ~ThreadPool joins every pool worker
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace mapg

@@ -11,6 +11,10 @@
 // output order never depends on scheduling).  A task that throws is the
 // caller's bug — the engine wraps every job body in its own try/catch — but
 // the pool still contains it rather than calling std::terminate.
+//
+// for_each_claimed() below is the other way to use it: a fixed fan-out of
+// indexed items (the sampled signature scan, and the sampled runner's
+// representative recordings and cells) claimed from one atomic counter.
 #pragma once
 
 #include <condition_variable>
@@ -26,7 +30,15 @@ namespace mapg {
 
 class ThreadPool {
  public:
-  /// `threads` == 0 selects default_threads().
+  /// Ceiling on a pool's threads, and so on --jobs (exec_options_from
+  /// clamps to it too): far above the hosts this simulator runs on, far
+  /// below the thread counts at which a host refuses to start more.
+  static constexpr unsigned kMaxThreads = 256;
+
+  /// `threads` == 0 selects default_threads(); more than kMaxThreads is
+  /// clamped to it.  If a thread fails to start, the workers already
+  /// started are stopped and joined before the std::system_error is
+  /// rethrown.
   explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
@@ -44,6 +56,11 @@ class ThreadPool {
   /// Hardware concurrency, clamped to at least 1.
   static unsigned default_threads();
 
+  /// Threads a fan-out of `items` independent items gets under the --jobs
+  /// meaning: `jobs` (0 = default_threads()), at most `items` and
+  /// kMaxThreads, at least 1.
+  static unsigned workers_for(unsigned jobs, std::size_t items);
+
  private:
   struct Worker {
     std::deque<std::function<void()>> deque;  ///< guarded by `mu`
@@ -51,6 +68,7 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t self);
+  void stop_and_join();
   bool try_get_task(std::size_t self, std::function<void()>& out);
 
   std::vector<std::unique_ptr<Worker>> queues_;
@@ -63,5 +81,19 @@ class ThreadPool {
   std::size_t next_queue_ = 0;    ///< round-robin submission cursor
   bool stop_ = false;
 };
+
+/// Run body(item, worker) for every item in [0, items) on `workers`
+/// threads: the calling thread is worker 0 and a ThreadPool of workers - 1
+/// supplies the rest, each claiming the next item from one atomic counter.
+/// `worker` indexes per-worker state the caller built beforehand — on the
+/// calling thread, because glibc keeps memory a pool thread allocated in
+/// that thread's arena after it is freed.  Every item is attempted even
+/// after one throws, so which errors are recorded never depends on thread
+/// timing; after the join the lowest failing item's exception is rethrown,
+/// the one an in-order loop would meet first.  workers <= 1 runs the items
+/// in order on the calling thread, under the same error rule.
+void for_each_claimed(
+    std::size_t items, unsigned workers,
+    const std::function<void(std::size_t item, unsigned worker)>& body);
 
 }  // namespace mapg

@@ -16,9 +16,11 @@ StallTimeline record_timeline(const SimConfig& config,
 
 StallTimeline record_timeline_traced(const SimConfig& config,
                                      TraceSource& trace,
-                                     const std::string& workload_name) {
+                                     const std::string& workload_name,
+                                     RunRecord reserved) {
   StallTimeline tl;
   tl.config = config;
+  tl.record = std::move(reserved);
   tl.profile.name = workload_name;  // stub: replay reads only the name
   // The hook reads the recorder's sinks live: at capture time they hold
   // exactly the events resolved so far, which is the prefix a resumed
@@ -94,6 +96,16 @@ ReplayOutcome replay_policy(const StallTimeline& timeline,
   out.result = std::move(r);
   MAPG_OBS_COUNTER_INC("sim.replay.cells");
   return out;
+}
+
+const char* timeline_tier_name(TimelineTier tier) {
+  switch (tier) {
+    case TimelineTier::kReference: return "reference";
+    case TimelineTier::kReplay: return "replay";
+    case TimelineTier::kResume: return "resume";
+    case TimelineTier::kDirect: return "direct";
+  }
+  return "direct";
 }
 
 TimelineOutcome resolve_on_timeline(const StallTimeline& timeline,

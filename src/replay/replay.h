@@ -70,10 +70,12 @@ StallTimeline record_timeline(const SimConfig& config,
 /// `profile` is a stub carrying only `workload_name` — replay_policy and
 /// resume_policy consult nothing else (they feed recorded events / the
 /// materialized trace), so every replay tier applies to traced timelines
-/// unchanged.
+/// unchanged.  `reserved` becomes the timeline's record before the run, so
+/// buffers a caller sized with RunRecord::reserve are filled in place.
 StallTimeline record_timeline_traced(const SimConfig& config,
                                      TraceSource& trace,
-                                     const std::string& workload_name);
+                                     const std::string& workload_name,
+                                     RunRecord reserved = {});
 
 struct ReplayOutcome {
   /// true: every window resolved with resume == data_ready and `result` is
@@ -101,6 +103,10 @@ enum class TimelineTier : std::uint8_t {
                ///< penalized window (resume_policy)
   kDirect,     ///< no exact tier: the caller must simulate directly
 };
+
+/// Lower-case tier name ("reference", "replay", "resume", "direct") for
+/// trace spans and logs.
+const char* timeline_tier_name(TimelineTier tier);
 
 struct TimelineOutcome {
   TimelineTier tier = TimelineTier::kDirect;

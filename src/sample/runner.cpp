@@ -4,10 +4,33 @@
 #include <cmath>
 #include <utility>
 
+#include "exec/thread_pool.h"
 #include "obs/obs.h"
 
 namespace mapg {
 namespace {
+
+#if MAPG_OBS_ENABLED
+/// One 'X' span per representative recording or cell, on the worker's
+/// track, so a Chrome trace shows the workers overlapping and which tier
+/// answered each representative.
+std::uint64_t span_begin() {
+  const obs::EventTracer& tracer = obs::EventTracer::instance();
+  return tracer.enabled() ? tracer.now_ns() : 0;
+}
+
+void span_end(const char* name, std::uint64_t ts, std::size_t cluster,
+              std::uint64_t instructions, TimelineTier tier) {
+  obs::EventTracer& tracer = obs::EventTracer::instance();
+  if (!tracer.enabled()) return;
+  tracer.complete(name, "sample", ts, tracer.now_ns() - ts,
+                  obs::TraceArgs()
+                      .add("cluster", std::uint64_t{cluster})
+                      .add("instructions", instructions)
+                      .add("tier", timeline_tier_name(tier))
+                      .json());
+}
+#endif
 
 /// 95% normal quantile used for every reported interval.
 constexpr double kZ95 = 1.96;
@@ -72,53 +95,97 @@ const MetricEstimate* SampledResult::find(const std::string& name) const {
   return nullptr;
 }
 
-SampledRunner::SampledRunner(const SimConfig& base, SeekableTraceSource& trace,
-                             SamplePlan plan, std::string workload_name)
+SampledRunner::SampledRunner(const SimConfig& base, FileTraceSource& trace,
+                             SamplePlan plan, std::string workload_name,
+                             unsigned jobs)
     : base_(base),
       trace_(trace),
       plan_(std::move(plan)),
-      workload_(std::move(workload_name)) {
+      workload_(std::move(workload_name)),
+      jobs_(jobs) {
   timelines_.resize(plan_.exhaustive ? 1 : plan_.clusters.size());
 }
 
-const StallTimeline& SampledRunner::timeline_for(std::size_t cluster) {
-  if (timelines_[cluster].has_value()) return *timelines_[cluster];
-
-  SimConfig cfg = base_;
+SampledRunner::Window SampledRunner::window_for(std::size_t cluster) const {
+  Window w;
+  w.config = base_;
   if (plan_.exhaustive) {
     // One continuous cold run over the whole trace: the reference
     // semantics full simulation is compared against (warmup 0, every
     // instruction measured).
-    cfg.warmup_instructions = 0;
-    cfg.instructions = plan_.total_instructions;
-    trace_.seek(0);
-  } else {
-    const RegionSignature& rep =
-        plan_.regions[plan_.clusters[cluster].representative];
-    const std::uint64_t warmup =
-        std::min<std::uint64_t>(plan_.config.warmup_instructions, rep.start);
-    cfg.warmup_instructions = warmup;
-    cfg.instructions = rep.length;
-    trace_.seek(rep.start - warmup);
+    w.config.warmup_instructions = 0;
+    w.config.instructions = plan_.total_instructions;
+    return w;
   }
-  LimitedTraceSource window(trace_,
-                            cfg.warmup_instructions + cfg.instructions);
-  timelines_[cluster] =
-      record_timeline_traced(cfg, window, workload_);
-  MAPG_OBS_COUNTER_ADD("sim.sample.simulated", cfg.instructions);
-  return *timelines_[cluster];
+  const RegionSignature& rep =
+      plan_.regions[plan_.clusters[cluster].representative];
+  const std::uint64_t warmup =
+      std::min<std::uint64_t>(plan_.config.warmup_instructions, rep.start);
+  w.config.warmup_instructions = warmup;
+  w.config.instructions = rep.length;
+  w.start = rep.start - warmup;
+  return w;
 }
 
-SimResult SampledRunner::simulate_cell(const StallTimeline& timeline,
-                                       const std::string& policy_spec) const {
-  // The shared tier ladder; what no exact tier answers is simulated
-  // directly over the materialized window.  Every tier is bit-identical to
-  // direct.
-  TimelineOutcome exact = resolve_on_timeline(timeline, policy_spec);
-  if (exact.tier != TimelineTier::kDirect) return std::move(exact.result);
-  SharedTraceView view(timeline.record.trace);
-  return Simulator(timeline.config)
-      .run(view, timeline.profile.name, policy_spec);
+void SampledRunner::record_timelines() {
+  std::vector<std::size_t> missing;
+  for (std::size_t c = 0; c < timelines_.size(); ++c)
+    if (!timelines_[c].has_value()) missing.push_back(c);
+  if (missing.empty()) return;
+
+  // When pool workers record, everything they fill is built here, on the
+  // calling thread (exec/thread_pool.h): the readers and every window's
+  // trace buffer and stall series.  A serial recording (one worker, which
+  // includes the exhaustive plan's whole-trace window) grows its own.
+  const unsigned workers = ThreadPool::workers_for(jobs_, missing.size());
+  TraceReaders readers(trace_, workers);
+  std::vector<Window> windows;
+  std::vector<RunRecord> records(missing.size());
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    windows.push_back(window_for(missing[i]));
+    if (workers > 1)
+      records[i].reserve(windows[i].config.warmup_instructions,
+                         windows[i].config.instructions);
+  }
+  for_each_claimed(missing.size(), workers, [&](std::size_t i, unsigned w) {
+    [[maybe_unused]] std::uint64_t ts = 0;
+    MAPG_OBS_ONLY(ts = span_begin();)
+    const Window& win = windows[i];
+    readers[w].seek(win.start);
+    LimitedTraceSource window(
+        readers[w], win.config.warmup_instructions + win.config.instructions);
+    timelines_[missing[i]] = record_timeline_traced(
+        win.config, window, workload_, std::move(records[i]));
+    MAPG_OBS_COUNTER_ADD("sim.sample.simulated", win.config.instructions);
+    MAPG_OBS_ONLY(span_end("sample.record", ts, missing[i],
+                           win.config.instructions,
+                           TimelineTier::kReference);)
+  });
+}
+
+std::vector<SimResult> SampledRunner::simulate_cells(
+    const std::string& policy_spec) {
+  record_timelines();
+  std::vector<SimResult> reps(timelines_.size());
+  const unsigned workers = ThreadPool::workers_for(jobs_, reps.size());
+  for_each_claimed(reps.size(), workers, [&](std::size_t c, unsigned) {
+    [[maybe_unused]] std::uint64_t ts = 0;
+    MAPG_OBS_ONLY(ts = span_begin();)
+    // The shared tier ladder; what no exact tier answers is simulated
+    // directly over the materialized window.  Every tier is bit-identical
+    // to direct.
+    const StallTimeline& timeline = *timelines_[c];
+    TimelineOutcome cell = resolve_on_timeline(timeline, policy_spec);
+    if (cell.tier == TimelineTier::kDirect) {
+      SharedTraceView view(timeline.record.trace);
+      cell.result = Simulator(timeline.config)
+                        .run(view, timeline.profile.name, policy_spec);
+    }
+    reps[c] = std::move(cell.result);
+    MAPG_OBS_ONLY(span_end("sample.cell", ts, c,
+                           timeline.config.instructions, cell.tier);)
+  });
+  return reps;
 }
 
 SampledResult SampledRunner::run(const std::string& policy_spec) {
@@ -129,8 +196,9 @@ SampledResult SampledRunner::run(const std::string& policy_spec) {
                                   : plan_.clusters.size();
   out.instructions_projected = plan_.total_instructions;
 
+  std::vector<SimResult> reps = simulate_cells(policy_spec);
   if (plan_.exhaustive) {
-    const SimResult full = simulate_cell(timeline_for(0), policy_spec);
+    const SimResult& full = reps.front();
     out.policy = full.policy;
     out.exact = true;
     out.full = full;
@@ -149,14 +217,9 @@ SampledResult SampledRunner::run(const std::string& policy_spec) {
   }
 
   // Per-cluster representative results (each bit-identical to directly
-  // simulating its window).
-  std::vector<SimResult> reps;
-  reps.reserve(plan_.clusters.size());
-  for (std::size_t c = 0; c < plan_.clusters.size(); ++c) {
-    reps.push_back(simulate_cell(timeline_for(c), policy_spec));
-    out.instructions_simulated +=
-        plan_.regions[plan_.clusters[c].representative].length;
-  }
+  // simulating its window), summed in cluster order.
+  for (const SampleCluster& cl : plan_.clusters)
+    out.instructions_simulated += plan_.regions[cl.representative].length;
   out.policy = reps.empty() ? policy_spec : reps.front().policy;
   out.representative_results = reps;
 

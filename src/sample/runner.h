@@ -7,7 +7,11 @@
 // policy through the SAME tier ladder the experiment engine and the server
 // use (resolve_on_timeline: reference -> exact replay -> checkpoint
 // prefix-resume), falling back to direct simulation over the materialized
-// window.  Per-representative results are
+// window.  Recordings and cells run on up to --jobs workers through
+// exec's claim loop (for_each_claimed, exec/thread_pool.h); each worker
+// reads through its own digest-checking reader, and the projection sums
+// per-cluster results in cluster order after the join, so a result never
+// depends on the worker count.  Per-representative results are
 // therefore bit-identical to directly simulating that window; approximation
 // enters ONLY in the projection step, where extensive metrics are scaled by
 // cluster weights and summed:
@@ -70,26 +74,41 @@ class SampledRunner {
  public:
   /// `base` supplies the platform (core/mem/tech/pg); its instruction and
   /// warmup counts are overridden per window.  `trace` must outlive the
-  /// runner and is repositioned freely.
-  SampledRunner(const SimConfig& base, SeekableTraceSource& trace,
-                SamplePlan plan, std::string workload_name);
+  /// runner and is repositioned freely.  `jobs` bounds the threads that
+  /// record representatives and resolve cells, with the --jobs meaning of
+  /// build_sample_plan: 0 = every hardware thread, 1 = one after another
+  /// on the calling thread.  Results are identical for every `jobs`.
+  SampledRunner(const SimConfig& base, FileTraceSource& trace,
+                SamplePlan plan, std::string workload_name,
+                unsigned jobs = 0);
 
-  /// Project the whole trace under one policy.  Timelines are recorded
-  /// lazily on first use and shared across run() calls, so sweeping P
-  /// policies costs one recording + P replays per representative.
+  /// Project the whole trace under one policy.  The first call records
+  /// every representative's timeline, and later calls share them, so
+  /// sweeping P policies costs one recording + P replays per
+  /// representative.  Every cluster is attempted; if any fails (a damaged
+  /// trace window, an unknown policy spec), the lowest failing cluster's
+  /// error is thrown, and a later call retries the clusters still missing
+  /// a timeline rather than projecting from a partial set.
   SampledResult run(const std::string& policy_spec);
 
   const SamplePlan& plan() const { return plan_; }
 
  private:
-  const StallTimeline& timeline_for(std::size_t cluster);
-  SimResult simulate_cell(const StallTimeline& timeline,
-                          const std::string& policy_spec) const;
+  /// A representative's trace window: where it starts and the config
+  /// (warmup + measured counts) it is recorded under.
+  struct Window {
+    std::uint64_t start = 0;
+    SimConfig config;
+  };
+  Window window_for(std::size_t cluster) const;
+  void record_timelines();
+  std::vector<SimResult> simulate_cells(const std::string& policy_spec);
 
   SimConfig base_;
-  SeekableTraceSource& trace_;
+  FileTraceSource& trace_;
   SamplePlan plan_;
   std::string workload_;
+  unsigned jobs_;
   std::vector<std::optional<StallTimeline>> timelines_;  ///< per cluster
 };
 

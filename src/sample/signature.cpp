@@ -1,13 +1,10 @@
 #include "sample/signature.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <exception>
 #include <fstream>
 #include <iterator>
-#include <memory>
 
 #include "exec/thread_pool.h"
 
@@ -261,58 +258,29 @@ std::vector<RegionSignature> compute_file_signatures(
   const std::uint64_t total = trace.size();
   const std::uint64_t regions = total / region_instructions +
                                 (total % region_instructions != 0 ? 1 : 0);
-  const std::uint64_t workers = std::min<std::uint64_t>(
-      jobs == 0 ? ThreadPool::default_threads() : jobs, regions);
+  const unsigned workers = ThreadPool::workers_for(jobs, regions);
   trace.seek(0);
   if (workers <= 1)
     return compute_region_signatures(trace, region_instructions, line_bytes);
 
-  // Worker 0 is the calling thread, scanning through the caller's reader;
-  // the pool's workers each get their own reader on the same path, so every
-  // chunk served is still digest-checked.  Readers and accumulators are all
-  // built here, on the calling thread: glibc serves a thread's allocations
-  // from that thread's arena and keeps them there after free, so buffers
-  // born on pool threads stay resident beside whatever the caller allocates
-  // next.  (A region accumulator's line map still grows where it scans.)
-  std::vector<std::unique_ptr<FileTraceSource>> own;
-  std::vector<FileTraceSource*> readers{&trace};
-  for (std::uint64_t w = 1; w < workers; ++w) {
-    own.push_back(std::make_unique<FileTraceSource>(trace.path()));
-    readers.push_back(own.back().get());
-  }
+  // Each worker scans through its own reader (worker 0 through the
+  // caller's) into one reused accumulator; both are built here, on the
+  // calling thread (thread_pool.h).  A region accumulator's line map still
+  // grows where it scans.
+  TraceReaders readers(trace, workers);
   std::vector<RegionAccum> accs(workers);
   const std::uint64_t line_shift = line_shift_for(line_bytes);
 
   std::vector<RegionSignature> out(regions);
-  std::vector<std::exception_ptr> errors(regions);
-  std::atomic<std::uint64_t> next_region{0};
-  // Every region is attempted even after one fails, so which errors are
-  // recorded never depends on thread timing.
-  const auto work = [&](std::uint64_t w) {
-    for (;;) {
-      const std::uint64_t r = next_region.fetch_add(1);
-      if (r >= regions) return;
-      const std::uint64_t start = r * region_instructions;
-      const std::uint64_t length = std::min(region_instructions, total - start);
-      try {
-        readers[w]->seek(start);
-        scan_region(*readers[w], length, line_shift, accs[w]);
-        out[r] = accs[w].finish(start, length);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-    }
-  };
-  {
-    ThreadPool pool(static_cast<unsigned>(workers - 1));
-    for (std::uint64_t w = 1; w < workers; ++w)
-      pool.submit([&work, w] { work(w); });
-    work(0);
-  }  // ~ThreadPool joins every pool worker
-  // The serial scan stops at its first error, which lies in the lowest
-  // failing region.
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
+  // A damaged trace raises the error of its lowest failing region, the one
+  // the serial scan stops at.
+  for_each_claimed(regions, workers, [&](std::size_t r, unsigned w) {
+    const std::uint64_t start = r * region_instructions;
+    const std::uint64_t length = std::min(region_instructions, total - start);
+    readers[w].seek(start);
+    scan_region(readers[w], length, line_shift, accs[w]);
+    out[r] = accs[w].finish(start, length);
+  });
   merge_trailing_sliver(out, region_instructions);
   trace.seek(total);  // leave the cursor where the serial scan does
   return out;

@@ -285,4 +285,14 @@ void FileTraceSource::seek(std::uint64_t pos) {
   pos_ = std::min(pos, info_.records);
 }
 
+TraceReaders::TraceReaders(FileTraceSource& trace, unsigned workers)
+    : trace_(trace) {
+  for (unsigned w = 1; w < workers; ++w) {
+    own_.push_back(std::make_unique<FileTraceSource>(trace.path()));
+    if (own_.back()->info().stream_digest != trace.info().stream_digest)
+      throw std::runtime_error(trace.path() +
+                               ": content changed while the trace was open");
+  }
+}
+
 }  // namespace mapg

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,15 +82,16 @@ bool write_trace_file_v2(const std::string& path, TraceSource& source,
 ///    a chunk whose payload digest does not match its index entry;
 ///  - seek() past the end clamps to the end (next() then returns false),
 ///    matching SharedTraceView::seek.
-class FileTraceSource final : public SeekableTraceSource {
+class FileTraceSource final : public TraceSource {
  public:
   explicit FileTraceSource(const std::string& path);
 
   bool next(Instr& out) override;
   void reset() override { seek(0); }
-  void seek(std::uint64_t pos) override;
-  std::uint64_t pos() const override { return pos_; }
-  std::uint64_t size() const override { return info_.records; }
+  /// Position the cursor at an absolute instruction index (clamped).
+  void seek(std::uint64_t pos);
+  std::uint64_t pos() const { return pos_; }
+  std::uint64_t size() const { return info_.records; }
 
   const TraceFileInfo& info() const { return info_; }
   const std::string& path() const { return path_; }
@@ -119,6 +121,28 @@ class FileTraceSource final : public SeekableTraceSource {
   /// The file is assumed immutable while open — the same assumption the
   /// resident chunk buffer already makes.
   std::vector<char> verified_;
+};
+
+/// One reader per worker of a fan-out over one trace file (the parallel
+/// signature scan and sampled recording, src/sample): worker 0 reads
+/// through the caller's reader, every other worker through its own
+/// FileTraceSource on the same path, so every chunk it serves is still
+/// digest-checked.  The extra readers are opened here, on the calling
+/// thread, which also sizes their chunk buffers (a pool thread's glibc
+/// arena would keep them after the readers are gone), and a file whose
+/// stream digest no longer matches the caller's reader is refused with
+/// std::runtime_error.
+class TraceReaders {
+ public:
+  TraceReaders(FileTraceSource& trace, unsigned workers);
+
+  FileTraceSource& operator[](unsigned worker) {
+    return worker == 0 ? trace_ : *own_[worker - 1];
+  }
+
+ private:
+  FileTraceSource& trace_;
+  std::vector<std::unique_ptr<FileTraceSource>> own_;
 };
 
 /// FNV-1a64 over a byte range — the digest primitive shared by the writer

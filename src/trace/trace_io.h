@@ -1,6 +1,5 @@
 // In-memory trace sources: a vector, a shared immutable buffer, and the
-// limiting and address-rebasing wrappers, plus the SeekableTraceSource
-// interface the sampled-simulation layer positions at region starts.
+// limiting and address-rebasing wrappers.
 //
 // The on-disk trace format (MAPGTRC2) and its streaming reader live in
 // trace_file.h (docs/TRACE.md).
@@ -14,18 +13,6 @@
 #include "trace/instr.h"
 
 namespace mapg {
-
-/// A bounded trace source with random access: the sampled-simulation layer
-/// (src/sample) positions these at region starts, so both the in-memory
-/// SharedTraceView and the streaming FileTraceSource (trace_file.h) qualify.
-class SeekableTraceSource : public TraceSource {
- public:
-  /// Position the cursor at an absolute instruction index; past-the-end
-  /// clamps to the end (next() then returns false).
-  virtual void seek(std::uint64_t pos) = 0;
-  virtual std::uint64_t pos() const = 0;
-  virtual std::uint64_t size() const = 0;
-};
 
 /// Serves instructions from an in-memory vector (bounded trace).
 class VectorTraceSource final : public TraceSource {
@@ -74,7 +61,7 @@ class LimitedTraceSource final : public TraceSource {
 /// view the same materialized trace concurrently (each view carries its own
 /// cursor), which is how the replay engine (src/replay) shares one trace
 /// across every policy cell of a sweep group without copying it.
-class SharedTraceView final : public SeekableTraceSource {
+class SharedTraceView final : public TraceSource {
  public:
   explicit SharedTraceView(std::shared_ptr<const std::vector<Instr>> instrs)
       : instrs_(std::move(instrs)) {}
@@ -90,12 +77,12 @@ class SharedTraceView final : public SeekableTraceSource {
   /// buffer end).  Prefix-resume (src/replay/checkpoint.h) uses this to
   /// continue a run from a checkpoint's trace position instead of replaying
   /// the prefix through the core.
-  void seek(std::uint64_t pos) override {
+  void seek(std::uint64_t pos) {
     pos_ = pos < instrs_->size() ? pos : instrs_->size();
   }
-  std::uint64_t pos() const override { return pos_; }
+  std::uint64_t pos() const { return pos_; }
 
-  std::uint64_t size() const override { return instrs_->size(); }
+  std::uint64_t size() const { return instrs_->size(); }
 
  private:
   std::shared_ptr<const std::vector<Instr>> instrs_;

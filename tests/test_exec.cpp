@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -233,6 +234,29 @@ TEST(ThreadPool, SurvivesThrowingTasks) {
   EXPECT_EQ(count.load(), 25);
 }
 
+TEST(ThreadPool, ForEachClaimedAttemptsEveryItemAndRethrowsTheLowestError) {
+  // Items 3 and 7 fail; whichever fails first in time, every item runs and
+  // item 3's error is the one raised, for any worker count.
+  for (const unsigned workers : {1u, 2u, 5u}) {
+    std::vector<int> ran(12, 0);
+    try {
+      for_each_claimed(ran.size(), workers, [&](std::size_t i, unsigned w) {
+        ASSERT_LT(w, workers);
+        ran[i] = 1;
+        if (i == 3 || i == 7)
+          throw std::runtime_error("item " + std::to_string(i));
+      });
+      ADD_FAILURE() << "workers=" << workers << ": no error raised";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 3") << "workers=" << workers;
+    }
+    EXPECT_EQ(ran, std::vector<int>(12, 1)) << "workers=" << workers;
+  }
+  EXPECT_EQ(ThreadPool::workers_for(8, 3), 3u);
+  EXPECT_EQ(ThreadPool::workers_for(2, 0), 1u);
+  EXPECT_EQ(ThreadPool::workers_for(100000, 100000), ThreadPool::kMaxThreads);
+}
+
 // --- ExperimentEngine ---
 
 SweepSpec test_sweep(unsigned n_seeds = 4) {
@@ -252,6 +276,18 @@ TEST(ExecOptions, NegativeJobsIsUnparsableAndMeansAllThreads) {
   EXPECT_EQ(exec_options_from(kv).jobs, 0u);
   kv.set("jobs", "3");
   EXPECT_EQ(exec_options_from(kv).jobs, 3u);
+}
+
+TEST(ExecOptions, JobsAboveTheCeilingClampToIt) {
+  // Parsed only, never handed to a pool: 100000 must not ask for 100000
+  // threads, and 2^32 + 1 must not truncate to 1.
+  KvConfig kv;
+  for (const char* jobs : {"100000", "4294967297"}) {
+    kv.set("jobs", jobs);
+    EXPECT_EQ(exec_options_from(kv).jobs, ThreadPool::kMaxThreads) << jobs;
+  }
+  kv.set("jobs", std::to_string(ThreadPool::kMaxThreads));
+  EXPECT_EQ(exec_options_from(kv).jobs, ThreadPool::kMaxThreads);
 }
 
 TEST(ExperimentEngine, ExpansionOrderAndShape) {

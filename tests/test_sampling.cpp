@@ -829,6 +829,146 @@ TEST(SampledRun, ProjectionBracketsAndTracksTheFullRun) {
   }
 }
 
+/// A two-phase trace (mcf-like / gamess-like, 50k-instruction phases) in
+/// 4096-record chunks, planned into 25k-instruction regions and 4 clusters,
+/// and the same plan for every runner built on it.
+struct PhasedPlan {
+  static constexpr std::uint64_t kCount = 400'000;
+  static constexpr std::uint64_t kChunk = 4096;
+  PhasedPlan() : file(tmp_path("phased")) {
+    PhasedTraceGenerator gen(*find_profile("mcf-like"),
+                             *find_profile("gamess-like"), 50'000, 5);
+    std::string err;
+    if (!write_trace_file_v2(file.path, gen, kCount, &err, kChunk))
+      throw std::runtime_error(err);
+    SampleConfig cfg;
+    cfg.region_instructions = 25'000;
+    cfg.clusters = 4;
+    cfg.warmup_instructions = 10'000;
+    cfg.seed = 42;
+    FileTraceSource src(file.path);
+    plan = build_sample_plan(src, cfg, 1);
+  }
+  TempFile file;
+  SamplePlan plan;
+};
+
+/// Checkpoints every 5000 instructions, so a penalized policy can resume
+/// inside a 35k-instruction window instead of simulating it from scratch.
+SimConfig window_config() {
+  SimConfig cfg = sim_config();
+  cfg.checkpoint_stride = 5'000;
+  return cfg;
+}
+
+TEST(SampledRun, ConcurrentRepresentativesAreIdenticalForEveryJobsCount) {
+  // `none` takes the reference, `mapg` replays, and `idle-timeout:64` is
+  // penalized, so it resumes from a checkpoint or simulates directly: every
+  // tier runs on the workers, and no result may depend on how many.
+  const PhasedPlan t;
+  ASSERT_FALSE(t.plan.exhaustive);
+  ASSERT_GE(t.plan.clusters.size(), 4u);
+  const std::vector<std::string> policies = {"none", "mapg",
+                                             "idle-timeout:64"};
+  std::vector<SampledResult> want;
+  for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
+    FileTraceSource src(t.file.path);
+    SampledRunner runner(window_config(), src, t.plan, "trc", jobs);
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      const SampledResult got = runner.run(policies[p]);
+      if (jobs == 1) {
+        want.push_back(got);
+        continue;
+      }
+      const SampledResult& ref = want[p];
+      EXPECT_EQ(got.policy, ref.policy);
+      EXPECT_EQ(got.instructions_simulated, ref.instructions_simulated);
+      ASSERT_EQ(got.metrics.size(), ref.metrics.size());
+      for (std::size_t m = 0; m < got.metrics.size(); ++m) {
+        const MetricEstimate& a = got.metrics[m];
+        const MetricEstimate& b = ref.metrics[m];
+        EXPECT_EQ(a.name, b.name);
+        // Bitwise: the projection sums in cluster order after the join.
+        EXPECT_EQ(a.value, b.value) << policies[p] << " " << a.name;
+        EXPECT_EQ(a.stderr_, b.stderr_) << policies[p] << " " << a.name;
+        EXPECT_EQ(a.ci_lo, b.ci_lo) << policies[p] << " " << a.name;
+        EXPECT_EQ(a.ci_hi, b.ci_hi) << policies[p] << " " << a.name;
+      }
+      ASSERT_EQ(got.representative_results.size(),
+                ref.representative_results.size());
+      for (std::size_t c = 0; c < got.representative_results.size(); ++c)
+        EXPECT_EQ(dump(got.representative_results[c]),
+                  dump(ref.representative_results[c]))
+            << "jobs=" << jobs << " " << policies[p] << " cluster " << c;
+    }
+  }
+  // The penalized policy really is penalized: its projection differs from
+  // the replayed one's.
+  EXPECT_NE(want[2].find("cycles")->value, want[1].find("cycles")->value);
+}
+
+TEST(SampledRun, CorruptChunkInARepresentativeWindowThrowsTheSameErrorForAnyJobs) {
+  // Damage one chunk inside each of two representatives' regions (5000
+  // instructions in, so no other window's warmup reaches it).  Whichever
+  // worker fails first in time, every jobs value must raise the lower
+  // cluster's error, and a second run() must not project from the
+  // representatives that did record.
+  const PhasedPlan t;
+  ASSERT_GE(t.plan.clusters.size(), 2u);
+  std::vector<std::uint64_t> damaged;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const RegionSignature& rep =
+        t.plan.regions[t.plan.clusters[c].representative];
+    damaged.push_back((rep.start + 5'000) / PhasedPlan::kChunk);
+  }
+  std::string bytes = file_bytes(t.file.path);
+  for (const std::uint64_t chunk : damaged) {
+    const std::uint64_t offset = le64_at(bytes, 40 + 24 * chunk);  // payload
+    ASSERT_LT(offset + 17, bytes.size());
+    bytes[offset + 17] = static_cast<char>(bytes[offset + 17] ^ 0x40);
+  }
+  std::ofstream(t.file.path, std::ios::binary) << bytes;
+  const std::string want =
+      "chunk " + std::to_string(damaged[0]) + " payload digest mismatch";
+
+  for (const unsigned jobs : {1u, 4u, 8u}) {
+    FileTraceSource src(t.file.path);  // index intact: open succeeds
+    SampledRunner runner(sim_config(), src, t.plan, "trc", jobs);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        runner.run("mapg");
+        ADD_FAILURE() << "jobs=" << jobs << " attempt " << attempt
+                      << ": corrupt windows projected";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << "jobs=" << jobs << " attempt " << attempt << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(SampledRun, TraceReplacedUnderTheRunnerIsRefused) {
+  // A worker's reader opens the path again; if the file there now holds a
+  // different stream, it must refuse rather than record the wrong content
+  // under the caller's plan.
+  const PhasedPlan t;
+  FileTraceSource src(t.file.path);
+  {
+    TraceGenerator other(*find_profile("gcc-like"), 9);
+    ASSERT_TRUE(write_trace_file_v2(t.file.path, other, PhasedPlan::kCount,
+                                    nullptr, PhasedPlan::kChunk));
+  }
+  SampledRunner runner(sim_config(), src, t.plan, "trc", 2);
+  try {
+    runner.run("none");
+    ADD_FAILURE() << "replaced trace projected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("content changed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- engine identity -------------------------------------------------------
 
 TEST(TraceBindingIdentity, DigestKeysTheCachePathDoesNot) {

@@ -69,7 +69,9 @@ int usage() {
       "                                  when digest+slicing match, else\n"
       "                                  scan (on --jobs threads) and refresh\n"
       "  --instructions=N --warmup=N --seed=N\n"
-      "  --jobs=N                        worker threads (default: all cores)\n"
+      "  --jobs=N                        worker threads (default: all cores,\n"
+      "                                  at most 256); also records sampled\n"
+      "                                  representatives concurrently\n"
       "  --cache-dir=DIR                 persistent result cache\n"
       "                                  (default: $MAPG_CACHE_DIR)\n"
       "  --no-cache=1                    skip the disk cache this run\n"
@@ -280,15 +282,15 @@ int run_trace(const KvConfig& kv, const std::vector<std::string>& specs,
     scfg.warmup_instructions = kv.get_uint("sample-warmup", 200'000);
     scfg.seed = kv.get_uint("sample-seed", 42);
     scfg.signature_cache = kv.get_or("sample-sig-cache", "");
-    SamplePlan plan =
-        build_sample_plan(trace, scfg, exec_options_from(kv).jobs);
+    const unsigned jobs = exec_options_from(kv).jobs;
+    SamplePlan plan = build_sample_plan(trace, scfg, jobs);
     std::cout << name << ": " << plan.total_instructions << " instructions, "
               << plan.regions.size() << " regions, " << plan.clusters.size()
               << " clusters"
               << (plan.exhaustive ? " (exhaustive: full run)" : "")
               << ", simulating " << plan.sampled_instructions()
               << " instructions\n";
-    SampledRunner runner(cfg, trace, std::move(plan), name);
+    SampledRunner runner(cfg, trace, std::move(plan), name, jobs);
     Table t({"workload", "policy", "IPC", "MPKI", "gated_time", "total_mJ",
              "exact"});
     for (const auto& spec : specs) {
