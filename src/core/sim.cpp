@@ -5,6 +5,7 @@
 
 #include "obs/obs.h"
 #include "power/interval_energy.h"
+#include "trace/staged_source.h"
 
 namespace mapg {
 namespace {
@@ -159,7 +160,11 @@ PolicyContext Simulator::policy_context() const {
 SimResult Simulator::run(const WorkloadProfile& profile,
                          const std::string& policy_spec) const {
   TraceGenerator gen(profile, config_.run_seed);
-  return run(gen, profile.name, policy_spec);
+  // The generator never reads core timing, so where a thread is free it
+  // runs ahead of the core on it (trace/staged_source.h).
+  TraceFrontEnd front =
+      stage_if_free(gen, config_.warmup_instructions + config_.instructions);
+  return run(front.source(), profile.name, policy_spec);
 }
 
 SimResult Simulator::run(TraceSource& trace, const std::string& workload_name,

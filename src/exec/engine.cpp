@@ -12,6 +12,7 @@
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "replay/replay.h"
+#include "trace/staged_source.h"
 #include "trace/trace_file.h"
 #include "trace/trace_io.h"
 
@@ -24,6 +25,11 @@ double now_ms() {
   return std::chrono::duration<double, std::milli>(
              clock::now().time_since_epoch())
       .count();
+}
+
+ExecOptions with_jobs_resolved(ExecOptions options) {
+  if (options.jobs == 0) options.jobs = ThreadPool::default_threads();
+  return options;
 }
 
 }  // namespace
@@ -64,10 +70,10 @@ const SimResult& SweepResult::baseline(std::size_t vi, std::size_t wi,
 }
 
 ExperimentEngine::ExperimentEngine(ExecOptions options)
-    : options_(std::move(options)),
+    : options_(with_jobs_resolved(std::move(options))),
       cache_(std::make_unique<ResultCache>(
-          options_.use_disk_cache ? options_.cache_dir : std::string{})) {
-  if (options_.jobs == 0) options_.jobs = ThreadPool::default_threads();
+          options_.use_disk_cache ? options_.cache_dir : std::string{})),
+      budget_(options_.jobs) {
   // Pre-register the engine's counter set so snapshots and traces carry the
   // same metrics every run (zeros included), not just the ones a particular
   // run happened to touch.
@@ -136,10 +142,13 @@ JobOutcome ExperimentEngine::execute(
               file.info().digest_hex() + " does not match binding " +
               job.trace->digest_hex);
         file.seek(job.trace->offset);
-        LimitedTraceSource window(
-            file, job.config.warmup_instructions + job.config.instructions);
+        const std::uint64_t count =
+            job.config.warmup_instructions + job.config.instructions;
+        LimitedTraceSource window(file, count);
+        // Read and digest-checked ahead of the core where a thread is free.
+        TraceFrontEnd front = stage_if_free(window, count);
         out.result = cache_->store(
-            key, sim.run(window, job.trace->name, job.policy_spec));
+            key, sim.run(front.source(), job.trace->name, job.policy_spec));
       } else if (trace != nullptr) {
         // Shared materialized trace (replay-group fallback): the stream is
         // what a fresh generator would produce, so this is bit-identical to
@@ -250,7 +259,11 @@ void ExperimentEngine::progress_tick(std::size_t done, std::size_t total) {
 }
 
 JobOutcome ExperimentEngine::run_one(const ExperimentJob& job) {
-  return execute(job);
+  // A served request already runs as one of this engine's tasks.
+  if (ThreadBudget::current() == &budget_) return execute(job);
+  JobOutcome out;
+  dispatch(1, [&](std::size_t) { out = execute(job); });
+  return out;
 }
 
 JobOutcome ExperimentEngine::run_one_traced(
@@ -259,9 +272,24 @@ JobOutcome ExperimentEngine::run_one_traced(
   return execute(job, std::move(trace));
 }
 
+void ExperimentEngine::dispatch(
+    std::size_t n, const std::function<void(std::size_t)>& body) {
+  // Every task holds its slot from here until it ends, so trace front-end
+  // helpers start only once fewer tasks than --jobs are left.
+  ThreadBudget::Slots tasks(budget_, n);
+  if (options_.jobs <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) tasks.run([&] { body(i); });
+    return;
+  }
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.jobs);
+  const WaitIdleOnExit join(pool_.get());
+  for (std::size_t i = 0; i < n; ++i)
+    pool_->submit([&tasks, &body, i] { tasks.run([&] { body(i); }); });
+}
+
 void ExperimentEngine::submit_detached(std::function<void()> task) {
   if (options_.jobs <= 1) {
-    task();
+    dispatch(1, [&task](std::size_t) { task(); });
     return;
   }
   {
@@ -270,7 +298,9 @@ void ExperimentEngine::submit_detached(std::function<void()> task) {
     std::lock_guard<std::mutex> lk(mu_);
     if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.jobs);
   }
-  pool_->submit(std::move(task));
+  // Held from hand-out to the task's end, as dispatch() holds its tasks'.
+  auto slot = std::make_shared<ThreadBudget::Slots>(budget_, 1);
+  pool_->submit([slot, task = std::move(task)] { slot->run(task); });
 }
 
 std::vector<JobOutcome> ExperimentEngine::run(
@@ -280,32 +310,18 @@ std::vector<JobOutcome> ExperimentEngine::run(
     run_started_ms_ = now_ms();
   }
   std::vector<JobOutcome> outcomes(jobs.size());
-
-  if (options_.jobs <= 1 || jobs.size() <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      outcomes[i] = execute(jobs[i]);
-      progress_tick(i + 1, jobs.size());
-    }
-    return outcomes;
-  }
-
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.jobs);
   std::mutex done_mu;
   std::size_t done = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool_->submit([this, &jobs, &outcomes, &done_mu, &done, i,
-                   total = jobs.size()] {
-      // Slot i is exclusively ours; outcome order == submission order.
-      outcomes[i] = execute(jobs[i]);
-      std::size_t d;
-      {
-        std::lock_guard<std::mutex> lk(done_mu);
-        d = ++done;
-      }
-      progress_tick(d, total);
-    });
-  }
-  pool_->wait_idle();
+  dispatch(jobs.size(), [&](std::size_t i) {
+    // Slot i is exclusively ours; outcome order == submission order.
+    outcomes[i] = execute(jobs[i]);
+    std::size_t d;
+    {
+      std::lock_guard<std::mutex> lk(done_mu);
+      d = ++done;
+    }
+    progress_tick(d, jobs.size());
+  });
   return outcomes;
 }
 
@@ -466,7 +482,7 @@ std::vector<JobOutcome> ExperimentEngine::run_replayed(
 
   std::mutex done_mu;
   std::size_t done = 0;
-  auto process = [&](std::size_t g) {
+  dispatch(groups.size(), [&](std::size_t g) {
     run_group(jobs, groups[g], outcomes);
     std::size_t d;
     {
@@ -475,16 +491,7 @@ std::vector<JobOutcome> ExperimentEngine::run_replayed(
       d = done;
     }
     progress_tick(d, jobs.size());
-  };
-
-  if (options_.jobs <= 1 || groups.size() <= 1) {
-    for (std::size_t g = 0; g < groups.size(); ++g) process(g);
-    return outcomes;
-  }
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.jobs);
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    pool_->submit([&process, g] { process(g); });
-  pool_->wait_idle();
+  });
   return outcomes;
 }
 
@@ -508,14 +515,7 @@ void run_body_traced(const std::function<void(std::size_t)>& body,
 
 void ExperimentEngine::parallel_for(
     std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (options_.jobs <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_body_traced(body, i);
-    return;
-  }
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.jobs);
-  for (std::size_t i = 0; i < n; ++i)
-    pool_->submit([&body, i] { run_body_traced(body, i); });
-  pool_->wait_idle();
+  dispatch(n, [&body](std::size_t i) { run_body_traced(body, i); });
 }
 
 }  // namespace mapg

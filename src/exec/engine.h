@@ -29,6 +29,7 @@
 #include "exec/serialize.h"
 #include "exec/thread_pool.h"
 #include "trace/profile.h"
+#include "trace/staged_source.h"
 
 namespace mapg {
 
@@ -199,6 +200,9 @@ class ExperimentEngine {
 
   ResultCache& cache() { return *cache_; }
   const ExecOptions& options() const { return options_; }
+  /// --jobs as a ThreadBudget (trace/staged_source.h).  Besides the slots
+  /// the engine holds per task, the server holds one per open connection.
+  ThreadBudget& budget() { return budget_; }
   EngineStats stats() const;
 
  private:
@@ -221,9 +225,18 @@ class ExperimentEngine {
   void log_job(const ExperimentJob& job, const std::string& key,
                const JobOutcome& outcome);
   void progress_tick(std::size_t done, std::size_t total);
+  /// Runs body(i) for every i in [0, n) as n tasks of budget_, on the pool
+  /// when --jobs and n allow, else in order on the calling thread, and
+  /// returns when all have finished.
+  void dispatch(std::size_t n, const std::function<void(std::size_t)>& body);
 
   ExecOptions options_;
   std::unique_ptr<ResultCache> cache_;
+  /// --jobs as a ThreadBudget: every task (a job, a replay group, a
+  /// parallel_for index, a detached task) holds one slot from hand-out to
+  /// its end, and the trace front-end helpers of its simulations take
+  /// theirs from what is left (trace/staged_source.h).
+  ThreadBudget budget_;
   std::unique_ptr<ThreadPool> pool_;  ///< created lazily, only when jobs > 1
 
   mutable std::mutex mu_;

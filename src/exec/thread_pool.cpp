@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 
 #include "obs/obs.h"
@@ -57,14 +56,20 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++pending_;
+    ++queued_;
     MAPG_OBS_GAUGE_SET("exec.pool.pending", pending_);
     target = next_queue_;
     next_queue_ = (next_queue_ + 1) % queues_.size();
   }
   MAPG_OBS_COUNTER_INC("exec.pool.submitted");
-  {
+  try {
     std::lock_guard<std::mutex> lk(queues_[target]->mu);
     queues_[target]->deque.push_back(std::move(task));
+  } catch (...) {
+    std::lock_guard<std::mutex> lk(mu_);
+    --queued_;
+    if (--pending_ == 0) idle_.notify_all();
+    throw;
   }
   work_.notify_one();
 }
@@ -98,6 +103,10 @@ void ThreadPool::worker_loop(std::size_t self) {
   for (;;) {
     std::function<void()> task;
     if (try_get_task(self, task)) {
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        --queued_;
+      }
       try {
         task();
       } catch (...) {
@@ -109,11 +118,14 @@ void ThreadPool::worker_loop(std::size_t self) {
       if (--pending_ == 0) idle_.notify_all();
       continue;
     }
+    // A submit counts its task under mu_ before it signals, so one that
+    // lands between the failed try_get_task above and this wait is seen
+    // here instead of slept through.  (The count is raised before the task
+    // reaches a deque, so a worker woken for it may retry a few times
+    // until the push lands.)
     std::unique_lock<std::mutex> lk(mu_);
+    work_.wait(lk, [this] { return stop_ || queued_ > 0; });
     if (stop_) return;
-    // Re-check under the lock via the pending counter: if work remains,
-    // retry immediately instead of sleeping through the missed signal.
-    work_.wait_for(lk, std::chrono::milliseconds(10));
   }
 }
 
@@ -123,8 +135,9 @@ void ThreadPool::wait_idle() {
 }
 
 void for_each_claimed(
-    std::size_t items, unsigned workers,
+    ThreadPool* pool, std::size_t items, unsigned workers,
     const std::function<void(std::size_t item, unsigned worker)>& body) {
+  workers = pool == nullptr ? 1 : std::min(workers, pool->size() + 1);
   std::vector<std::exception_ptr> errors(items);
   std::atomic<std::size_t> next{0};
   const auto work = [&](unsigned worker) {
@@ -141,11 +154,11 @@ void for_each_claimed(
   if (workers <= 1) {
     work(0);
   } else {
-    ThreadPool pool(workers - 1);
-    for (unsigned w = 1; w <= pool.size(); ++w)
-      pool.submit([&work, w] { work(w); });
+    const WaitIdleOnExit join(pool);
+    for (unsigned w = 1; w < workers; ++w)
+      pool->submit([&work, w] { work(w); });
     work(0);
-  }  // ~ThreadPool joins every pool worker
+  }
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 }

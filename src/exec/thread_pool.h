@@ -14,7 +14,8 @@
 //
 // for_each_claimed() below is the other way to use it: a fixed fan-out of
 // indexed items (the sampled signature scan, and the sampled runner's
-// representative recordings and cells) claimed from one atomic counter.
+// representative recordings and cells) claimed from one atomic counter on
+// a pool the caller keeps.
 #pragma once
 
 #include <condition_variable>
@@ -45,7 +46,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue one task.  Thread-safe (including from inside a task).
+  /// Enqueue one task.  Thread-safe (including from inside a task).  If
+  /// it throws (std::bad_alloc), the task was not enqueued.
   void submit(std::function<void()> task);
 
   /// Block until every submitted task has finished executing.
@@ -78,22 +80,41 @@ class ThreadPool {
   std::condition_variable work_;  ///< signalled on submit and shutdown
   std::condition_variable idle_;  ///< signalled when pending_ hits zero
   std::size_t pending_ = 0;       ///< submitted but not yet finished
+  std::size_t queued_ = 0;        ///< submitted but not yet taken
   std::size_t next_queue_ = 0;    ///< round-robin submission cursor
   bool stop_ = false;
 };
 
+/// Waits for a pool to go idle when it leaves scope, also while unwinding,
+/// so tasks that refer to the enclosing frame are done before it goes.
+class WaitIdleOnExit {
+ public:
+  explicit WaitIdleOnExit(ThreadPool* pool) : pool_(pool) {}
+  ~WaitIdleOnExit() {
+    if (pool_ != nullptr) pool_->wait_idle();
+  }
+  WaitIdleOnExit(const WaitIdleOnExit&) = delete;
+  WaitIdleOnExit& operator=(const WaitIdleOnExit&) = delete;
+
+ private:
+  ThreadPool* pool_;
+};
+
 /// Run body(item, worker) for every item in [0, items) on `workers`
-/// threads: the calling thread is worker 0 and a ThreadPool of workers - 1
-/// supplies the rest, each claiming the next item from one atomic counter.
-/// `worker` indexes per-worker state the caller built beforehand — on the
-/// calling thread, because glibc keeps memory a pool thread allocated in
-/// that thread's arena after it is freed.  Every item is attempted even
-/// after one throws, so which errors are recorded never depends on thread
-/// timing; after the join the lowest failing item's exception is rethrown,
-/// the one an in-order loop would meet first.  workers <= 1 runs the items
-/// in order on the calling thread, under the same error rule.
+/// threads: the calling thread is worker 0 and up to workers - 1 threads
+/// of `pool` supply the rest, each claiming the next item from one atomic
+/// counter.  `pool` is one the caller keeps for such fan-outs and does not
+/// run the caller: the call returns once it is idle.  A null `pool` runs
+/// on the calling thread alone.  `worker` indexes per-worker state the
+/// caller built beforehand — on the calling thread, because glibc keeps
+/// memory a pool thread allocated in that thread's arena after it is
+/// freed.  Every item is attempted even after one throws, so which errors
+/// are recorded never depends on thread timing; after every worker has
+/// finished, the lowest failing item's exception is rethrown, the one an
+/// in-order loop would meet first.  workers <= 1 runs the items in order
+/// on the calling thread, under the same error rule.
 void for_each_claimed(
-    std::size_t items, unsigned workers,
+    ThreadPool* pool, std::size_t items, unsigned workers,
     const std::function<void(std::size_t item, unsigned worker)>& body);
 
 }  // namespace mapg

@@ -3,13 +3,17 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "trace/staged_source.h"
 
 namespace mapg {
 
 StallTimeline record_timeline(const SimConfig& config,
                               const WorkloadProfile& profile) {
   TraceGenerator gen(profile, config.run_seed);
-  StallTimeline tl = record_timeline_traced(config, gen, profile.name);
+  TraceFrontEnd front =
+      stage_if_free(gen, config.warmup_instructions + config.instructions);
+  StallTimeline tl = record_timeline_traced(config, front.source(),
+                                            profile.name);
   tl.profile = profile;
   return tl;
 }

@@ -102,8 +102,40 @@ SampledRunner::SampledRunner(const SimConfig& base, FileTraceSource& trace,
       trace_(trace),
       plan_(std::move(plan)),
       workload_(std::move(workload_name)),
-      jobs_(jobs) {
+      jobs_(jobs),
+      budget_(ThreadPool::workers_for(jobs, ThreadPool::kMaxThreads)) {
   timelines_.resize(plan_.exhaustive ? 1 : plan_.clusters.size());
+}
+
+unsigned SampledRunner::pool_threads(unsigned jobs, std::size_t clusters) {
+  const unsigned limit = ThreadPool::workers_for(jobs, ThreadPool::kMaxThreads);
+  const unsigned workers = ThreadPool::workers_for(jobs, clusters);
+  // Workers 1.. run on the pool, and so does the window helper of each
+  // recording the budget grants one.  A recording holds its slot until it
+  // ends and has at most one helper, so the pool workers recording plus
+  // the helpers never pass `limit`, nor 2 * workers - 1: with that many
+  // threads every granted helper starts at once.  With fewer, a recording
+  // whose helper is queued behind busy pool workers stalls, and one whose
+  // helper waits for the recording's own thread never ends.
+  return limit <= 1 ? 0 : std::min(limit, 2 * workers - 1);
+}
+
+ThreadPool* SampledRunner::pool() {
+  const unsigned threads = pool_threads(jobs_, timelines_.size());
+  if (!pool_ && threads > 0) pool_ = std::make_unique<ThreadPool>(threads);
+  return pool_.get();
+}
+
+void SampledRunner::for_each_task(
+    std::size_t items,
+    const std::function<void(std::size_t item, unsigned worker)>& body) {
+  // Every item is one task of budget_ from here until it ends, so a window
+  // helper starts only once fewer items than --jobs are left.
+  ThreadBudget::Slots tasks(budget_, items);
+  for_each_claimed(pool(), items, ThreadPool::workers_for(jobs_, items),
+                   [&](std::size_t item, unsigned worker) {
+                     tasks.run([&] { body(item, worker); });
+                   });
 }
 
 SampledRunner::Window SampledRunner::window_for(std::size_t cluster) const {
@@ -147,15 +179,23 @@ void SampledRunner::record_timelines() {
       records[i].reserve(windows[i].config.warmup_instructions,
                          windows[i].config.instructions);
   }
-  for_each_claimed(missing.size(), workers, [&](std::size_t i, unsigned w) {
+  ThreadPool* threads = pool();
+  StagedTraceSource::Launcher on_pool;
+  if (threads != nullptr)
+    on_pool = [threads](std::function<void()> body) {
+      threads->submit(std::move(body));
+    };
+  for_each_task(missing.size(), [&](std::size_t i, unsigned w) {
     [[maybe_unused]] std::uint64_t ts = 0;
     MAPG_OBS_ONLY(ts = span_begin();)
     const Window& win = windows[i];
     readers[w].seek(win.start);
-    LimitedTraceSource window(
-        readers[w], win.config.warmup_instructions + win.config.instructions);
+    const std::uint64_t count =
+        win.config.warmup_instructions + win.config.instructions;
+    LimitedTraceSource window(readers[w], count);
+    TraceFrontEnd front = stage_if_free(window, count, on_pool);
     timelines_[missing[i]] = record_timeline_traced(
-        win.config, window, workload_, std::move(records[i]));
+        win.config, front.source(), workload_, std::move(records[i]));
     MAPG_OBS_COUNTER_ADD("sim.sample.simulated", win.config.instructions);
     MAPG_OBS_ONLY(span_end("sample.record", ts, missing[i],
                            win.config.instructions,
@@ -167,8 +207,7 @@ std::vector<SimResult> SampledRunner::simulate_cells(
     const std::string& policy_spec) {
   record_timelines();
   std::vector<SimResult> reps(timelines_.size());
-  const unsigned workers = ThreadPool::workers_for(jobs_, reps.size());
-  for_each_claimed(reps.size(), workers, [&](std::size_t c, unsigned) {
+  for_each_task(reps.size(), [&](std::size_t c, unsigned) {
     [[maybe_unused]] std::uint64_t ts = 0;
     MAPG_OBS_ONLY(ts = span_begin();)
     // The shared tier ladder; what no exact tier answers is simulated

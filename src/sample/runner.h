@@ -8,10 +8,13 @@
 // use (resolve_on_timeline: reference -> exact replay -> checkpoint
 // prefix-resume), falling back to direct simulation over the materialized
 // window.  Recordings and cells run on up to --jobs workers through
-// exec's claim loop (for_each_claimed, exec/thread_pool.h); each worker
-// reads through its own digest-checking reader, and the projection sums
-// per-cluster results in cluster order after the join, so a result never
-// depends on the worker count.  Per-representative results are
+// exec's claim loop (for_each_claimed, exec/thread_pool.h) on one pool the
+// runner keeps; each worker reads through its own digest-checking reader,
+// and the projection sums per-cluster results in cluster order after the
+// join, so a result never depends on the worker count.  Where --jobs
+// leaves threads over, a recording's window is read and digest-checked
+// ahead of its core by a helper from the same pool
+// (trace/staged_source.h).  Per-representative results are
 // therefore bit-identical to directly simulating that window; approximation
 // enters ONLY in the projection step, where extensive metrics are scaled by
 // cluster weights and summed:
@@ -33,13 +36,18 @@
 // sampling must never cost accuracy when it saves no work.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "exec/thread_pool.h"
 #include "replay/replay.h"
 #include "sample/planner.h"
+#include "trace/staged_source.h"
 
 namespace mapg {
 
@@ -75,9 +83,10 @@ class SampledRunner {
   /// `base` supplies the platform (core/mem/tech/pg); its instruction and
   /// warmup counts are overridden per window.  `trace` must outlive the
   /// runner and is repositioned freely.  `jobs` bounds the threads that
-  /// record representatives and resolve cells, with the --jobs meaning of
-  /// build_sample_plan: 0 = every hardware thread, 1 = one after another
-  /// on the calling thread.  Results are identical for every `jobs`.
+  /// record representatives, read their windows and resolve cells, with
+  /// the --jobs meaning of build_sample_plan: 0 = every hardware thread,
+  /// 1 = one after another on the calling thread.  Results are identical
+  /// for every `jobs`.
   SampledRunner(const SimConfig& base, FileTraceSource& trace,
                 SamplePlan plan, std::string workload_name,
                 unsigned jobs = 0);
@@ -93,6 +102,11 @@ class SampledRunner {
 
   const SamplePlan& plan() const { return plan_; }
 
+  /// Threads of the pool a runner keeps for `jobs` (the constructor's
+  /// meaning) and `clusters` representatives: enough that a window helper
+  /// --jobs grants one never waits for a pool thread.  0 for one job.
+  static unsigned pool_threads(unsigned jobs, std::size_t clusters);
+
  private:
   /// A representative's trace window: where it starts and the config
   /// (warmup + measured counts) it is recorded under.
@@ -103,12 +117,23 @@ class SampledRunner {
   Window window_for(std::size_t cluster) const;
   void record_timelines();
   std::vector<SimResult> simulate_cells(const std::string& policy_spec);
+  /// The runner's pool, started on first use and kept for its lifetime:
+  /// workers beyond the calling thread, plus the window helpers --jobs
+  /// leaves room for.  Null when jobs is 1.
+  ThreadPool* pool();
+  /// for_each_claimed over `items` on pool(), each item one task of
+  /// budget_ (trace/staged_source.h).
+  void for_each_task(
+      std::size_t items,
+      const std::function<void(std::size_t item, unsigned worker)>& body);
 
   SimConfig base_;
   FileTraceSource& trace_;
   SamplePlan plan_;
   std::string workload_;
   unsigned jobs_;
+  ThreadBudget budget_;  ///< jobs_ threads: recordings plus their helpers
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::optional<StallTimeline>> timelines_;  ///< per cluster
 };
 

@@ -274,7 +274,8 @@ std::vector<RegionSignature> compute_file_signatures(
   std::vector<RegionSignature> out(regions);
   // A damaged trace raises the error of its lowest failing region, the one
   // the serial scan stops at.
-  for_each_claimed(regions, workers, [&](std::size_t r, unsigned w) {
+  ThreadPool pool(workers - 1);
+  for_each_claimed(&pool, regions, workers, [&](std::size_t r, unsigned w) {
     const std::uint64_t start = r * region_instructions;
     const std::uint64_t length = std::min(region_instructions, total - start);
     readers[w].seek(start);

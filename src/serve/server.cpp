@@ -19,6 +19,7 @@
 #include "multicore/config_apply.h"
 #include "obs/obs.h"
 #include "trace/profile.h"
+#include "trace/staged_source.h"
 
 namespace mapg::serve {
 
@@ -233,6 +234,26 @@ void ServeServer::deliver(const std::shared_ptr<Conn>& conn,
 }
 
 void ServeServer::handle_connection(std::shared_ptr<Conn> conn) {
+  {
+    // An open connection counts as one busy thread of --jobs.  A closed-loop
+    // client between two requests has no task in flight, yet it sends again
+    // within a round trip, and a trace front-end helper started in that gap
+    // would compete with its next request (trace/staged_source.h).
+    const ThreadBudget::Slots open(engine_->budget(), 1);
+    serve_requests(conn);
+  }
+  ::close(conn->fd);
+  // Gauge and notify stay under mu_: once it is released with
+  // active_conns_ == 0, stop() may return and the server (state_cv_
+  // included) may be destroyed while this detached thread still runs.
+  std::lock_guard<std::mutex> lk(mu_);
+  conns_.erase(conn);
+  --active_conns_;
+  MAPG_OBS_ONLY(MAPG_OBS_GAUGE_ADD("serve.connections.open", -1);)
+  state_cv_.notify_all();
+}
+
+void ServeServer::serve_requests(const std::shared_ptr<Conn>& conn) {
   std::uint64_t next_seq = 0;
   Frame request;
   std::string error;
@@ -300,15 +321,6 @@ void ServeServer::handle_connection(std::shared_ptr<Conn> conn) {
     std::unique_lock<std::mutex> lk(conn->mu);
     conn->cv.wait(lk, [&] { return conn->outstanding == 0; });
   }
-  ::close(conn->fd);
-  // Gauge and notify stay under mu_: once it is released with
-  // active_conns_ == 0, stop() may return and the server (state_cv_
-  // included) may be destroyed while this detached thread still runs.
-  std::lock_guard<std::mutex> lk(mu_);
-  conns_.erase(conn);
-  --active_conns_;
-  MAPG_OBS_ONLY(MAPG_OBS_GAUGE_ADD("serve.connections.open", -1);)
-  state_cv_.notify_all();
 }
 
 Frame ServeServer::process(const Frame& request) {

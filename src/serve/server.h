@@ -87,6 +87,9 @@ class ServeServer {
 
   void accept_loop();
   void handle_connection(std::shared_ptr<Conn> conn);
+  /// Reads `conn`'s requests and hands them out until the peer closes or
+  /// errs, then waits until every response is written or dropped.
+  void serve_requests(const std::shared_ptr<Conn>& conn);
   /// Publish `reply` as response `seq` on `conn`; writes every
   /// consecutively-ready response in order.
   void deliver(const std::shared_ptr<Conn>& conn, std::uint64_t seq,

@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -21,7 +23,9 @@
 #include "exec/runner.h"
 #include "exec/serialize.h"
 #include "exec/thread_pool.h"
+#include "obs/obs.h"
 #include "trace/profile.h"
+#include "trace/staged_source.h"
 
 namespace mapg {
 namespace {
@@ -239,8 +243,11 @@ TEST(ThreadPool, ForEachClaimedAttemptsEveryItemAndRethrowsTheLowestError) {
   // item 3's error is the one raised, for any worker count.
   for (const unsigned workers : {1u, 2u, 5u}) {
     std::vector<int> ran(12, 0);
+    std::optional<ThreadPool> pool;
+    if (workers > 1) pool.emplace(workers - 1);
     try {
-      for_each_claimed(ran.size(), workers, [&](std::size_t i, unsigned w) {
+      for_each_claimed(pool ? &*pool : nullptr, ran.size(), workers,
+                       [&](std::size_t i, unsigned w) {
         ASSERT_LT(w, workers);
         ran[i] = 1;
         if (i == 3 || i == 7)
@@ -255,6 +262,35 @@ TEST(ThreadPool, ForEachClaimedAttemptsEveryItemAndRethrowsTheLowestError) {
   EXPECT_EQ(ThreadPool::workers_for(8, 3), 3u);
   EXPECT_EQ(ThreadPool::workers_for(2, 0), 1u);
   EXPECT_EQ(ThreadPool::workers_for(100000, 100000), ThreadPool::kMaxThreads);
+}
+
+TEST(ThreadPool, SubmitsRacingIdleWorkersAreNeverSleptThrough) {
+  // Back-to-back rounds that each hand an idle pool one task, or a claim
+  // loop, and wait for it.  Workers sleep without a timeout, so a submit
+  // lost between a worker's failed look and its wait would hang a round;
+  // run it under TSan (the tsan CI job) for the ordering.
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  for (int round = 0; round < 4000; ++round) {
+    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    pool.wait_idle();
+  }
+  EXPECT_EQ(ran.load(), 4000);
+  std::vector<int> items(4, 0);
+  for (int round = 0; round < 4000; ++round)
+    for_each_claimed(&pool, items.size(), 4,
+                     [&items](std::size_t i, unsigned) { ++items[i]; });
+  EXPECT_EQ(items, std::vector<int>(4, 4000));
+  // Submitters on other threads race the same idle workers.
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 3; ++t)
+    submitters.emplace_back([&pool, &ran] {
+      for (int i = 0; i < 1000; ++i)
+        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    });
+  for (std::thread& t : submitters) t.join();
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 7000);
 }
 
 // --- ExperimentEngine ---
@@ -404,6 +440,51 @@ TEST(ExperimentEngine, ThrowingJobReportedWithoutTearingDownSweep) {
   // result() surfaces the stored error as an exception on demand.
   EXPECT_THROW(r.result(0, 0, 2), std::runtime_error);
   EXPECT_NO_THROW(r.baseline(0, 0));
+}
+
+TEST(ExperimentEngine, FrontEndHelpersStayWithinJobs) {
+  // sim.frontend.{staged,inline} count one run each.  --jobs=1 never
+  // starts a helper, and neither does a sweep whose groups fill --jobs;
+  // a single cell with a thread over does, with the same bytes.
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto staged = [&reg] {
+    return reg.counter("sim.frontend.staged").value();
+  };
+  const auto inline_runs = [&reg] {
+    return reg.counter("sim.frontend.inline").value();
+  };
+  const std::uint64_t counted = obs::kCompiledIn ? 1 : 0;
+  ExecOptions opts;
+  opts.use_disk_cache = false;
+
+  opts.jobs = 1;
+  std::vector<ExperimentJob> jobs;
+  for (const char* w : {"mcf-like", "lbm-like", "gamess-like"})
+    jobs.push_back({tiny_config(), *find_profile(w), "mapg"});
+  std::uint64_t s0 = staged(), i0 = inline_runs();
+  const std::vector<JobOutcome> serial = ExperimentEngine(opts).run(jobs);
+  EXPECT_EQ(staged(), s0);
+  EXPECT_EQ(inline_runs(), i0 + 3 * counted);
+
+  opts.jobs = 2;
+  SweepSpec sweep = test_sweep(1);
+  sweep.workloads.resize(2);  // two groups for two workers
+  s0 = staged();
+  i0 = inline_runs();
+  const SweepResult swept = ExperimentEngine(opts).run_sweep(sweep);
+  for (const JobOutcome& o : swept.outcomes) EXPECT_TRUE(o.ok) << o.error;
+  EXPECT_EQ(staged(), s0);
+  EXPECT_EQ(inline_runs(), i0 + 2 * counted);  // the groups' recordings
+
+  ExperimentEngine two(opts);
+  s0 = staged();
+  const JobOutcome one = two.run_one(jobs[2]);
+  ASSERT_TRUE(one.ok);
+  EXPECT_EQ(result_to_json(*one.result).dump(),
+            result_to_json(*serial[2].result).dump());
+  if (ThreadBudget::process().limit() - ThreadBudget::process().in_use() >= 2) {
+    EXPECT_EQ(staged(), s0 + counted);
+  }
 }
 
 TEST(ExperimentEngine, ParallelForCoversRangeOnce) {

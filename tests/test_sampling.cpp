@@ -9,9 +9,16 @@
 // clusters >= regions case is bit-identical to full simulation.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,11 +28,15 @@
 #include <unistd.h>
 
 #include "exec/engine.h"
+#include "exec/json.h"
 #include "exec/serialize.h"
+#include "exec/thread_pool.h"
+#include "obs/obs.h"
 #include "sample/runner.h"
 #include "trace/convert.h"
 #include "trace/generator.h"
 #include "trace/profile.h"
+#include "trace/staged_source.h"
 #include "trace/trace_file.h"
 
 namespace mapg {
@@ -835,7 +846,7 @@ TEST(SampledRun, ProjectionBracketsAndTracksTheFullRun) {
 struct PhasedPlan {
   static constexpr std::uint64_t kCount = 400'000;
   static constexpr std::uint64_t kChunk = 4096;
-  PhasedPlan() : file(tmp_path("phased")) {
+  explicit PhasedPlan(unsigned clusters = 4) : file(tmp_path("phased")) {
     PhasedTraceGenerator gen(*find_profile("mcf-like"),
                              *find_profile("gamess-like"), 50'000, 5);
     std::string err;
@@ -843,7 +854,7 @@ struct PhasedPlan {
       throw std::runtime_error(err);
     SampleConfig cfg;
     cfg.region_instructions = 25'000;
-    cfg.clusters = 4;
+    cfg.clusters = clusters;
     cfg.warmup_instructions = 10'000;
     cfg.seed = 42;
     FileTraceSource src(file.path);
@@ -945,6 +956,203 @@ TEST(SampledRun, CorruptChunkInARepresentativeWindowThrowsTheSameErrorForAnyJobs
       }
     }
   }
+}
+
+/// Every projected metric bit for bit, plus each representative's result.
+std::vector<std::string> projection_bits(const SampledResult& r) {
+  std::vector<std::string> out;
+  char buf[64];
+  for (const MetricEstimate& m : r.metrics) {
+    std::snprintf(buf, sizeof buf, "=%a~%a", m.value, m.stderr_);
+    out.push_back(m.name + buf);
+  }
+  for (const SimResult& rep : r.representative_results)
+    out.push_back(dump(rep));
+  return out;
+}
+
+std::uint64_t staged_runs() {
+  return obs::MetricsRegistry::instance()
+      .counter("sim.frontend.staged")
+      .value();
+}
+
+/// Whether `helpers` front-end helpers fit beside `workers` busy threads
+/// on this host (ThreadBudget::process() is one per hardware thread).
+bool helpers_fit(unsigned workers, unsigned helpers) {
+  const ThreadBudget& process = ThreadBudget::process();
+  return obs::kCompiledIn &&
+         process.limit() >= process.in_use() + workers + helpers;
+}
+
+TEST(SampledRun, StagedWindowsProjectTheSameResults) {
+  // Two representatives and four jobs: each recording worker has a thread
+  // over, so its window is read and digest-checked by a helper from the
+  // runner's pool.  Every projection must equal the serial one.
+  const PhasedPlan t(2);
+  ASSERT_FALSE(t.plan.exhaustive);
+  ASSERT_EQ(t.plan.clusters.size(), 2u);
+  std::vector<std::string> want;
+  for (const unsigned jobs : {1u, 4u}) {
+    const std::uint64_t staged0 = staged_runs();
+    FileTraceSource src(t.file.path);
+    SampledRunner runner(window_config(), src, t.plan, "trc", jobs);
+    std::vector<std::string> got;
+    for (const char* spec : {"none", "mapg", "idle-timeout:64"}) {
+      const std::vector<std::string> bits = projection_bits(runner.run(spec));
+      got.insert(got.end(), bits.begin(), bits.end());
+    }
+    if (jobs == 1) {
+      want = got;
+      EXPECT_EQ(staged_runs(), staged0);
+      continue;
+    }
+    EXPECT_EQ(got, want);
+    if (helpers_fit(2, 2)) {
+      EXPECT_EQ(staged_runs(), staged0 + 2);
+    }
+  }
+}
+
+TEST(SampledRun, CorruptChunkInAStagedWindowThrowsTheReadersError) {
+  // As CorruptChunkInARepresentativeWindowThrowsTheSameErrorForAnyJobs,
+  // on a plan whose two windows are staged at four jobs: the helper's
+  // reader error reaches the caller as the lower cluster's, as serially.
+  const PhasedPlan t(2);
+  ASSERT_EQ(t.plan.clusters.size(), 2u);
+  std::vector<std::uint64_t> damaged;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const RegionSignature& rep =
+        t.plan.regions[t.plan.clusters[c].representative];
+    damaged.push_back((rep.start + 5'000) / PhasedPlan::kChunk);
+  }
+  std::string bytes = file_bytes(t.file.path);
+  for (const std::uint64_t chunk : damaged) {
+    const std::uint64_t offset = le64_at(bytes, 40 + 24 * chunk);
+    ASSERT_LT(offset + 17, bytes.size());
+    bytes[offset + 17] = static_cast<char>(bytes[offset + 17] ^ 0x40);
+  }
+  std::ofstream(t.file.path, std::ios::binary) << bytes;
+  const std::string want =
+      "chunk " + std::to_string(damaged[0]) + " payload digest mismatch";
+  for (const unsigned jobs : {1u, 4u}) {
+    const std::uint64_t staged0 = staged_runs();
+    FileTraceSource src(t.file.path);
+    SampledRunner runner(sim_config(), src, t.plan, "trc", jobs);
+    try {
+      runner.run("mapg");
+      ADD_FAILURE() << "jobs=" << jobs << ": corrupt windows projected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << "jobs=" << jobs << ": " << e.what();
+    }
+    if (jobs > 1 && helpers_fit(2, 2)) {
+      EXPECT_EQ(staged_runs(), staged0 + 2);
+    }
+  }
+}
+
+TEST(SampledRun, PoolHasAThreadForEveryWindowHelperItsJobsGrant) {
+  // Pool workers plus the helpers --jobs grants them, and never a pool for
+  // one job.
+  EXPECT_EQ(SampledRunner::pool_threads(1, 8), 0u);
+  EXPECT_EQ(SampledRunner::pool_threads(2, 1), 1u);
+  EXPECT_EQ(SampledRunner::pool_threads(2, 8), 2u);
+  EXPECT_EQ(SampledRunner::pool_threads(4, 2), 3u);
+  EXPECT_EQ(SampledRunner::pool_threads(4, 8), 4u);
+
+  // The tight case, forced: two recordings at two jobs, the pool worker's
+  // claimed while the calling thread's is in flight, and staged only once
+  // that one has ended.  Its budget then grants a helper while the pool
+  // worker recording it is the pool's only busy thread; a pool with no
+  // thread besides it would leave the recording waiting for its own
+  // thread.  A watchdog turns such a hang into a failure.
+  const ThreadBudget& process = ThreadBudget::process();
+  if (process.limit() < process.in_use() + 2)
+    GTEST_SKIP() << "one hardware thread: no helper ever starts";
+  ThreadPool pool(SampledRunner::pool_threads(2, 2));
+  const StagedTraceSource::Launcher on_pool =
+      [&pool](std::function<void()> body) { pool.submit(std::move(body)); };
+  ThreadBudget jobs(2);
+  std::atomic<bool> pool_claimed{false};
+  std::atomic<bool> staged{false};
+  std::uint64_t served = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    if (!cv.wait_for(lk, std::chrono::seconds(60), [&] { return finished; })) {
+      std::fprintf(stderr, "a staged recording waited for its own thread\n");
+      std::abort();
+    }
+  });
+  {
+    ThreadBudget::Slots tasks(jobs, 2);
+    for_each_claimed(&pool, 2, 2, [&](std::size_t, unsigned worker) {
+      tasks.run([&] {
+        if (worker == 0) {
+          while (!pool_claimed.load()) std::this_thread::yield();
+          return;
+        }
+        pool_claimed.store(true);
+        while (jobs.in_use() != 1) std::this_thread::yield();
+        TraceGenerator gen(*find_profile("mcf-like"), 3);
+        TraceFrontEnd front = stage_if_free(gen, 100'000, on_pool);
+        staged.store(front.staged());
+        Instr instr;
+        while (front.source().next(instr)) ++served;
+      });
+    });
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    finished = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  EXPECT_TRUE(staged.load());
+  EXPECT_EQ(served, 100'000u);
+  EXPECT_EQ(jobs.in_use(), 0u);
+}
+
+TEST(SampledRun, SuccessiveProjectionsRunOnTheRunnersOwnThreads) {
+  // The runner keeps one pool: every recording, cell and window helper of
+  // three projections runs on the calling thread or one of its pool
+  // threads (four at jobs 4), so a Chrome trace shows at most five tracks,
+  // not a new set per projection.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "MAPG_OBS=OFF: no spans";
+  const PhasedPlan t;
+  ASSERT_GE(t.plan.clusters.size(), 4u);
+  obs::EventTracer& tracer = obs::EventTracer::instance();
+  tracer.start();
+  {
+    FileTraceSource src(t.file.path);
+    SampledRunner runner(window_config(), src, t.plan, "trc", 4);
+    for (const char* spec : {"idle-timeout:64", "mapg", "idle-timeout:64"})
+      runner.run(spec);
+  }
+  tracer.stop();
+  std::ostringstream json;
+  tracer.write_json(json);
+  tracer.clear();
+  const std::optional<Json> doc = Json::parse(json.str());
+  ASSERT_TRUE(doc.has_value());
+  const Json& events = doc->get("traceEvents");
+  std::set<std::uint64_t> tracks;
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& ev = events.at(i);
+    const std::string& name = ev.get("name").as_string();
+    if (name != "sample.record" && name != "sample.cell" &&
+        name != "trace.frontend")
+      continue;
+    tracks.insert(ev.get("tid").as_u64());
+    if (name == "sample.cell") ++cells;
+  }
+  EXPECT_EQ(cells, 3 * t.plan.clusters.size());
+  EXPECT_LE(tracks.size(),
+            1 + SampledRunner::pool_threads(4, t.plan.clusters.size()));
 }
 
 TEST(SampledRun, TraceReplacedUnderTheRunnerIsRefused) {

@@ -328,6 +328,44 @@ TEST_F(ServeServerTest, PingCellAndStats) {
   EXPECT_EQ(stats->get("engine").get("jobs_run").as_u64(), 1u);
 }
 
+TEST_F(ServeServerTest, TraceFrontEndHelpersStartOnlyWithThreadsOver) {
+  // Each open connection holds one slot of --jobs and each request in
+  // flight another: two clients at two jobs leave no thread for a trace
+  // front-end helper, one client at four jobs does.  The bytes are the
+  // same either way.
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto staged = [&reg] {
+    return reg.counter("sim.frontend.staged").value();
+  };
+  start_server(2);
+  auto a = connect();
+  auto b = connect();
+  std::string error;
+  const std::uint64_t s0 = staged();
+  for (const char* seed : {"11", "12", "13"})
+    for (ServeClient* c : {a.get(), b.get()}) {
+      const std::optional<Json> doc = c->cell(tiny_cell("mapg", seed), &error);
+      ASSERT_TRUE(doc) << error;
+      ASSERT_TRUE(doc->get("ok").as_bool());
+    }
+  EXPECT_EQ(staged(), s0);
+  a.reset();
+  b.reset();
+  server_.reset();
+
+  start_server(4);
+  auto one = connect();
+  const std::uint64_t s1 = staged();
+  const std::optional<Json> doc = one->cell(tiny_cell("mapg", "21"), &error);
+  ASSERT_TRUE(doc) << error;
+  EXPECT_EQ(doc->get("result").dump(),
+            direct_dump(tiny_job("mcf-like", "mapg", 21)));
+  const ThreadBudget& process = ThreadBudget::process();
+  if (obs::kCompiledIn && process.limit() >= process.in_use() + 2) {
+    EXPECT_EQ(staged(), s1 + 1);
+  }
+}
+
 TEST_F(ServeServerTest, SweepMatchesDirectEngineCellByCell) {
   start_server();
   auto client = connect();

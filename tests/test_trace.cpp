@@ -1,13 +1,29 @@
 // Unit tests for src/trace: generator determinism, profile shape, mix
-// convergence, dependency distances, and the in-memory trace sources (the
-// on-disk format is pinned in test_sampling.cpp).
+// convergence, dependency distances, the in-memory trace sources, and the
+// staged front-end's contract (the on-disk format is pinned in
+// test_sampling.cpp).
 #include <gtest/gtest.h>
 
-#include <array>
+#include <unistd.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "exec/thread_pool.h"
 #include "trace/generator.h"
 #include "trace/instr.h"
 #include "trace/profile.h"
+#include "trace/staged_source.h"
+#include "trace/trace_file.h"
 #include "trace/trace_io.h"
 
 namespace mapg {
@@ -255,6 +271,385 @@ TEST(LimitedSource, CapsAndResets) {
   n = 0;
   while (lim.next(instr)) ++n;
   EXPECT_EQ(n, 100);
+}
+
+// --- StagedTraceSource: the front-end on a helper thread ---------------
+
+constexpr std::uint64_t kRing = std::uint64_t{StagedTraceSource::kBlocks} *
+                                StagedTraceSource::kBlockInstrs;
+
+bool same(const Instr& a, const Instr& b) {
+  return a.op == b.op && a.dep_dist == b.dep_dist && a.addr == b.addr;
+}
+
+/// Reads `src` to its end (at most `cap` records).  A consumer that pauses
+/// after `pause_at` records gives the helper time to fill the whole ring,
+/// so a helper that overwrote a block still being served shows up as a
+/// record mismatch.
+std::vector<Instr> drain(TraceSource& src, std::uint64_t cap,
+                         std::uint64_t pause_at = ~0ULL) {
+  std::vector<Instr> out;
+  Instr instr;
+  while (out.size() < cap && src.next(instr)) {
+    out.push_back(instr);
+    if (out.size() == pause_at)
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return out;
+}
+
+void expect_same_stream(const std::vector<Instr>& want,
+                        const std::vector<Instr>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_TRUE(same(want[i], got[i])) << "record " << i;
+}
+
+/// Counts the records a helper pulls from the wrapped source.
+class CountingSource final : public TraceSource {
+ public:
+  explicit CountingSource(TraceSource& inner) : inner_(inner) {}
+  bool next(Instr& out) override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.next(out);
+  }
+  void reset() override { inner_.reset(); }
+  std::uint64_t calls() const {
+    return calls_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  TraceSource& inner_;
+  std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(StagedSource, GeneratorStreamIsServedRecordForRecord) {
+  // Counts inside one block, on a block boundary, past the ring, and zero;
+  // each ends exactly at the count, however often next() is called after.
+  const WorkloadProfile& p = *find_profile("mcf-like");
+  for (const std::uint64_t count :
+       {std::uint64_t{0}, std::uint64_t{5}, kRing, 3 * kRing + 17}) {
+    TraceGenerator ref(p, 7);
+    const std::vector<Instr> want = drain(ref, count);
+    TraceGenerator gen(p, 7);
+    StagedTraceSource stage(gen, count);
+    expect_same_stream(want, drain(stage, ~0ULL, 1));
+    Instr instr;
+    EXPECT_FALSE(stage.next(instr)) << count;
+    EXPECT_FALSE(stage.next(instr)) << count;
+  }
+}
+
+TEST(StagedSource, PhasedGeneratorStreamIsServedRecordForRecord) {
+  const WorkloadProfile& a = *find_profile("mcf-like");
+  const WorkloadProfile& b = *find_profile("gamess-like");
+  PhasedTraceGenerator ref(a, b, 5'000, 3);
+  const std::vector<Instr> want = drain(ref, 2 * kRing + 999);
+  PhasedTraceGenerator gen(a, b, 5'000, 3);
+  StagedTraceSource stage(gen, want.size());
+  expect_same_stream(want, drain(stage, ~0ULL, 3));
+}
+
+TEST(StagedSource, ResetStagesTheStreamAgain) {
+  const WorkloadProfile& p = *find_profile("lbm-like");
+  TraceGenerator ref(p, 2);
+  const std::vector<Instr> want = drain(ref, kRing + 100);
+  TraceGenerator gen(p, 2);
+  StagedTraceSource stage(gen, want.size());
+  drain(stage, 1000);
+  stage.reset();
+  expect_same_stream(want, drain(stage, ~0ULL));
+}
+
+TEST(StagedSource, SourceThatEndsBeforeTheLimitEndsTheStageThere) {
+  TraceGenerator gen(*find_profile("gcc-like"), 4);
+  const std::vector<Instr> want = drain(gen, kRing + 300);
+  VectorTraceSource short_src(want);
+  StagedTraceSource stage(short_src, 10 * kRing);
+  expect_same_stream(want, drain(stage, ~0ULL, 1));
+  Instr instr;
+  EXPECT_FALSE(stage.next(instr));
+}
+
+/// A MAPGTRC2 file in small chunks, removed with the test.
+struct ChunkedTraceFile {
+  static constexpr std::uint64_t kChunk = 1000;
+  explicit ChunkedTraceFile(std::uint64_t count)
+      : path("test_trace_" + std::string(::testing::UnitTest::GetInstance()
+                                             ->current_test_info()
+                                             ->name()) +
+             "_" + std::to_string(::getpid()) + ".tmp") {
+    TraceGenerator gen(*find_profile("omnetpp-like"), 11);
+    records = drain(gen, count);
+    VectorTraceSource src(records);
+    EXPECT_TRUE(write_trace_file_v2(path, src, count, nullptr, kChunk));
+  }
+  ~ChunkedTraceFile() { std::remove(path.c_str()); }
+  std::string path;
+  std::vector<Instr> records;
+};
+
+TEST(StagedSource, FileWindowAcrossChunksIsServedRecordForRecord) {
+  // A window that starts inside one chunk and ends inside another, many
+  // chunks on, as the sampled runner and the engine's trace cells read it.
+  const ChunkedTraceFile f(3 * kRing);
+  const std::uint64_t start = 1'234, count = 2 * kRing + 345;
+  FileTraceSource file(f.path);
+  file.seek(start);
+  LimitedTraceSource window(file, count);
+  const std::vector<Instr> want(f.records.begin() + start,
+                                f.records.begin() + start + count);
+  {
+    StagedTraceSource stage(window, count);
+    expect_same_stream(want, drain(stage, ~0ULL, 1));
+  }
+  EXPECT_EQ(file.pos(), start + count);  // nothing read past the window
+}
+
+TEST(StagedSource, CorruptChunkServesTheIntactRecordsThenTheReadersError) {
+  // The TraceFile.CorruptChunkThrowsAfterServingTheIntactChunks file
+  // (test_sampling.cpp): 4'099 records in 1024-record chunks, one payload
+  // byte flipped in the third chunk.  Staged, the core must see the same
+  // 2048 records and then the same exception text as from the reader.
+  TraceGenerator gen(*find_profile("gcc-like"), 42);
+  const std::vector<Instr> ref = drain(gen, 4'099);
+  const std::string path =
+      "test_trace_corrupt_" + std::to_string(::getpid()) + ".tmp";
+  {
+    VectorTraceSource s(ref);
+    ASSERT_TRUE(write_trace_file_v2(path, s, ref.size(), nullptr, 1024));
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const std::size_t payload_off = 40 + 5 * 24 + 2 * 1024 * 11 + 17;
+  ASSERT_LT(payload_off, bytes.size());
+  bytes[payload_off] = static_cast<char>(bytes[payload_off] ^ 0x40);
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  std::string unstaged_error;
+  {
+    FileTraceSource src(path);
+    Instr instr;
+    try {
+      while (src.next(instr)) {
+      }
+    } catch (const std::runtime_error& e) {
+      unstaged_error = e.what();
+    }
+  }
+  ASSERT_FALSE(unstaged_error.empty());
+
+  FileTraceSource src(path);
+  StagedTraceSource stage(src, ref.size());
+  Instr instr;
+  std::uint64_t served = 0;
+  try {
+    while (stage.next(instr)) {
+      ASSERT_TRUE(same(instr, ref[served])) << "record " << served;
+      ++served;
+    }
+    ADD_FAILURE() << "a corrupt chunk ended the stream cleanly";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), unstaged_error);
+  }
+  EXPECT_EQ(served, 2u * 1024u);
+  // The error stays raised, as the reader's does.
+  EXPECT_THROW(stage.next(instr), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(StagedSource, ConsumerThatStopsEarlyAgainstAFullRingJoinsTheHelper) {
+  // The consumer holds the first block; the helper fills the other blocks
+  // and then waits for room.  It reads exactly one ring's worth, and
+  // destroying the stage stops it there and waits for it.
+  for (int round = 0; round < 20; ++round) {
+    TraceGenerator gen(*find_profile("mcf-like"), 1);
+    CountingSource counted(gen);
+    {
+      StagedTraceSource stage(counted, 100 * kRing);
+      Instr instr;
+      ASSERT_TRUE(stage.next(instr));
+      while (counted.calls() < kRing) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(counted.calls(), kRing) << "round " << round;
+  }
+}
+
+TEST(StagedSource, ConsumerThatUnwindsJoinsTheHelper) {
+  TraceGenerator gen(*find_profile("mcf-like"), 1);
+  CountingSource counted(gen);
+  try {
+    StagedTraceSource stage(counted, 100 * kRing);
+    drain(stage, kRing + 3);
+    throw std::runtime_error("consumer failed");
+  } catch (const std::runtime_error&) {
+  }
+  const std::uint64_t calls = counted.calls();
+  EXPECT_LE(calls, 2 * kRing);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(counted.calls(), calls);  // nothing reads it after the join
+}
+
+TEST(StagedSource, PoolLauncherServesTheStreamAndIsWaitedFor) {
+  // The sampled runner runs helpers on pool threads it keeps: the same
+  // stream, and an early stop waits for the pool task to let go.
+  ThreadPool pool(1);
+  const StagedTraceSource::Launcher on_pool =
+      [&pool](std::function<void()> body) { pool.submit(std::move(body)); };
+  const WorkloadProfile& p = *find_profile("hmmer-like");
+  TraceGenerator ref(p, 9);
+  const std::vector<Instr> want = drain(ref, 2 * kRing + 5);
+  for (int round = 0; round < 3; ++round) {
+    TraceGenerator gen(p, 9);
+    StagedTraceSource stage(gen, want.size(), on_pool);
+    expect_same_stream(want, drain(stage, ~0ULL, 1));
+  }
+  TraceGenerator gen(p, 9);
+  CountingSource counted(gen);
+  {
+    StagedTraceSource stage(counted, 100 * kRing, on_pool);
+    Instr instr;
+    ASSERT_TRUE(stage.next(instr));
+  }
+  const std::uint64_t calls = counted.calls();
+  EXPECT_LE(calls, kRing);
+  pool.wait_idle();
+  EXPECT_EQ(counted.calls(), calls);
+}
+
+/// A source whose next() blocks until open() is called.
+class GatedSource final : public TraceSource {
+ public:
+  bool next(Instr& out) override {
+    inside_.fetch_add(1);
+    while (!open_.load()) std::this_thread::yield();
+    out = Instr{};
+    inside_.fetch_sub(1);
+    return true;
+  }
+  void reset() override {}
+  void open() { open_.store(true); }
+  int inside() const { return inside_.load(); }
+
+ private:
+  std::atomic<bool> open_{false};
+  std::atomic<int> inside_{0};
+};
+
+TEST(StagedSource, DestroyingAStageWaitsForAHelperInsideItsSource) {
+  // With either launcher, a stage must not let go of its source while the
+  // helper is still inside the source's next().
+  ThreadPool pool(1);
+  const StagedTraceSource::Launcher on_pool =
+      [&pool](std::function<void()> body) { pool.submit(std::move(body)); };
+  for (const bool pooled : {false, true}) {
+    GatedSource gated;
+    auto stage = std::make_unique<StagedTraceSource>(
+        gated, 100, pooled ? on_pool : StagedTraceSource::Launcher{});
+    while (gated.inside() == 0) std::this_thread::yield();
+    std::atomic<bool> destroyed{false};
+    std::thread destroyer([&] {
+      stage.reset();
+      destroyed.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(destroyed.load()) << (pooled ? "pool" : "thread")
+                                   << ": destroyed under a reading helper";
+    gated.open();
+    destroyer.join();
+    EXPECT_EQ(gated.inside(), 0);
+  }
+}
+
+TEST(StagedSource, HelpersStartOnlyWhereTheCallersBudgetHasRoom) {
+  TraceGenerator gen(*find_profile("gcc-like"), 5);
+  ThreadBudget& process = ThreadBudget::process();
+  const std::size_t process0 = process.in_use();
+  ThreadBudget jobs1(1);  // --jobs=1: the task itself fills it
+  ThreadBudget::Slots(jobs1, 1).run([&] {
+    EXPECT_EQ(ThreadBudget::current(), &jobs1);
+    EXPECT_FALSE(stage_if_free(gen, 1000).staged());
+    EXPECT_EQ(jobs1.in_use(), 1u);
+  });
+  EXPECT_EQ(jobs1.in_use(), 0u);
+  if (process.limit() - process.in_use() < 2)
+    GTEST_SKIP() << "one hardware thread: no helper ever starts";
+  ThreadBudget jobs2(2);  // one task, one thread over
+  ThreadBudget::Slots(jobs2, 1).run([&] {
+    const TraceFrontEnd front = stage_if_free(gen, 1000);
+    ASSERT_TRUE(front.staged());
+    EXPECT_EQ(jobs2.in_use(), 2u);
+    EXPECT_EQ(process.in_use(), process0 + 2);  // the task and its helper
+    TraceGenerator other(*find_profile("gcc-like"), 6);
+    EXPECT_FALSE(stage_if_free(other, 1000).staged());  // budget spent
+  });
+  EXPECT_EQ(ThreadBudget::current(), nullptr);
+  EXPECT_EQ(jobs2.in_use(), 0u);
+  EXPECT_EQ(process.in_use(), process0);
+}
+
+TEST(StagedSource, HelpersNeverPassOneBusyThreadPerHardwareThread) {
+  // Outside any task the simulating thread counts itself, so a helper
+  // needs two free process slots.
+  ThreadBudget& process = ThreadBudget::process();
+  const std::size_t process0 = process.in_use();
+  if (process.limit() - process0 < 2) GTEST_SKIP() << "one hardware thread";
+  TraceGenerator gen(*find_profile("gcc-like"), 5);
+  {
+    const ThreadBudget::Slots others(process, process.limit() - process0 - 1);
+    EXPECT_FALSE(stage_if_free(gen, 1000).staged());
+  }
+  {
+    const ThreadBudget::Slots others(process, process.limit() - process0 - 2);
+    const TraceFrontEnd front = stage_if_free(gen, 1000);
+    EXPECT_TRUE(front.staged());
+    EXPECT_EQ(process.in_use(), process.limit());
+  }
+  // Inside a task with --jobs to spare but the process full, the run reads
+  // inline and keeps no slot of its task's budget for the helper it lacks.
+  ThreadBudget jobs(2);
+  ThreadBudget::Slots(jobs, 1).run([&] {
+    const ThreadBudget::Slots others(process,
+                                     process.limit() - process.in_use());
+    const TraceFrontEnd front = stage_if_free(gen, 1000);
+    EXPECT_FALSE(front.staged());
+    EXPECT_EQ(jobs.in_use(), 1u);
+  });
+  EXPECT_EQ(process.in_use(), process0);
+}
+
+TEST(StagedSource, EverySlotComesBackWhateverATaskOrItsHelperThrows) {
+  // A task that throws gives its slot back, as do the tasks never run
+  // after it, and a launcher that throws gives back the helper's slots.
+  ThreadBudget& process = ThreadBudget::process();
+  const std::size_t process0 = process.in_use();
+  ThreadBudget jobs(4);
+  try {
+    ThreadBudget::Slots tasks(jobs, 3);
+    tasks.run([] {});
+    EXPECT_EQ(jobs.in_use(), 2u);
+    tasks.run([] { throw std::runtime_error("task failed"); });
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(jobs.in_use(), 0u);
+  EXPECT_EQ(process.in_use(), process0);
+
+  if (process.limit() - process0 < 2) GTEST_SKIP() << "one hardware thread";
+  const StagedTraceSource::Launcher refuses = [](std::function<void()>) {
+    throw std::runtime_error("no thread for the helper");
+  };
+  TraceGenerator gen(*find_profile("gcc-like"), 5);
+  ThreadBudget::Slots(jobs, 1).run([&] {
+    EXPECT_THROW(stage_if_free(gen, 1000, refuses), std::runtime_error);
+    EXPECT_EQ(jobs.in_use(), 1u);
+  });
+  EXPECT_EQ(jobs.in_use(), 0u);
+  EXPECT_EQ(process.in_use(), process0);
 }
 
 }  // namespace
