@@ -72,14 +72,13 @@ void report_engine(const BenchEnv& env) {
   const CacheStatsSnapshot c = env.engine->cache().stats();
   std::fprintf(stderr,
                "[exec] %llu simulated, %llu replayed (%llu timelines, "
-               "%llu full fallbacks, %llu prefix resumes), "
+               "%llu full fallbacks), "
                "%llu cached (mem %llu / disk %llu), "
                "%llu failed, %.0f ms sim time across %u worker(s)\n",
                static_cast<unsigned long long>(s.jobs_run),
                static_cast<unsigned long long>(s.jobs_replayed),
                static_cast<unsigned long long>(s.timelines_recorded),
                static_cast<unsigned long long>(s.replay_fallbacks),
-               static_cast<unsigned long long>(s.replay_prefix_resumes),
                static_cast<unsigned long long>(s.jobs_cached),
                static_cast<unsigned long long>(c.memory_hits),
                static_cast<unsigned long long>(c.disk_hits),

@@ -6,9 +6,6 @@
 //   --instructions=N   measured instructions per run (default per-bench)
 //   --warmup=N         warmup instructions
 //   --seed=N           trace seed
-//   --fast-forward=0   tick stall windows cycle-by-cycle instead of the
-//                      closed-form fast path (bit-identical, much slower;
-//                      see bench/micro_ff_speedup.cpp)
 //   --dram-power=MODE  DRAM low-power states (docs/MEMORY_POWER.md):
 //                      off (default), timeout (idle channels park on a
 //                      per-channel timer), coordinated (the PG controller
@@ -33,13 +30,6 @@
 //                      every cell then simulates directly.  Results are
 //                      bit-identical either way (bench/micro_replay_speedup
 //                      verifies, tests/test_replay.cpp proves)
-//   --checkpoint-stride=N
-//                      instructions between architectural checkpoints
-//                      captured while recording a reference timeline
-//                      (replay/checkpoint.h); penalized cells resume from
-//                      the latest eligible checkpoint instead of cycle 0.
-//                      0 disables capture; results are bit-identical for
-//                      any stride (tests/test_checkpoint.cpp proves)
 // Observability flags (see docs/OBSERVABILITY.md):
 //   --metrics-out=FILE write the end-of-run metrics snapshot as JSON
 //   --trace-out=FILE   record a Chrome trace (open in Perfetto or

@@ -4,30 +4,22 @@
 // axis.
 //
 // The replay path records one `none` reference timeline per workload
-// (materializing the trace in the same pass — TeeTraceSource — and
-// capturing architectural checkpoints every --checkpoint-stride
-// instructions) and reconstitutes every penalty-free policy cell from it.
-// A cell whose replay hits a penalized window resumes direct simulation
-// from the latest checkpoint before that window (replay/checkpoint.h), or
-// from cycle 0 over the shared trace buffer when no checkpoint is eligible.
-// The headline ratio is therefore sweep wall-clock, not per-cell
-// throughput, and it is bounded by
-//   P / (c_rec + F * ((1 - rho) * c_fb + rho * c_res))
+// (materializing the trace in the same pass — TeeTraceSource) and
+// reconstitutes every penalty-free policy cell from it.  A cell whose
+// replay hits a penalized window is simulated directly from cycle 0 over
+// the shared trace buffer.  The headline ratio is therefore sweep
+// wall-clock, not per-cell throughput, and it is bounded by
+//   P / (c_rec + F * c_fb)
 // for P policies of which F are penalized: c_rec = recording cost relative
-// to a direct cell (~1.1 with tee recording + checkpoint capture), c_fb =
-// full-fallback cost (~0.9: skips trace generation), rho = the fraction of
-// penalized cells with an eligible checkpoint, and c_res = their resumed
-// cost (proportional to the un-skipped suffix).  Wake-exact policies
-// (oracle + the MAPG early-wake family, any alpha) replay; reactive-wake
-// and threshold-free policies are genuinely penalized — and, measured on
-// these axes, their FIRST penalized window lands within the first ~0.2% of
-// recorded windows (idle-timeout trips on the first long stall,
-// mapg-aggressive within the warmup), so no checkpoint is eligible and
-// rho ~ 0 here.  The checkpoint machinery pays off when the first penalty
-// lands late (adaptive thresholds, late-phase workloads —
-// tests/test_checkpoint.cpp constructs such cells); on this grid the
-// honest bound is the rho=0 one.  That is a property of the policies, not
-// an engine limitation (docs/MODEL.md §4b-4c).
+// to a direct cell (~1.1 with tee recording) and c_fb = fallback cost
+// (~0.9: skips trace generation).  Wake-exact policies (oracle + the MAPG
+// early-wake family, any alpha) replay; reactive-wake and threshold-free
+// policies are genuinely penalized — and, measured on these axes, their
+// FIRST penalized window lands within the first ~0.2% of recorded windows
+// (idle-timeout trips on the first long stall, mapg-aggressive within the
+// warmup), so no exact prefix would be left to skip even if the run were
+// resumed part-way.  That is a property of the policies, not an engine
+// limitation (docs/MODEL.md §4b).
 //
 // Two axes, both 12 x 11:
 //   --axis=tab1      (default) the R-Tab.1 comparison extended with the
@@ -138,14 +130,12 @@ void print_census(const SweepSpec& spec, const SweepResult& replay) {
   std::printf("per-policy replay coverage (of %zu workloads):\n",
               spec.workloads.size());
   for (std::size_t pi = 0; pi < spec.policy_specs.size(); ++pi) {
-    std::size_t replayed = 0, resumed = 0;
-    for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
+    std::size_t replayed = 0;
+    for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi)
       if (replay.at(0, wi, pi).from_replay) ++replayed;
-      if (replay.at(0, wi, pi).from_resume) ++resumed;
-    }
-    std::printf("  %-24s %2zu replayed, %2zu resumed, %2zu direct%s\n",
-                spec.policy_specs[pi].c_str(), replayed, resumed,
-                spec.workloads.size() - replayed - resumed,
+    std::printf("  %-24s %2zu replayed, %2zu direct%s\n",
+                spec.policy_specs[pi].c_str(), replayed,
+                spec.workloads.size() - replayed,
                 spec.policy_specs[pi] == "none" ? " (reference)" : "");
   }
 }
@@ -187,11 +177,9 @@ int main(int argc, char** argv) {
   SweepRun replay = run_sweep_cold(sweep, jobs, true);
   if (!identical(sweep, direct.grid, replay.grid)) return 1;
   std::printf("identity: all %zu cells byte-identical (replayed %llu, "
-              "prefix resumes %llu, full fallbacks %llu)\n",
+              "full fallbacks %llu)\n",
               direct.grid.outcomes.size(),
               static_cast<unsigned long long>(replay.stats.jobs_replayed),
-              static_cast<unsigned long long>(
-                  replay.stats.replay_prefix_resumes),
               static_cast<unsigned long long>(replay.stats.replay_fallbacks));
   print_census(sweep, replay.grid);
   if (smoke) {
@@ -225,12 +213,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(replay.stats.jobs_run));
   std::printf("%-22s %10llu %10llu\n", "cells replayed", 0ULL,
               static_cast<unsigned long long>(replay.stats.jobs_replayed));
-  std::printf("%-22s %10s %10llu\n", "prefix resumes", "-",
-              static_cast<unsigned long long>(
-                  replay.stats.replay_prefix_resumes));
-  std::printf("%-22s %10s %10llu\n", "windows saved", "-",
-              static_cast<unsigned long long>(
-                  replay.stats.replay_windows_saved));
   std::printf("%-22s %10s %10llu\n", "full fallbacks", "-",
               static_cast<unsigned long long>(replay.stats.replay_fallbacks));
   std::printf("\nspeedup: %.2fx (target %.1fx) %s\n", speedup, target,
@@ -256,9 +238,6 @@ int main(int argc, char** argv) {
     j["timelines"] = Json::number(replay.stats.timelines_recorded);
     j["replayed"] = Json::number(replay.stats.jobs_replayed);
     j["full_fallbacks"] = Json::number(replay.stats.replay_fallbacks);
-    j["prefix_resumes"] = Json::number(replay.stats.replay_prefix_resumes);
-    j["windows_saved"] = Json::number(replay.stats.replay_windows_saved);
-    j["checkpoint_stride"] = Json::number(sweep.base.checkpoint_stride);
     j["target"] = Json::number(target);
     j["met"] = Json::boolean(met);
     std::ofstream out(json_path);

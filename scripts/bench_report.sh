@@ -5,9 +5,8 @@
 #
 #   scripts/bench_report.sh [build_dir] [replay|serve|sampling|all] [extra bench args...]
 #
-# BENCH_replay.json carries the resume-aware census: replayed /
-# prefix_resumes / full_fallbacks cell counts, windows_saved, and the
-# checkpoint_stride in effect (docs/MODEL.md §4b-4c).
+# BENCH_replay.json carries the replay census: timelines recorded and the
+# replayed / full_fallbacks cell counts (docs/MODEL.md §4b).
 #
 # BENCH_sampling.json carries the sampled-simulation record: speedup over
 # full simulation, per-metric projection error, and 95% CI coverage on a

@@ -8,8 +8,6 @@
 #   GOLDEN-BEGIN/GOLDEN-END            result table (Golden.PinnedResultTable)
 #   TAB9-GOLDEN-BEGIN/TAB9-GOLDEN-END  DRAM standard x page-policy grid
 #                                      (Golden.Tab9GridFrozen)
-#   CKPT-GOLDEN-BEGIN/CKPT-GOLDEN-END  checkpoint fingerprints
-#                                      (Golden.CheckpointFingerprintsFrozen)
 # Run this ONLY after an intentional model change, then regenerate
 # EXPERIMENTS.md and re-run the full suite.
 set -euo pipefail
@@ -53,14 +51,11 @@ splice() {
   echo "spliced $n rows ($filter) into $SRC"
 }
 
-# Result-table and tab9 rows look like '      {"...'; checkpoint rows like
-# '      {25000u, ...'.
+# Result-table and tab9 rows look like '      {"...'.
 splice 'Golden.PinnedResultTable' '^[[:space:]]*\{"' \
        'GOLDEN-BEGIN' 'GOLDEN-END'
 splice 'Golden.Tab9GridFrozen' '^[[:space:]]*\{"' \
        'TAB9-GOLDEN-BEGIN' 'TAB9-GOLDEN-END'
-splice 'Golden.CheckpointFingerprintsFrozen' '^[[:space:]]*\{[0-9]' \
-       'CKPT-GOLDEN-BEGIN' 'CKPT-GOLDEN-END'
 
 echo "rebuild and re-run the suite:"
 echo "  cmake --build $BUILD --target test_golden -j && $BUILD/tests/test_golden"

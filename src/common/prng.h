@@ -34,16 +34,8 @@ class SplitMix64 {
 class Prng {
  public:
   using result_type = std::uint64_t;
-  /// The full generator state.  Exposed so architectural checkpoints
-  /// (src/replay/checkpoint.h) can snapshot and restore a stream mid-run
-  /// bit-exactly; the state is the only mutable member, so
-  /// set_state(state()) round-trips perfectly.
-  using State = std::array<std::uint64_t, 4>;
 
   explicit Prng(std::uint64_t seed = 0x3243f6a8885a308dULL) { reseed(seed); }
-
-  const State& state() const { return state_; }
-  void set_state(const State& s) { state_ = s; }
 
   void reseed(std::uint64_t seed) {
     SplitMix64 sm(seed);

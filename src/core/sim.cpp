@@ -188,8 +188,7 @@ void RunRecord::reserve(std::uint64_t warmup, std::uint64_t instructions) {
 SimResult Simulator::run_recorded(TraceSource& trace,
                                   const std::string& workload_name,
                                   const std::string& policy_spec,
-                                  RunRecord& record,
-                                  const CheckpointHook& hook) const {
+                                  RunRecord& record) const {
   // The trace is materialized in the same pass that runs it (TeeTraceSource
   // above): the core consumes exactly warmup + measured instructions, so
   // the buffer ends the run holding the complete stream every policy sees.
@@ -205,7 +204,7 @@ SimResult Simulator::run_recorded(TraceSource& trace,
   const std::unique_ptr<PgPolicy> policy =
       build_policy(policy_spec, policy_context());
   TeeTraceSource tee(trace, buf);
-  SimResult result = run_impl(tee, workload_name, *policy, &record, hook);
+  SimResult result = run_impl(tee, workload_name, *policy, &record);
   // Moving leaves trace_buffer empty: the published trace owns the storage.
   record.trace = std::make_shared<std::vector<Instr>>(std::move(buf));
   return result;
@@ -213,8 +212,7 @@ SimResult Simulator::run_recorded(TraceSource& trace,
 
 SimResult Simulator::run_impl(TraceSource& trace,
                               const std::string& workload_name,
-                              PgPolicy& policy, RunRecord* record,
-                              const CheckpointHook& hook) const {
+                              PgPolicy& policy, RunRecord* record) const {
   MAPG_OBS_SCOPED_TIMER("sim.run.ns", "sim");
   const PgCircuit circuit(config_.pg, config_.tech);
   MemoryHierarchy mem(config_.mem);
@@ -231,52 +229,16 @@ SimResult Simulator::run_impl(TraceSource& trace,
   Core core(config_.core, mem, handler);
   core.set_step_mode(kparams.mode);
 
-  // Checkpointed recording chunks each phase's core.run at absolute-stride
-  // boundaries and fires the hook between instructions.  core.run is a
-  // plain resumable loop, so the chunked run is bit-identical to a single
-  // call (run_thermal's epoch loop relies on the same property; the
-  // checkpoint differential proves it per stride).
-  const std::uint64_t stride =
-      (record != nullptr && hook) ? config_.checkpoint_stride : 0;
-  auto run_phase = [&](std::uint64_t phase_instrs, std::uint64_t phase_base,
-                       bool in_warmup) {
-    if (stride == 0) {
-      core.run(trace, phase_instrs);
-      return;
-    }
-    std::uint64_t done = 0;
-    while (done < phase_instrs) {
-      const std::uint64_t abs = phase_base + done;
-      const std::uint64_t next_mark = (abs / stride + 1) * stride;
-      const std::uint64_t chunk =
-          std::min(phase_instrs - done, next_mark - abs);
-      const std::uint64_t before = core.stats().instrs;
-      core.run(trace, chunk);
-      const std::uint64_t executed = core.stats().instrs - before;
-      done += executed;
-      if (executed < chunk) break;  // trace exhausted
-      // Interior marks only: a mark at the phase end is either superseded
-      // by the post-reset warmup-boundary capture or has nothing left to
-      // resume into.
-      if (phase_base + done == next_mark && done < phase_instrs)
-        hook(core, mem, phase_base + done, in_warmup);
-    }
-  };
-
   // Warmup: populate caches, open DRAM rows, and let streams reach steady
   // state before measurement.  Gating runs during warmup too (so PG state is
   // realistic), but its statistics are discarded.
   if (config_.warmup_instructions > 0) {
-    run_phase(config_.warmup_instructions, 0, true);
+    core.run(trace, config_.warmup_instructions);
     cross_warmup_boundary(core, mem, controller);
-    // The most valuable checkpoint: captured after the boundary resets, so
-    // resuming from it skips the whole warmup for any policy penalized only
-    // in the measured phase.
-    if (stride > 0) hook(core, mem, config_.warmup_instructions, false);
   }
   if (record != nullptr) recorder.set_sink(record->stalls);
 
-  run_phase(config_.instructions, config_.warmup_instructions, false);
+  core.run(trace, config_.instructions);
   SimResult result = finish_run(config_, circuit, workload_name, policy, core,
                                 mem, controller);
   MAPG_OBS_ONLY(record_run_metrics(result);)

@@ -11,7 +11,6 @@
 // (config, profile, policy spec).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -47,16 +46,6 @@ struct SimConfig {
   /// tests/test_differential.cpp); the flag is part of the experiment
   /// identity so cached results never mix kernels silently.
   bool fast_forward = true;
-  /// Instructions between architectural checkpoints captured while a
-  /// reference timeline is being recorded (run_recorded with a hook;
-  /// src/replay/checkpoint.h).  0 disables capture.  Checkpointed recording
-  /// chunks the run at stride boundaries, which is bit-identical to a single
-  /// run (core.run is a plain resumable loop; run_thermal relies on the same
-  /// property).  Results are therefore identical for any stride — the knob
-  /// still joins the experiment identity (exec schema v5), following the
-  /// fast_forward precedent: equivalences stay falsifiable, never assumed
-  /// by the cache.
-  std::uint64_t checkpoint_stride = 1'000'000;
   /// Always false; kept only because benchmark/layers.cpp still reads it.
   static constexpr bool batched = false;
 };
@@ -160,29 +149,17 @@ class Simulator {
   SimResult run(TraceSource& trace, const std::string& workload_name,
                 const std::string& policy_spec) const;
 
-  /// Called at each checkpoint boundary of a recording run: the core and
-  /// hierarchy (frozen between instructions), the absolute number of trace
-  /// instructions consumed so far (warmup included), and whether the warmup
-  /// boundary has not yet been crossed.  The boundary invocation (instr_pos
-  /// == warmup_instructions, in_warmup == false) happens AFTER the warmup
-  /// settle/reset sequence, so a capture there reflects post-reset state.
-  using CheckpointHook = std::function<void(
-      const Core& core, const MemoryHierarchy& mem, std::uint64_t instr_pos,
-      bool in_warmup)>;
-
   /// Like run(trace, workload_name, policy_spec), but additionally
   /// materializes the stream into `record.trace` (through
   /// `record.trace_buffer`, whose reserved capacity it adopts) and captures
   /// every full-core StallEvent (warmup and measured phases separately).  The
   /// returned result is bit-identical to the unrecorded run — recording only
-  /// tees, it never perturbs timing.  With a non-null `hook` and
-  /// config().checkpoint_stride > 0, the hook is invoked at every stride
-  /// boundary and at the warmup boundary (src/replay/checkpoint.h captures
-  /// SimCheckpoints there).  record_timeline (src/replay) feeds it either a
-  /// profile's TraceGenerator or an external window (sampled simulation).
+  /// tees, it never perturbs timing.  record_timeline (src/replay) feeds it
+  /// either a profile's TraceGenerator or an external window (sampled
+  /// simulation).
   SimResult run_recorded(TraceSource& trace, const std::string& workload_name,
-                         const std::string& policy_spec, RunRecord& record,
-                         const CheckpointHook& hook = nullptr) const;
+                         const std::string& policy_spec,
+                         RunRecord& record) const;
 
   /// Like run(), but integrates the core hot-spot temperature epoch by
   /// epoch and applies the leakage-temperature feedback (R-Tab.7).  Uses
@@ -200,8 +177,7 @@ class Simulator {
 
  private:
   SimResult run_impl(TraceSource& trace, const std::string& workload_name,
-                     PgPolicy& policy, RunRecord* record,
-                     const CheckpointHook& hook = nullptr) const;
+                     PgPolicy& policy, RunRecord* record) const;
 
   SimConfig config_;
 };
@@ -217,7 +193,7 @@ std::unique_ptr<PgPolicy> build_policy(const std::string& policy_spec,
 void cross_warmup_boundary(Core& core, MemoryHierarchy& mem,
                            PgController& controller);
 
-/// The end of every simulated run (direct, thermal, prefix-resume): settle
+/// The end of every simulated run (direct and thermal): settle
 /// DRAM power residency at the core's clock, then fill a SimResult from
 /// core, hierarchy and controller stats plus the composed energy.
 SimResult finish_run(const SimConfig& config, const PgCircuit& circuit,

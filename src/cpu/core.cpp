@@ -34,31 +34,6 @@ void Core::reset_stats() {
   stats_base_ = now_;
 }
 
-Core::State Core::export_state() const {
-  State s;
-  s.now = now_;
-  s.slot = slot_;
-  s.stats_base = stats_base_;
-  s.next_id = next_id_;
-  s.scoreboard = scoreboard_;
-  s.outstanding = outstanding_;
-  s.stats = stats_;
-  return s;
-}
-
-void Core::import_state(const State& s) {
-  assert(s.scoreboard.size() == scoreboard_.size() &&
-         "checkpoint was captured under a different CoreConfig");
-  now_ = s.now;
-  slot_ = s.slot;
-  stats_base_ = s.stats_base;
-  next_id_ = s.next_id;
-  scoreboard_ = s.scoreboard;
-  head_ = static_cast<std::uint32_t>(next_id_ % scoreboard_.size());
-  outstanding_ = s.outstanding;
-  stats_ = s.stats;
-}
-
 void Core::prune_outstanding() {
   std::erase_if(outstanding_, [this](const MemAccessResult& r) {
     return r.complete <= now_;

@@ -175,38 +175,8 @@ struct CoreStats {
 
 class Core {
  public:
-  /// One scoreboard slot: the blocker a future instruction may wait on.
-  /// Public because it is part of Core::State (below).
-  struct Blocker {
-    Cycle ready = kNoCycle;  ///< kNoCycle = slot empty
-    Cycle commit = 0;
-    Cycle estimate = 0;
-    bool dram = false;
-  };
-
-  /// Complete mutable state of the core: clock, issue slot, instruction ids,
-  /// scoreboard, outstanding-miss pool, and statistics (histogram and
-  /// running moments included).  export_state()/import_state() round-trip it
-  /// bit-exactly; import requires a Core constructed with the same
-  /// CoreConfig.  This is the cpu half of an architectural checkpoint
-  /// (src/replay/checkpoint.h) — the StallHandler is NOT part of it (the
-  /// resume path reconstructs the controller by replaying the recorded
-  /// event prefix; see docs/MODEL.md §4c).
-  struct State {
-    Cycle now = 0;
-    std::uint32_t slot = 0;
-    Cycle stats_base = 0;
-    InstrId next_id = 0;
-    std::vector<Blocker> scoreboard;
-    std::vector<MemAccessResult> outstanding;
-    CoreStats stats;
-  };
-
   Core(CoreConfig config, MemoryHierarchy& mem,
        StallHandler* handler = nullptr);
-
-  State export_state() const;
-  void import_state(const State& s);
 
   /// Execute up to `max_instrs` from `trace` (or until it ends).  Can be
   /// called repeatedly; time continues from the previous call.
@@ -232,6 +202,14 @@ class Core {
   void reset_stats();
 
  private:
+  /// One scoreboard slot: the blocker a future instruction may wait on.
+  struct Blocker {
+    Cycle ready = kNoCycle;  ///< kNoCycle = slot empty
+    Cycle commit = 0;
+    Cycle estimate = 0;
+    bool dram = false;
+  };
+
   void stall_until(Blocker blocker, StallReason reason);
   /// Bulk-advance API: charge the whole window [ev.start, resume) to the
   /// stall counters in closed form (fast-forward mode)...

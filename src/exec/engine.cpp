@@ -84,8 +84,7 @@ ExperimentEngine::ExperimentEngine(ExecOptions options)
           "exec.jobs.replayed", "exec.cache.mem_hit", "exec.cache.disk_hit",
           "exec.cache.miss", "exec.cache.store", "sim.replay.timelines",
           "sim.replay.windows", "sim.replay.cells",
-          "sim.replay.full_fallbacks", "sim.replay.prefix_resumes",
-          "sim.replay.windows_saved", "sim.sample.regions",
+          "sim.replay.full_fallbacks", "sim.sample.regions",
           "sim.sample.clusters", "sim.sample.simulated",
           "sim.sample.projected"})
       reg.counter(name);
@@ -205,7 +204,6 @@ void ExperimentEngine::account(const ExperimentJob& job,
                           .add("seed", job.config.run_seed)
                           .add("cached", out.from_cache)
                           .add("replayed", out.from_replay)
-                          .add("resumed", out.from_resume)
                           .add("ok", out.ok)
                           .json());
       const CacheStatsSnapshot cs = cache_->stats();
@@ -238,7 +236,6 @@ void ExperimentEngine::log_job(const ExperimentJob& job,
   line["ok"] = Json::boolean(outcome.ok);
   line["cached"] = Json::boolean(outcome.from_cache);
   line["replayed"] = Json::boolean(outcome.from_replay);
-  line["resumed"] = Json::boolean(outcome.from_resume);
   line["wall_ms"] = Json::number(outcome.wall_ms);
   if (!outcome.ok) line["error"] = Json::string(outcome.error);
   std::lock_guard<std::mutex> lk(mu_);
@@ -411,8 +408,8 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
   }
 
   // 4. Resolve each missing cell on the timeline (resolve_on_timeline:
-  // reference, replay, prefix-resume); what no exact tier answers is
-  // simulated directly over the shared trace buffer.
+  // reference, then replay); what no exact tier answers is simulated
+  // directly over the shared trace buffer.
   for (const std::size_t c : missing) {
     const ExperimentJob& job = jobs[c];
     if (!recorded) {
@@ -437,18 +434,12 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
       outcomes[c] = execute(job, timeline.record.trace);
       continue;
     }
-    if (exact.tier == TimelineTier::kResume) {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.replay_prefix_resumes;
-      stats_.replay_windows_saved += exact.windows_saved;
-    }
     const std::string key =
         cache_key(job.config, job.profile, job.policy_spec);
     JobOutcome out;
     out.result = cache_->store(key, std::move(exact.result));
     out.ok = true;
     out.from_replay = exact.tier == TimelineTier::kReplay;
-    out.from_resume = exact.tier == TimelineTier::kResume;
     // The recording run WAS the `none` cell.
     out.wall_ms =
         exact.tier == TimelineTier::kReference ? record_ms : now_ms() - t0;

@@ -83,10 +83,6 @@ struct JobOutcome {
   /// Reconstituted from a recorded stall timeline instead of simulated
   /// (bit-identical to a direct run; see src/replay).
   bool from_replay = false;
-  /// Simulated, but starting from an architectural checkpoint instead of
-  /// cycle 0 (replay hit a penalized window; see replay/checkpoint.h).
-  /// Counted under jobs_run — it IS a simulation, just a shorter one.
-  bool from_resume = false;
   std::string error;     ///< exception text when !ok
   double wall_ms = 0.0;  ///< this job's execution (or cache lookup) time
 };
@@ -139,16 +135,9 @@ struct EngineStats {
   std::uint64_t jobs_failed = 0;
   std::uint64_t jobs_replayed = 0;  ///< cells reconstituted from a timeline
   std::uint64_t timelines_recorded = 0;  ///< reference recordings performed
-  /// Replays abandoned on a penalized window whose cell fell back to a FULL
-  /// direct simulation from cycle 0 (no usable checkpoint).
+  /// Replays abandoned on a penalized window whose cell fell back to a
+  /// direct simulation from cycle 0 over the recorded trace.
   std::uint64_t replay_fallbacks = 0;
-  /// Replays abandoned on a penalized window whose cell resumed direct
-  /// simulation from an architectural checkpoint instead of cycle 0
-  /// (replay/checkpoint.h).  Disjoint from replay_fallbacks.
-  std::uint64_t replay_prefix_resumes = 0;
-  /// Stall windows skipped by prefix-resumes (the prefix the resumed
-  /// controller was fed from the recording instead of re-simulating).
-  std::uint64_t replay_windows_saved = 0;
   double busy_ms = 0;               ///< summed per-job wall time
 };
 

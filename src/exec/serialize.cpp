@@ -173,7 +173,6 @@ Json config_json(const SimConfig& c) {
   j["warmup_instructions"] = Json::number(c.warmup_instructions);
   j["run_seed"] = Json::number(c.run_seed);
   j["fast_forward"] = Json::boolean(c.fast_forward);
-  j["checkpoint_stride"] = Json::number(c.checkpoint_stride);
   return j;
 }
 

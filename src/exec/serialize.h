@@ -38,12 +38,10 @@ namespace mapg {
 /// unchanged; the bump draws a provenance boundary — every cached result
 /// from v4 on was produced (or could have been produced) by the replay
 /// engine, and caches written before it are never matched again.
-/// v5: checkpoint + prefix-resume (src/replay/checkpoint.h).
-/// SimConfig::checkpoint_stride joined the experiment identity — resumed
-/// cells are bit-identical for any stride (tests/test_checkpoint.cpp), but
-/// the knob follows the fast_forward precedent: equivalences stay
-/// falsifiable, never assumed by the cache.  The bump is also the
-/// prefix-resume provenance boundary.
+/// v5: checkpoint + prefix-resume; the checkpoint stride joined the
+/// experiment identity.  The tier was later deleted without a bump: the
+/// stride left config_json, which changed every cache key by itself, and
+/// the result encoding never held it.
 /// v6: multi-standard DRAM backend (docs/DRAM.md).  The DramConfig standard
 /// label, page policy (+ hybrid_addr_bits), and FR-FCFS posted-write queue
 /// knobs (queue_depth, write_starve_limit) joined the experiment identity,

@@ -182,40 +182,4 @@ void Cache::flush() {
   stamp_ = 0;
 }
 
-Cache::State Cache::export_state() const {
-  State s;
-  s.lines.resize(tags_.size());
-  for (std::size_t i = 0; i < tags_.size(); ++i) {
-    Line& l = s.lines[i];
-    l.tag = tags_[i];
-    l.valid = (flags_[i] & kValid) != 0;
-    l.dirty = (flags_[i] & kDirty) != 0;
-    l.prefetched = (flags_[i] & kPrefetched) != 0;
-    l.lru_stamp = stamps_[i];
-  }
-  s.plru_bits = plru_bits_;
-  s.stamp = stamp_;
-  s.victim_prng = victim_prng_.state();
-  s.stats = stats_;
-  return s;
-}
-
-void Cache::import_state(const State& s) {
-  assert(s.lines.size() == tags_.size() &&
-         s.plru_bits.size() == plru_bits_.size() &&
-         "checkpoint was captured under a different CacheConfig");
-  for (std::size_t i = 0; i < s.lines.size(); ++i) {
-    const Line& l = s.lines[i];
-    tags_[i] = l.tag;
-    flags_[i] = static_cast<std::uint8_t>((l.valid ? kValid : 0) |
-                                          (l.dirty ? kDirty : 0) |
-                                          (l.prefetched ? kPrefetched : 0));
-    stamps_[i] = l.lru_stamp;
-  }
-  plru_bits_ = s.plru_bits;
-  stamp_ = s.stamp;
-  victim_prng_.set_state(s.victim_prng);
-  stats_ = s.stats;
-}
-
 }  // namespace mapg

@@ -56,28 +56,6 @@ struct CacheStats {
 
 class Cache {
  public:
-  /// One cache line's tag state.  Public because it is part of Cache::State.
-  struct Line {
-    Addr tag = kNoAddr;
-    bool valid = false;
-    bool dirty = false;
-    bool prefetched = false;  ///< filled by fill(), not yet demand-touched
-    std::uint64_t lru_stamp = 0;  ///< larger = more recently used
-  };
-
-  /// Complete mutable state: every line (tags, dirty/prefetch bits, LRU
-  /// stamps), the tree-PLRU bits, the global stamp counter, the random-
-  /// victim PRNG stream, and the statistics.  import_state() requires a
-  /// Cache constructed with the same CacheConfig; round-trips bit-exactly
-  /// (src/replay/checkpoint.h).
-  struct State {
-    std::vector<Line> lines;
-    std::vector<std::uint8_t> plru_bits;
-    std::uint64_t stamp = 0;
-    Prng::State victim_prng{};
-    CacheStats stats;
-  };
-
   struct AccessResult {
     bool hit = false;
     bool writeback = false;   ///< a dirty victim must be written downstream
@@ -102,9 +80,6 @@ class Cache {
 
   /// Drop every line (used between experiment repetitions).
   void flush();
-
-  State export_state() const;
-  void import_state(const State& s);
 
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
@@ -135,8 +110,7 @@ class Cache {
   std::uint32_t line_shift_;
   // Line state split by field, each sets * assoc long and set-major (way w
   // of set s at s * assoc + w): a probe scans only the tags and a victim
-  // search only the flags and stamps.  export_state()/import_state()
-  // convert to and from the per-line Line form.
+  // search only the flags and stamps.
   std::vector<Addr> tags_;
   std::vector<std::uint8_t> flags_;         ///< kValid | kDirty | kPrefetched
   std::vector<std::uint64_t> stamps_;       ///< LRU stamps

@@ -147,20 +147,6 @@ Dram::~Dram() {
   });
 }
 
-Dram::State Dram::export_state() const {
-  State s;
-  s.channels = channels_;
-  s.stats = stats_;
-  return s;
-}
-
-void Dram::import_state(const State& s) {
-  assert(s.channels.size() == channels_.size() &&
-         "checkpoint was captured under a different DramConfig");
-  channels_ = s.channels;
-  stats_ = s.stats;
-}
-
 void Dram::map_address(Addr line_addr, std::uint32_t& channel,
                        std::uint32_t& bank, std::uint64_t& row) const {
   // Line-interleave across channels, then column within the row, then bank:

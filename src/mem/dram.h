@@ -231,50 +231,14 @@ struct DramStats {
 
 class Dram {
  public:
-  /// Per-bank row-buffer and command-timing state.  Public because it is
-  /// part of Dram::State (below).
-  struct Bank {
-    std::uint64_t open_row = ~0ULL;
-    bool row_open = false;
-    Cycle ready_at = 0;     ///< earliest next command dispatch
-    Cycle activated_at = 0; ///< for the tRAS constraint
-  };
   /// A posted write awaiting FR-FCFS issue (queue_depth > 0 only).
   struct PendingWrite {
     Addr line_addr = 0;
     Cycle enqueued = 0;  ///< controller arrival time
   };
-  struct Channel {
-    std::vector<Bank> banks;
-    Cycle bus_free_at = 0;
-    /// FR-FCFS posted-write queue, oldest first (empty when queue_depth==0).
-    std::vector<PendingWrite> write_queue;
-    // Low-power accounting (kTimeout mode only).
-    Cycle idle_from = 0;        ///< cycle the channel last went idle
-    Cycle accounted_until = 0;  ///< residency classified up to here
-  };
-
-  /// Complete mutable state: every bank's open row / ready / tRAS anchor,
-  /// per-channel bus occupancy, the pending posted-write queue (a checkpoint
-  /// taken with writes in flight must re-issue exactly those writes at
-  /// exactly the deferred times a from-zero run would), and the per-channel
-  /// low-power anchors (idle_from / accounted_until — the values
-  /// power_exit_shift and settle_channel key off, so a restored channel
-  /// still pays the exact tXP/tXS exit penalty and classifies residency
-  /// identically), plus the statistics.  Refresh needs no explicit anchor:
-  /// skip_refresh() is anchored in ABSOLUTE time (tREFI multiples), so
-  /// restoring the clock restores refresh alignment (docs/MODEL.md §4c).
-  /// import_state() requires a Dram constructed with the same DramConfig.
-  struct State {
-    std::vector<Channel> channels;
-    DramStats stats;
-  };
 
   explicit Dram(DramConfig config);
   ~Dram();  ///< flushes residency tallies into the obs registry
-
-  State export_state() const;
-  void import_state(const State& s);
 
   /// Service one line-granular request arriving at the controller at `now`.
   /// `now` must be monotonically non-decreasing across calls.  With
@@ -305,11 +269,34 @@ class Dram {
   const DramStats& stats() const { return stats_; }
   void reset_stats() { stats_ = DramStats{}; }
 
+  /// The channel's posted writes still waiting to issue, oldest first
+  /// (always empty when queue_depth == 0).  For tests.
+  const std::vector<PendingWrite>& write_queue(std::uint32_t channel) const {
+    return channels_[channel].write_queue;
+  }
+
   /// Decompose an address for tests.
   void map_address(Addr line_addr, std::uint32_t& channel, std::uint32_t& bank,
                    std::uint64_t& row) const;
 
  private:
+  /// Per-bank row-buffer and command-timing state.
+  struct Bank {
+    std::uint64_t open_row = ~0ULL;
+    bool row_open = false;
+    Cycle ready_at = 0;     ///< earliest next command dispatch
+    Cycle activated_at = 0; ///< for the tRAS constraint
+  };
+  struct Channel {
+    std::vector<Bank> banks;
+    Cycle bus_free_at = 0;
+    /// FR-FCFS posted-write queue, oldest first (empty when queue_depth==0).
+    std::vector<PendingWrite> write_queue;
+    // Low-power accounting (kTimeout mode only).
+    Cycle idle_from = 0;        ///< cycle the channel last went idle
+    Cycle accounted_until = 0;  ///< residency classified up to here
+  };
+
   Cycle skip_refresh(Cycle start);
   /// Refresh-window overlap with [begin, end) (closed form, same recurrence
   /// as power/interval_energy.h::refresh_window_overlap).

@@ -27,33 +27,6 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config, Cache& shared_l2,
          "shared L2 line size must match the private L1");
 }
 
-MemoryHierarchy::State MemoryHierarchy::export_state() const {
-  assert(owns_l2_and_dram() &&
-         "checkpointing is defined for the single-core owning hierarchy");
-  State s;
-  s.l1 = l1_.export_state();
-  s.l2 = l2_->export_state();
-  s.dram = dram_->export_state();
-  s.prefetcher = prefetcher_.export_state();
-  s.stats = stats_;
-  s.inflight = inflight_;
-  return s;
-}
-
-void MemoryHierarchy::import_state(const State& s) {
-  assert(owns_l2_and_dram() &&
-         "checkpointing is defined for the single-core owning hierarchy");
-  l1_.import_state(s.l1);
-  l2_->import_state(s.l2);
-  dram_->import_state(s.dram);
-  prefetcher_.import_state(s.prefetcher);
-  stats_ = s.stats;
-  // No simulator output depends on the merge table's order: lookups are by
-  // line address, each line appears at most once, and prune_inflight keeps
-  // the surviving set whatever the order.
-  inflight_ = s.inflight;
-}
-
 void MemoryHierarchy::prune_inflight(Cycle now) {
   // Erase fills whose data has already returned.
   std::erase_if(inflight_,

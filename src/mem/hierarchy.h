@@ -74,29 +74,8 @@ struct HierarchyStats {
 
 class MemoryHierarchy {
  public:
-  /// Complete mutable state of an OWNING hierarchy: both cache tag arrays,
-  /// DRAM bank/power anchors, the prefetcher table, the hierarchy counters,
-  /// and the MSHR merge table (`inflight`).  The merge table must be in the
-  /// checkpoint: whether a later load merges into an in-flight fill (and
-  /// thus skips L1/L2 tag access entirely) depends on it, so dropping it
-  /// would silently perturb both timing and tag state after a resume
-  /// (docs/MODEL.md §4c).  import_state() requires a hierarchy constructed
-  /// with the same HierarchyConfig; only the single-core owning form is
-  /// supported (export asserts owns_l2_and_dram()).
-  struct State {
-    Cache::State l1;
-    Cache::State l2;
-    Dram::State dram;
-    StreamPrefetcher::State prefetcher;
-    HierarchyStats stats;
-    std::vector<std::pair<Addr, MemAccessResult>> inflight;
-  };
-
   /// Single-core form: owns the L1, L2, and DRAM.
   explicit MemoryHierarchy(HierarchyConfig config);
-
-  State export_state() const;
-  void import_state(const State& s);
 
   /// Multi-core form: owns a private L1; L2 and DRAM are shared structures
   /// owned by the caller (see src/multicore).  All cores' accesses must be

@@ -43,31 +43,7 @@ struct PrefetcherStats {
 
 class StreamPrefetcher {
  public:
-  /// One tracked stream.  Public because it is part of State (below).
-  struct Stream {
-    Addr next_demand = kNoAddr;  ///< expected next demand line
-    Addr next_issue = kNoAddr;   ///< next line the window will fetch
-    std::int8_t dir = 1;         ///< +1 ascending, -1 descending
-    std::uint32_t hits = 0;      ///< consecutive confirmations
-    std::uint64_t lru = 0;
-  };
-
-  /// Complete mutable state: the stream table, the LRU tick, and the
-  /// statistics.  Round-trips bit-exactly (src/replay/checkpoint.h).
-  struct State {
-    std::vector<Stream> table;
-    std::uint64_t tick = 0;
-    PrefetcherStats stats;
-  };
-
   explicit StreamPrefetcher(PrefetcherConfig config);
-
-  State export_state() const { return State{table_, tick_, stats_}; }
-  void import_state(const State& s) {
-    table_ = s.table;
-    tick_ = s.tick;
-    stats_ = s.stats;
-  }
 
   /// Observe a demand event (L2 miss or first touch of a prefetched line)
   /// for `line_addr` (line-aligned); append the prefetch candidates
@@ -80,6 +56,15 @@ class StreamPrefetcher {
   void reset_stats() { stats_ = PrefetcherStats{}; }
 
  private:
+  /// One tracked stream.
+  struct Stream {
+    Addr next_demand = kNoAddr;  ///< expected next demand line
+    Addr next_issue = kNoAddr;   ///< next line the window will fetch
+    std::int8_t dir = 1;         ///< +1 ascending, -1 descending
+    std::uint32_t hits = 0;      ///< consecutive confirmations
+    std::uint64_t lru = 0;
+  };
+
   /// Emit window lines from s.next_issue up to `degree` lines beyond
   /// `demand_line`, advancing s.next_issue.
   void emit_window(Stream& s, Addr demand_line, std::uint64_t line_bytes,

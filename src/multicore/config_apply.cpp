@@ -9,7 +9,7 @@ namespace {
 /// Keys consumed by apply_sim_config.
 const std::set<std::string>& sim_keys() {
   static const std::set<std::string> keys = {
-      "instructions", "warmup", "seed", "fast_forward",
+      "instructions", "warmup", "seed",
       "core.mlp_window", "core.div_latency", "core.mul_latency",
       "core.fp_latency", "core.scoreboard",
       "l1.size_kib", "l1.assoc", "l1.latency",
@@ -55,8 +55,8 @@ void collect_unknown(const KvConfig& kv, std::vector<std::string>* unknown) {
   static const std::set<std::string> tool_keys = {
       "config", "workload", "policy",   "csv",      "seeds", "list",
       "help",   "jobs",     "cache-dir", "no-cache", "progress", "runlog",
-      "fast-forward", "dram-power", "dram-standard", "page-policy",
-      "replay", "checkpoint-stride", "print-metrics", "metrics-out",
+      "dram-power", "dram-standard", "page-policy",
+      "replay", "print-metrics", "metrics-out",
       "trace-out", "trace-buf", "trace", "trace-name", "sample-regions",
       "sample-clusters", "sample-warmup", "sample-seed", "sample-sig-cache"};
   for (const auto& [key, value] : kv.all()) {
@@ -238,12 +238,6 @@ SimConfig apply_sim_config(const KvConfig& kv, SimConfig base,
   base.instructions = kv.get_uint("instructions", base.instructions);
   base.warmup_instructions = kv.get_uint("warmup", base.warmup_instructions);
   base.run_seed = kv.get_uint("seed", base.run_seed);
-  // Both spellings: "fast-forward" is the front-end flag (bench_util),
-  // "fast_forward" the config-file key.
-  base.fast_forward = kv.get_bool(
-      "fast_forward", kv.get_bool("fast-forward", base.fast_forward));
-  base.checkpoint_stride =
-      kv.get_uint("checkpoint-stride", base.checkpoint_stride);
   return base;
 }
 
@@ -257,10 +251,6 @@ MulticoreConfig apply_multicore_config(const KvConfig& kv,
       kv.get_uint("instructions", base.instructions_per_core);
   base.warmup_instructions = kv.get_uint("warmup", base.warmup_instructions);
   base.run_seed = kv.get_uint("seed", base.run_seed);
-  // Both spellings: "fast-forward" is the front-end flag (bench_util),
-  // "fast_forward" the config-file key.
-  base.fast_forward = kv.get_bool(
-      "fast_forward", kv.get_bool("fast-forward", base.fast_forward));
   base.num_cores =
       static_cast<std::uint32_t>(kv.get_uint("cores", base.num_cores));
   base.wake_arbiter_slots = static_cast<std::uint32_t>(

@@ -7,8 +7,7 @@
 // publish wrong numbers.
 //
 // Supported keys (defaults in parentheses are the DESIGN.md §7 platform):
-//   instructions, warmup, seed, fast_forward (1),
-//   checkpoint-stride (1000000)   [single-core SimConfig only]
+//   instructions, warmup, seed
 //   core.mlp_window (8), core.div_latency (20), core.mul_latency (3),
 //   core.fp_latency (4), core.scoreboard (128)
 //   l1.size_kib (32), l1.assoc (8), l1.latency (3)

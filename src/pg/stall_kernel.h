@@ -20,15 +20,15 @@
 // call sequences for every event; window_energy_j agrees to floating-point
 // tolerance (closed-form products vs per-cycle summation).
 //
-// Checkpoint anchor contract (src/replay/checkpoint.h, docs/MODEL.md §4c):
-// neither kernel carries mutable state ACROSS windows — each resolution is a
-// pure function of (StallEvent, GateDecision, StallKernelParams).  In
-// particular the refresh-occupancy meter is anchored in ABSOLUTE time
-// (windows at multiples of t_refi, same recurrence as Dram::skip_refresh),
-// never in elapsed-since-last-window time.  This is what makes a
-// prefix-resumed controller exact: rebuilding it by feeding the recorded
-// event prefix reproduces byte-identical state, with no hidden phase to
-// restore.  tests/test_checkpoint.cpp falsifies this window by window.
+// Window-independence contract (docs/MODEL.md §4b): neither kernel carries
+// mutable state ACROSS windows — each resolution is a pure function of
+// (StallEvent, GateDecision, StallKernelParams).  In particular the
+// refresh-occupancy meter is anchored in ABSOLUTE time (windows at
+// multiples of t_refi, same recurrence as Dram::skip_refresh), never in
+// elapsed-since-last-window time.  This is what makes a replayed controller
+// exact: feeding it the recorded event sequence reproduces the direct run's
+// gating with no hidden phase between windows.  tests/test_replay.cpp
+// falsifies this cell by cell.
 #pragma once
 
 #include <memory>

@@ -26,23 +26,9 @@ StallTimeline record_timeline_traced(const SimConfig& config,
   tl.config = config;
   tl.record = std::move(reserved);
   tl.profile.name = workload_name;  // stub: replay reads only the name
-  // The hook reads the recorder's sinks live: at capture time they hold
-  // exactly the events resolved so far, which is the prefix a resumed
-  // controller must be fed (SimCheckpoint::windows).  At the warmup
-  // boundary the measured sink is still empty, so the count is the warmup
-  // event total — matching the boundary reset semantics.
-  Simulator::CheckpointHook hook;
-  if (config.checkpoint_stride > 0) {
-    hook = [&tl](const Core& core, const MemoryHierarchy& mem,
-                 std::uint64_t instr_pos, bool in_warmup) {
-      tl.checkpoints.push_back(capture_checkpoint(
-          core, mem, instr_pos, in_warmup,
-          tl.record.warmup_stalls.size() + tl.record.stalls.size()));
-    };
-  }
   tl.reference = std::make_shared<const SimResult>(
-      Simulator(config).run_recorded(trace, workload_name, "none", tl.record,
-                                     hook));
+      Simulator(config).run_recorded(trace, workload_name, "none",
+                                     tl.record));
   MAPG_OBS_COUNTER_INC("sim.replay.timelines");
   return tl;
 }
@@ -106,7 +92,6 @@ const char* timeline_tier_name(TimelineTier tier) {
   switch (tier) {
     case TimelineTier::kReference: return "reference";
     case TimelineTier::kReplay: return "replay";
-    case TimelineTier::kResume: return "resume";
     case TimelineTier::kDirect: return "direct";
   }
   return "direct";
@@ -124,17 +109,7 @@ TimelineOutcome resolve_on_timeline(const StallTimeline& timeline,
   if (replayed.ok) {
     out.tier = TimelineTier::kReplay;
     out.result = std::move(replayed.result);
-    return out;
   }
-  // The prefix before the first penalized window (the last one the failed
-  // replay consumed) is still exact: resume direct simulation from the
-  // latest checkpoint inside it.
-  ResumeOutcome resumed =
-      resume_policy(timeline, policy_spec, replayed.windows - 1);
-  if (!resumed.ok) return out;
-  out.tier = TimelineTier::kResume;
-  out.result = std::move(resumed.result);
-  out.windows_saved = resumed.windows_replayed;
   return out;
 }
 

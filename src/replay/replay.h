@@ -21,15 +21,11 @@
 // Exactness guard: the replayer checks resume == data_ready per window as
 // it goes.  The first penalized window voids the equivalence — a penalty
 // shifts all later timing, refresh alignment, and DRAM state — so the
-// replayer bails out (ReplayOutcome::ok == false).  The cell then need not
-// re-simulate from cycle 0: record_timeline also captures periodic
-// architectural checkpoints, and resume_policy (replay/checkpoint.h)
-// continues direct simulation from the latest checkpoint before the first
-// penalized window.  resolve_on_timeline() owns that order (reference,
-// replay, resume, else direct) for every caller.
+// replayer bails out (ReplayOutcome::ok == false) and the cell is simulated
+// directly from cycle 0 over the recorded trace.  resolve_on_timeline()
+// owns that order (reference, replay, else direct) for every caller.
 // tests/test_replay.cpp proves replay == direct JSON-identical for eligible
-// cells and byte-identical fallback; tests/test_checkpoint.cpp proves the
-// same for prefix-resume at every checkpoint index.
+// cells and byte-identical fallback.
 //
 // Layering: exec -> replay -> core.  Nothing in core depends on replay.
 #pragma once
@@ -37,10 +33,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/sim.h"
-#include "replay/checkpoint.h"
 
 namespace mapg {
 
@@ -52,10 +46,6 @@ struct StallTimeline {
   WorkloadProfile profile;
   RunRecord record;
   std::shared_ptr<const SimResult> reference;
-  /// Architectural checkpoints captured during the recording run, in
-  /// instruction order: one at every config.checkpoint_stride boundary plus
-  /// one at the warmup boundary (post-reset).  Empty when the stride is 0.
-  std::vector<SimCheckpoint> checkpoints;
 };
 
 /// Run the `none` reference once and capture the timeline: the traced
@@ -67,11 +57,11 @@ StallTimeline record_timeline(const SimConfig& config,
 
 /// Trace-source variant: records the reference from any stream (e.g. a
 /// file-trace window in sampled simulation, src/sample).  The timeline's
-/// `profile` is a stub carrying only `workload_name` — replay_policy and
-/// resume_policy consult nothing else (they feed recorded events / the
-/// materialized trace), so every replay tier applies to traced timelines
-/// unchanged.  `reserved` becomes the timeline's record before the run, so
-/// buffers a caller sized with RunRecord::reserve are filled in place.
+/// `profile` is a stub carrying only `workload_name` — replay_policy
+/// consults nothing else (it feeds recorded events), so every tier applies
+/// to traced timelines unchanged.  `reserved` becomes the timeline's record
+/// before the run, so buffers a caller sized with RunRecord::reserve are
+/// filled in place.
 StallTimeline record_timeline_traced(const SimConfig& config,
                                      TraceSource& trace,
                                      const std::string& workload_name,
@@ -89,9 +79,8 @@ struct ReplayOutcome {
 
 /// Replay the timeline under `policy_spec`.  Throws std::invalid_argument
 /// on an unknown spec (same contract as Simulator::run).  Increments the
-/// sim.replay.{windows,cells} obs counters; fallback accounting is the
-/// caller's job (it alone knows whether a prefix-resume saved the cell or
-/// a full from-zero simulation was needed — sim.replay.full_fallbacks).
+/// sim.replay.{windows,cells} obs counters; fallback accounting
+/// (sim.replay.full_fallbacks) is the caller's job.
 ReplayOutcome replay_policy(const StallTimeline& timeline,
                             const std::string& policy_spec);
 
@@ -99,27 +88,24 @@ ReplayOutcome replay_policy(const StallTimeline& timeline,
 enum class TimelineTier : std::uint8_t {
   kReference,  ///< `none`: the recorded reference run itself
   kReplay,     ///< every window penalty-free (replay_policy)
-  kResume,     ///< resumed from the latest checkpoint before the first
-               ///< penalized window (resume_policy)
   kDirect,     ///< no exact tier: the caller must simulate directly
 };
 
-/// Lower-case tier name ("reference", "replay", "resume", "direct") for
-/// trace spans and logs.
+/// Lower-case tier name ("reference", "replay", "direct") for trace spans
+/// and logs.
 const char* timeline_tier_name(TimelineTier tier);
 
 struct TimelineOutcome {
   TimelineTier tier = TimelineTier::kDirect;
-  SimResult result;                 ///< valid unless tier == kDirect
-  std::uint64_t windows_saved = 0;  ///< kResume: prefix events not simulated
+  SimResult result;  ///< valid unless tier == kDirect
 };
 
 /// The tier ladder for one cell on a recorded timeline, shared by every
 /// caller that holds one (ExperimentEngine::run_group, the server's
 /// TieredExecutor, SampledRunner): the reference for `none`, else an exact
-/// replay, else a prefix-resume, else kDirect.  Every answered result is
-/// bit-identical to a direct run; each caller keeps its own accounting and
-/// its own direct step.  Throws std::invalid_argument on an unknown spec.
+/// replay, else kDirect.  Every answered result is bit-identical to a
+/// direct run; each caller keeps its own accounting and its own direct
+/// step.  Throws std::invalid_argument on an unknown spec.
 TimelineOutcome resolve_on_timeline(const StallTimeline& timeline,
                                     const std::string& policy_spec);
 

@@ -5,7 +5,7 @@
 // runner.h): a deterministic function of (trace content, SampleConfig) that
 // decides WHICH instruction windows get simulated and how much whole-trace
 // weight each one carries.  docs/TRACE.md §Sampling derives the math;
-// MODEL.md §4d states what the result does and does not claim.
+// MODEL.md §4c states what the result does and does not claim.
 //
 // Degenerate guard: when the requested cluster count reaches the region
 // count there is nothing to save, and approximating would only cost

@@ -5,13 +5,13 @@
 // timeline over the representative's trace window — warmup clamped to the
 // prefix available before the region — and then serves each requested
 // policy through the SAME tier ladder the experiment engine and the server
-// use (resolve_on_timeline: reference -> exact replay -> checkpoint
-// prefix-resume), falling back to direct simulation over the materialized
-// window.  Recordings and cells run on up to --jobs workers through
-// exec's claim loop (for_each_claimed, exec/thread_pool.h) on one pool the
-// runner keeps; each worker reads through its own digest-checking reader,
-// and the projection sums per-cluster results in cluster order after the
-// join, so a result never depends on the worker count.  Where --jobs
+// use (resolve_on_timeline: reference -> exact replay), falling back to
+// direct simulation over the materialized window.  Recordings and cells
+// run on up to --jobs workers through exec's claim loop (for_each_claimed,
+// exec/thread_pool.h) on one pool the runner keeps; each worker reads
+// through its own digest-checking reader, and the projection sums
+// per-cluster results in cluster order after the join, so a result never
+// depends on the worker count.  Where --jobs
 // leaves threads over, a recording's window is read and digest-checked
 // ahead of its core by a helper from the same pool
 // (trace/staged_source.h).  Per-representative results are

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include <netdb.h>
@@ -206,8 +207,20 @@ void ServeServer::accept_loop() {
     }
     MAPG_OBS_COUNTER_INC("serve.connections");
     MAPG_OBS_ONLY(MAPG_OBS_GAUGE_ADD("serve.connections.open", 1);)
-    std::thread(&ServeServer::handle_connection, this, std::move(conn))
-        .detach();
+    try {
+      std::thread(&ServeServer::handle_connection, this, conn).detach();
+    } catch (const std::system_error&) {
+      // No thread to serve it: drop this connection, give back what it was
+      // counted as, and keep accepting.
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        conns_.erase(conn);
+        --active_conns_;
+        MAPG_OBS_ONLY(MAPG_OBS_GAUGE_ADD("serve.connections.open", -1);)
+        state_cv_.notify_all();
+      }
+      ::close(fd);
+    }
   }
 }
 
@@ -392,7 +405,6 @@ Frame ServeServer::handle_stats() {
   serve["timelines_recorded"] = Json::number(ss.timelines_recorded);
   serve["timelines_reused"] = Json::number(ss.timelines_reused);
   serve["replay_fallbacks"] = Json::number(ss.replay_fallbacks);
-  serve["replay_prefix_resumes"] = Json::number(ss.replay_prefix_resumes);
   serve["timelines_cached"] = Json::number(tiered_->timelines_cached());
   doc["serve"] = std::move(serve);
 

@@ -44,8 +44,7 @@ TieredExecutor::TieredExecutor(ExperimentEngine& engine,
          {"serve.cells", "serve.coalesced", "serve.hit.hot",
           "serve.hit.cache", "serve.hit.replay", "serve.compute",
           "serve.errors", "serve.timeline.recorded",
-          "serve.timeline.reused", "serve.replay.fallbacks",
-          "serve.replay.prefix_resumes"})
+          "serve.timeline.reused", "serve.replay.fallbacks"})
       reg.counter(name);
   })
 }
@@ -113,21 +112,11 @@ ServeOutcome TieredExecutor::resolve(const ExperimentJob& job,
         spec_error = true;  // bad spec — the direct path reports it
       }
       if (exact.tier != TimelineTier::kDirect) {
-        if (exact.tier == TimelineTier::kResume) {
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.replay_prefix_resumes;
-          }
-          MAPG_OBS_COUNTER_INC("serve.replay.prefix_resumes");
-        }
         out.job.result = engine_.cache().store(key, std::move(exact.result));
         out.job.ok = true;
-        out.job.from_replay = exact.tier != TimelineTier::kResume;
-        out.job.from_resume = exact.tier == TimelineTier::kResume;
+        out.job.from_replay = true;
         out.job.wall_ms = now_ms() - t0;
-        // A resume is a (shortened) simulation, not a replay.
-        out.tier = exact.tier == TimelineTier::kResume ? Tier::kCompute
-                                                       : Tier::kReplay;
+        out.tier = Tier::kReplay;
         return out;
       }
       if (!spec_error) {
@@ -137,8 +126,8 @@ ServeOutcome TieredExecutor::resolve(const ExperimentJob& job,
         }
         MAPG_OBS_COUNTER_INC("serve.replay.fallbacks");
       }
-      // Full fallback (or bad spec): direct simulation from cycle 0 over
-      // the shared trace buffer — bit-identical to a generator-fed run.
+      // Fallback (or bad spec): direct simulation from cycle 0 over the
+      // shared trace buffer — bit-identical to a generator-fed run.
       out.job = engine_.run_one_traced(job, timeline->record.trace);
       out.tier = out.job.ok ? Tier::kCompute : Tier::kError;
       return out;

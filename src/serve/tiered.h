@@ -13,8 +13,7 @@
 // and any later request whose cell belongs to the same group — tomorrow's
 // query for a new policy on a known platform — climbs the shared tier
 // ladder (resolve_on_timeline, replay/replay.h) instead of simulating:
-// replay, else resume from the timeline's latest checkpoint before the
-// first penalized window, else a from-zero run over the shared trace buffer
+// replay, else a from-zero run over the shared trace buffer
 // (exec::run_one_traced).  Every tier preserves the bit-identity contract:
 // it returns the same bytes a batch ExperimentEngine run would
 // (tests/test_serve.cpp, CI serve smoke).
@@ -62,12 +61,9 @@ struct ServeStats {
   std::uint64_t errors = 0;
   std::uint64_t timelines_recorded = 0;
   std::uint64_t timelines_reused = 0;
-  /// Replays abandoned on a penalized window that fell back to a FULL
-  /// direct simulation from cycle 0.
+  /// Replays abandoned on a penalized window that fell back to a direct
+  /// simulation from cycle 0.
   std::uint64_t replay_fallbacks = 0;
-  /// Replays abandoned on a penalized window that instead resumed direct
-  /// simulation from an architectural checkpoint (replay/checkpoint.h).
-  std::uint64_t replay_prefix_resumes = 0;
 };
 
 struct TieredOptions {

@@ -80,8 +80,7 @@ bool write_trace_file_v2(const std::string& path, TraceSource& source,
 ///  - next() returns false exactly at clean end-of-trace (info().records
 ///    instructions served) and throws std::runtime_error on a short read or
 ///    a chunk whose payload digest does not match its index entry;
-///  - seek() past the end clamps to the end (next() then returns false),
-///    matching SharedTraceView::seek.
+///  - seek() past the end clamps to the end (next() then returns false).
 class FileTraceSource final : public TraceSource {
  public:
   explicit FileTraceSource(const std::string& path);

@@ -73,15 +73,6 @@ class SharedTraceView final : public TraceSource {
   }
   void reset() override { pos_ = 0; }
 
-  /// Position the cursor at an absolute instruction index (clamped to the
-  /// buffer end).  Prefix-resume (src/replay/checkpoint.h) uses this to
-  /// continue a run from a checkpoint's trace position instead of replaying
-  /// the prefix through the core.
-  void seek(std::uint64_t pos) {
-    pos_ = pos < instrs_->size() ? pos : instrs_->size();
-  }
-  std::uint64_t pos() const { return pos_; }
-
   std::uint64_t size() const { return instrs_->size(); }
 
  private:

@@ -211,70 +211,5 @@ TEST(Cache, LargeRealisticGeometry) {
   EXPECT_EQ(c.stats().read_hits, 0u);
 }
 
-void expect_same_state(const Cache::State& a, const Cache::State& b) {
-  ASSERT_EQ(a.lines.size(), b.lines.size());
-  for (std::size_t i = 0; i < a.lines.size(); ++i) {
-    EXPECT_EQ(a.lines[i].tag, b.lines[i].tag) << i;
-    EXPECT_EQ(a.lines[i].valid, b.lines[i].valid) << i;
-    EXPECT_EQ(a.lines[i].dirty, b.lines[i].dirty) << i;
-    EXPECT_EQ(a.lines[i].prefetched, b.lines[i].prefetched) << i;
-    EXPECT_EQ(a.lines[i].lru_stamp, b.lines[i].lru_stamp) << i;
-  }
-  EXPECT_EQ(a.plru_bits, b.plru_bits);
-  EXPECT_EQ(a.stamp, b.stamp);
-  EXPECT_EQ(a.victim_prng, b.victim_prng);
-  EXPECT_EQ(a.stats.accesses(), b.stats.accesses());
-  EXPECT_EQ(a.stats.evictions, b.stats.evictions);
-  EXPECT_EQ(a.stats.writebacks, b.stats.writebacks);
-  EXPECT_EQ(a.stats.prefetch_fills, b.stats.prefetch_fills);
-}
-
-TEST(Cache, ExportImportRoundTripsLineStateAndVictim) {
-  // 4 sets x 4 ways.  Set 1 ends up full with a dirty line, a prefetched
-  // line and two clean ones in a known LRU order; set 2 is half full.
-  const CacheConfig cfg{.name = "rt", .size_bytes = 1024, .assoc = 4,
-                        .line_bytes = 64, .hit_latency = 3};
-  auto at = [](std::uint64_t set, std::uint64_t tag) {
-    return make_addr(set, tag);
-  };
-  Cache a(cfg);
-  a.access(at(1, 2), false);
-  a.access(at(1, 0), true);  // dirty
-  a.fill(at(1, 1));          // prefetched
-  a.access(at(1, 3), false);
-  a.access(at(1, 2), false);  // LRU order now: 0 (dirty), 1, 3, 2
-  a.access(at(2, 0), false);
-  a.access(at(2, 1), true);
-
-  const Cache::State s1 = a.export_state();
-  // Line i of the export is way i % assoc of set i / assoc.
-  const Cache::Line& dirty = s1.lines[1 * 4 + 1];
-  EXPECT_EQ(dirty.tag, at(1, 0) >> 6);
-  EXPECT_TRUE(dirty.valid && dirty.dirty && !dirty.prefetched);
-  const Cache::Line& pf = s1.lines[1 * 4 + 2];
-  EXPECT_TRUE(pf.valid && pf.prefetched && !pf.dirty);
-  EXPECT_FALSE(s1.lines[2 * 4 + 2].valid);
-  EXPECT_LT(dirty.lru_stamp, pf.lru_stamp);
-
-  Cache b(cfg);
-  b.import_state(s1);
-  expect_same_state(s1, b.export_state());
-
-  // Both copies evict the same victim: the dirty LRU line of set 1 ...
-  for (Cache* c : {&a, &b}) {
-    const Cache::AccessResult r = c->access(at(1, 4), false);
-    EXPECT_FALSE(r.hit);
-    EXPECT_TRUE(r.writeback);
-    EXPECT_EQ(r.writeback_addr, at(1, 0));
-    EXPECT_FALSE(c->contains(at(1, 0)));
-    // ... consume the prefetch bit on the first demand hit ...
-    EXPECT_TRUE(c->access(at(1, 1), false).hit_on_prefetched);
-    // ... and fill an invalid way of set 2 without evicting anything.
-    EXPECT_FALSE(c->access(at(2, 2), false).writeback);
-    EXPECT_EQ(c->stats().evictions, 1u);
-  }
-  expect_same_state(a.export_state(), b.export_state());
-}
-
 }  // namespace
 }  // namespace mapg

@@ -112,15 +112,26 @@ TEST(ConfigApply, MulticoreKeysAcceptedBySimWithoutWarning) {
   EXPECT_TRUE(unknown.empty());
 }
 
-TEST(ConfigApply, CheckpointStrideFlag) {
-  KvConfig kv;
-  kv.set("checkpoint-stride", "5000");
-  std::vector<std::string> unknown;
-  const SimConfig cfg = apply_sim_config(kv, SimConfig{}, &unknown);
-  EXPECT_TRUE(unknown.empty());
-  EXPECT_EQ(cfg.checkpoint_stride, 5000u);
-  EXPECT_EQ(apply_sim_config(KvConfig{}).checkpoint_stride,
-            SimConfig{}.checkpoint_stride);
+// The stall-kernel switch is a test oracle (tests/test_differential.cpp
+// sets the field directly), not a config key, and there is no checkpoint
+// stride: each spelling is reported like a typo and changes nothing.
+TEST(ConfigApply, RemovedKeysAreUnknown) {
+  for (const char* key :
+       {"checkpoint-stride", "fast-forward", "fast_forward"}) {
+    KvConfig kv;
+    kv.set(key, "0");
+    std::vector<std::string> unknown;
+    const SimConfig cfg = apply_sim_config(kv, SimConfig{}, &unknown);
+    ASSERT_EQ(unknown.size(), 1u) << key;
+    EXPECT_EQ(unknown[0], key);
+    EXPECT_TRUE(cfg.fast_forward) << key;
+    unknown.clear();
+    const MulticoreConfig mc =
+        apply_multicore_config(kv, MulticoreConfig{}, &unknown);
+    ASSERT_EQ(unknown.size(), 1u) << key;
+    EXPECT_EQ(unknown[0], key);
+    EXPECT_TRUE(mc.fast_forward) << key;
+  }
 }
 
 TEST(ConfigApply, DramPowerAliasYieldsToExplicitMode) {

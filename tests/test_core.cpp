@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/prng.h"
 #include "cpu/core.h"
 #include "mem/hierarchy.h"
 #include "trace/trace_io.h"
@@ -371,97 +370,6 @@ TEST(Core, CyclesDecomposeIntoBusyAndIdle) {
   const CoreStats& s = core.stats();
   EXPECT_EQ(s.busy_cycles() + s.idle_cycles(), s.cycles);
   EXPECT_EQ(s.penalty_cycles, 10u * s.stalls_dram);
-}
-
-/// Random loads (dep_dist up to window - 1), stores, divides and ALU ops
-/// over a 64 KiB footprint: plenty of DRAM fills and pending blockers.
-std::vector<Instr> random_program(std::size_t n, std::uint16_t max_dep) {
-  Prng prng(37);
-  std::vector<Instr> prog;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t kind = prng.below(20);
-    const Addr a = prng.below(1024) * 64;
-    if (kind < 8)
-      prog.push_back(load(a, static_cast<std::uint16_t>(
-                                 prng.below(max_dep + 1ULL))));
-    else if (kind < 10)
-      prog.push_back(Instr{.op = OpClass::kStore, .addr = a});
-    else if (kind == 10)
-      prog.push_back(Instr{.op = OpClass::kDiv});
-    else
-      prog.push_back(alu());
-  }
-  return prog;
-}
-
-void expect_same_events(const std::vector<StallEvent>& a,
-                        const std::vector<StallEvent>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].start, b[i].start) << i;
-    EXPECT_EQ(a[i].data_ready, b[i].data_ready) << i;
-    EXPECT_EQ(a[i].commit, b[i].commit) << i;
-    EXPECT_EQ(a[i].estimate, b[i].estimate) << i;
-    EXPECT_EQ(a[i].dram, b[i].dram) << i;
-    EXPECT_EQ(a[i].reason, b[i].reason) << i;
-  }
-}
-
-TEST(Core, ResumeFromExportedStateMatchesUninterruptedRun) {
-  // An odd scoreboard window, and a cut point that is not a multiple of it
-  // (1000 % 37 == 1): the resumed core must find every pending blocker in
-  // the slot the uninterrupted core would have used.
-  CoreConfig cfg;
-  cfg.scoreboard_window = 37;
-  const std::vector<Instr> prog = random_program(4000, 36);
-  const std::size_t cut = 1000;
-
-  MemoryHierarchy mem_ref(tiny_mem());
-  RecordingHandler h_ref;
-  Core ref(cfg, mem_ref, &h_ref);
-  VectorTraceSource src_ref(prog);
-  ref.run(src_ref, prog.size());
-
-  MemoryHierarchy mem_a(tiny_mem());
-  RecordingHandler h_a;
-  Core a(cfg, mem_a, &h_a);
-  VectorTraceSource src(prog);
-  a.run(src, cut);
-  const Core::State cs = a.export_state();
-  const MemoryHierarchy::State ms = mem_a.export_state();
-  std::size_t pending = 0;
-  for (const Core::Blocker& b : cs.scoreboard)
-    if (b.ready != kNoCycle && b.ready > cs.now) ++pending;
-  ASSERT_GT(pending, 0u) << "the cut must leave blockers in the scoreboard";
-
-  MemoryHierarchy mem_b(tiny_mem());
-  mem_b.import_state(ms);
-  RecordingHandler h_b;
-  Core b(cfg, mem_b, &h_b);
-  b.import_state(cs);
-  b.run(src, prog.size() - cut);
-
-  std::vector<StallEvent> resumed = h_a.events;
-  resumed.insert(resumed.end(), h_b.events.begin(), h_b.events.end());
-  expect_same_events(h_ref.events, resumed);
-  EXPECT_EQ(b.now(), ref.now());
-  EXPECT_EQ(b.stats().instrs, ref.stats().instrs);
-  EXPECT_EQ(b.stats().cycles, ref.stats().cycles);
-  EXPECT_EQ(b.stats().stall_cycles_dram, ref.stats().stall_cycles_dram);
-  EXPECT_EQ(b.stats().stall_cycles_other, ref.stats().stall_cycles_other);
-  EXPECT_EQ(b.stats().mlp_limit_stalls, ref.stats().mlp_limit_stalls);
-  EXPECT_EQ(mem_b.stats().merged, mem_ref.stats().merged);
-  EXPECT_EQ(mem_b.stats().dram_fills, mem_ref.stats().dram_fills);
-
-  const Core::State want = ref.export_state();
-  const Core::State got = b.export_state();
-  EXPECT_EQ(got.next_id, want.next_id);
-  ASSERT_EQ(got.scoreboard.size(), want.scoreboard.size());
-  for (std::size_t i = 0; i < want.scoreboard.size(); ++i) {
-    EXPECT_EQ(got.scoreboard[i].ready, want.scoreboard[i].ready) << i;
-    EXPECT_EQ(got.scoreboard[i].commit, want.scoreboard[i].commit) << i;
-    EXPECT_EQ(got.scoreboard[i].dram, want.scoreboard[i].dram) << i;
-  }
 }
 
 }  // namespace

@@ -191,14 +191,14 @@ TEST(Sched, WritesArePostedNotServiced) {
   EXPECT_EQ(r.completion, Cycle{1000});  // placeholder: posted, not serviced
   EXPECT_EQ(d.stats().writes, 0u);       // not issued yet
   EXPECT_EQ(d.stats().writes_queued, 1u);
-  EXPECT_EQ(d.export_state().channels[0].write_queue.size(), 1u);
+  EXPECT_EQ(d.write_queue(0).size(), 1u);
 
   d.drain_writes(2000);
   EXPECT_EQ(d.stats().writes, 1u);
   EXPECT_EQ(d.stats().writes_drained, 1u);
   EXPECT_EQ(d.stats().write_wait_cycles, 1000u);
   EXPECT_EQ(d.stats().write_wait_max, 1000u);
-  EXPECT_EQ(d.export_state().channels[0].write_queue.size(), 0u);
+  EXPECT_EQ(d.write_queue(0).size(), 0u);
 }
 
 // FR-FCFS core ordering: a read that misses the open row lets row-hitting
@@ -215,7 +215,7 @@ TEST(Sched, RowHitWritesIssueBeforeAMissingRead) {
   // Post one write that hits the open row and one that does not.
   d.access(make_line(c, 0, 0, 5, /*col=*/1), true, 2000);  // row hit
   d.access(make_line(c, 0, 1, 9), true, 2000);             // bank 1: closed
-  ASSERT_EQ(d.export_state().channels[0].write_queue.size(), 2u);
+  ASSERT_EQ(d.write_queue(0).size(), 2u);
 
   // A read to a DIFFERENT row of bank 0 misses -> the row-hitting write
   // issues first (as a row hit), the non-hitting write stays queued.
@@ -224,11 +224,10 @@ TEST(Sched, RowHitWritesIssueBeforeAMissingRead) {
   d.access(make_line(c, 0, 0, 6), false, 3000);
   EXPECT_EQ(d.stats().writes, writes_before + 1);
   EXPECT_EQ(d.stats().row_hits, hits_before + 1);  // the write hit row 5
-  const Dram::State st = d.export_state();
-  ASSERT_EQ(st.channels[0].write_queue.size(), 1u);
+  ASSERT_EQ(d.write_queue(0).size(), 1u);
   std::uint32_t wch = 0, wbank = 0;
   std::uint64_t wrow = 0;
-  d.map_address(st.channels[0].write_queue[0].line_addr, wch, wbank, wrow);
+  d.map_address(d.write_queue(0)[0].line_addr, wch, wbank, wrow);
   EXPECT_EQ(wbank, 1u);  // the closed-bank write is the one left behind
   EXPECT_EQ(d.stats().writes_starved, 0u);  // ordering, not the bound
 }
@@ -248,7 +247,7 @@ TEST(Sched, RowHitReadDoesNotWaitForQueuedWrites) {
   const std::uint64_t writes_before = d.stats().writes;
   d.access(make_line(c, 0, 0, 5, /*col=*/2), false, 3000);
   EXPECT_EQ(d.stats().writes, writes_before);
-  EXPECT_EQ(d.export_state().channels[0].write_queue.size(), 1u);
+  EXPECT_EQ(d.write_queue(0).size(), 1u);
 }
 
 TEST(Sched, OverflowForcesTheOldestWriteOut) {
@@ -264,8 +263,7 @@ TEST(Sched, OverflowForcesTheOldestWriteOut) {
   EXPECT_EQ(d.stats().writes_overflowed, 1u);
   EXPECT_EQ(d.stats().writes, 1u);  // the forced issue
 
-  const Dram::State st = d.export_state();
-  const auto& q = st.channels[0].write_queue;
+  const auto& q = d.write_queue(0);
   ASSERT_EQ(q.size(), 2u);
   EXPECT_EQ(q[0].enqueued, Cycle{1100});  // the t=1000 write was evicted
   EXPECT_EQ(q[1].enqueued, Cycle{1200});
@@ -284,8 +282,8 @@ TEST(Sched, SettlePowerDrainsTheQueue) {
   d.settle_power(5000);  // every snapshot point in the run loop calls this
   EXPECT_EQ(d.stats().writes, 5u);
   EXPECT_EQ(d.stats().writes_drained, 5u);
-  const Dram::State st = d.export_state();
-  for (const auto& ch : st.channels) EXPECT_TRUE(ch.write_queue.empty());
+  for (std::uint32_t ch = 0; ch < c.channels; ++ch)
+    EXPECT_TRUE(d.write_queue(ch).empty()) << ch;
 }
 
 TEST(Sched, DrainIsANoOpAtDepthZero) {
@@ -318,8 +316,7 @@ TEST(Sched, StarvationBoundHolds) {
       d.access(line, true, now);
     } else {
       d.access(line, false, now);
-      const Dram::State st = d.export_state();
-      for (const auto& w : st.channels[0].write_queue)
+      for (const Dram::PendingWrite& w : d.write_queue(0))
         ASSERT_LT(now - w.enqueued, c.write_starve_limit);
     }
   }
@@ -332,30 +329,6 @@ TEST(Sched, StarvationBoundHolds) {
             s.writes);  // nothing lost, nothing double-issued
   EXPECT_GE(s.write_wait_max, 1u);
   EXPECT_LE(s.write_queue_peak, static_cast<std::uint64_t>(c.queue_depth) + 1);
-}
-
-// Checkpoint-shaped round trip: export with writes in flight, import into a
-// fresh Dram, and the replayed future (drain + reads) is bit-identical.
-TEST(Sched, ExportImportPreservesPendingWrites) {
-  DramConfig c;
-  c.channels = 1;
-  c.queue_depth = 8;
-  Dram a(c);
-  a.access(make_line(c, 0, 0, 5), false, 1000);
-  a.access(make_line(c, 0, 1, 7), true, 1500);
-  a.access(make_line(c, 0, 2, 9), true, 1600);
-
-  Dram b(c);
-  b.import_state(a.export_state());
-
-  const DramResult ra = a.access(make_line(c, 0, 1, 8), false, 2500);
-  const DramResult rb = b.access(make_line(c, 0, 1, 8), false, 2500);
-  EXPECT_EQ(ra.completion, rb.completion);
-  EXPECT_EQ(ra.outcome, rb.outcome);
-  a.settle_power(4000);
-  b.settle_power(4000);
-  EXPECT_EQ(a.stats().writes, b.stats().writes);
-  EXPECT_EQ(a.stats().write_wait_cycles, b.stats().write_wait_cycles);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -444,8 +447,8 @@ TEST(ExperimentEngine, ThrowingJobReportedWithoutTearingDownSweep) {
 
 TEST(ExperimentEngine, FrontEndHelpersStayWithinJobs) {
   // sim.frontend.{staged,inline} count one run each.  --jobs=1 never
-  // starts a helper, and neither does a sweep whose groups fill --jobs;
-  // a single cell with a thread over does, with the same bytes.
+  // starts a helper, and neither do tasks that fill --jobs while they all
+  // run; a single cell with a thread over does, with the same bytes.
   auto& reg = obs::MetricsRegistry::instance();
   const auto staged = [&reg] {
     return reg.counter("sim.frontend.staged").value();
@@ -473,10 +476,44 @@ TEST(ExperimentEngine, FrontEndHelpersStayWithinJobs) {
   i0 = inline_runs();
   const SweepResult swept = ExperimentEngine(opts).run_sweep(sweep);
   for (const JobOutcome& o : swept.outcomes) EXPECT_TRUE(o.ok) << o.error;
-  EXPECT_EQ(staged(), s0);
-  EXPECT_EQ(inline_runs(), i0 + 2 * counted);  // the groups' recordings
+  // One front-end per group recording.  The first group reads inline (both
+  // slots are held when it starts); the second stages only if a worker
+  // finished the first before the other worker took the second, since one
+  // task left is fewer than --jobs.
+  EXPECT_EQ(staged() + inline_runs(), s0 + i0 + 2 * counted);
+  EXPECT_LE(staged(), s0 + counted);
 
+  // Two tasks that wait for each other before and after their runs hold
+  // both slots throughout, so neither run may take a helper.
   ExperimentEngine two(opts);
+  std::mutex meet_mu;
+  std::condition_variable meet_cv;
+  int arrived = 0;
+  const auto meet = [&](int everyone) {
+    std::unique_lock<std::mutex> lk(meet_mu);
+    ++arrived;
+    meet_cv.notify_all();
+    return meet_cv.wait_for(lk, std::chrono::seconds(30),
+                            [&] { return arrived >= everyone; });
+  };
+  JobOutcome pair[2];
+  bool met[2] = {false, false};
+  s0 = staged();
+  i0 = inline_runs();
+  two.parallel_for(2, [&](std::size_t i) {
+    met[i] = meet(2);
+    pair[i] = two.run_one(jobs[i]);
+    met[i] = meet(4) && met[i];
+  });
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(met[i]) << "task " << i << " never overlapped the other";
+    ASSERT_TRUE(pair[i].ok) << pair[i].error;
+    EXPECT_EQ(result_to_json(*pair[i].result).dump(),
+              result_to_json(*serial[i].result).dump());
+  }
+  EXPECT_EQ(staged(), s0);
+  EXPECT_EQ(inline_runs(), i0 + 2 * counted);
+
   s0 = staged();
   const JobOutcome one = two.run_one(jobs[2]);
   ASSERT_TRUE(one.ok);

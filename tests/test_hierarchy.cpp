@@ -2,7 +2,6 @@
 // routing, MSHR merging, and the estimate/commit information contract.
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "mem/hierarchy.h"
@@ -174,53 +173,6 @@ TEST(Hierarchy, EstimateIsOptimisticUnderContention) {
     ++t;
   }
   EXPECT_GT(dram_count, 32);
-}
-
-void expect_same(const MemAccessResult& a, const MemAccessResult& b) {
-  EXPECT_EQ(a.complete, b.complete);
-  EXPECT_EQ(a.commit, b.commit);
-  EXPECT_EQ(a.estimate, b.estimate);
-  EXPECT_EQ(a.served_by, b.served_by);
-  EXPECT_EQ(a.merged, b.merged);
-  EXPECT_EQ(a.prefetched, b.prefetched);
-}
-
-TEST(Hierarchy, ExportWithFillsInFlightMergesLikeTheOriginal) {
-  HierarchyConfig cfg = small_hierarchy();
-  cfg.prefetch.enable = true;  // prefetch fills join the merge table too
-  MemoryHierarchy a(cfg);
-  // Demand misses on four rows, plus two on a stream that make the
-  // prefetcher launch the stream's next two lines; all still in flight.
-  Cycle t = 1000;
-  for (Addr row = 0; row < 4; ++row) a.load(row * 16384, t++);
-  for (Addr line = 0; line < 2; ++line) a.load(65536 + line * 64, t++);
-  const MemoryHierarchy::State s = a.export_state();
-  ASSERT_GE(s.inflight.size(), 8u);
-
-  MemoryHierarchy b(cfg);
-  b.import_state(s);
-  const Cycle first_done = s.inflight.front().second.complete;
-  const std::vector<std::pair<Addr, Cycle>> later = {
-      {8, t},                      // merges a demand fill
-      {16384 + 8, t + 1},          // another one
-      {65536 + 2 * 64, t + 2},     // a line the stream prefetched
-      {5 * 16384, t + 3},          // a new miss
-      {2 * 16384, first_done},     // some fills have returned by now
-      {65536 + 3 * 64, first_done + 1},
-  };
-  for (const auto& [addr, when] : later) {
-    EXPECT_EQ(a.line_in_flight(addr), b.line_in_flight(addr)) << addr;
-    expect_same(a.load(addr, when), b.load(addr, when));
-  }
-  expect_same(a.store(3 * 16384, first_done + 2),
-              b.store(3 * 16384, first_done + 2));
-  EXPECT_GT(b.stats().merged, s.stats.merged);
-  EXPECT_GT(b.stats().prefetch_merges, s.stats.prefetch_merges);
-  EXPECT_EQ(a.stats().merged, b.stats().merged);
-  EXPECT_EQ(a.stats().prefetch_merges, b.stats().prefetch_merges);
-  EXPECT_EQ(a.stats().dram_fills, b.stats().dram_fills);
-  EXPECT_EQ(a.dram_stats().reads, b.dram_stats().reads);
-  EXPECT_EQ(a.export_state().inflight.size(), b.export_state().inflight.size());
 }
 
 }  // namespace

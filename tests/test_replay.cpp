@@ -131,10 +131,8 @@ TEST(Replay, ObsCountersAdvance) {
   const std::uint64_t counted = obs::kCompiledIn ? 1 : 0;
   EXPECT_EQ(reg.counter("sim.replay.timelines").value(), tls0 + counted);
   EXPECT_EQ(reg.counter("sim.replay.cells").value(), cells0 + counted);
-  // Fallback accounting moved to the callers (engine / serve layers),
-  // which know whether the failed replay became a checkpoint resume or a
-  // full from-zero fallback; replay_policy itself reports failure only
-  // through its return value.
+  // Fallback accounting belongs to the callers (engine / serve layers);
+  // replay_policy itself reports failure only through its return value.
   EXPECT_EQ(reg.counter("sim.replay.full_fallbacks").value(), fb0);
 }
 
@@ -172,12 +170,67 @@ TEST(Replay, EngineSweepWithFallbacksIsByteIdentical) {
 
   EXPECT_EQ(replay.stats().timelines_recorded, sweep.workloads.size());
   EXPECT_GT(replay.stats().jobs_replayed, 0u);
-  EXPECT_GT(replay.stats().replay_fallbacks, 0u);
+  // Both penalized policies fall back on both workloads, each from cycle 0.
+  EXPECT_EQ(replay.stats().replay_fallbacks, 2 * sweep.workloads.size());
   // Fallback cells re-simulate over the shared trace buffer; together with
   // the reference recordings they account for every non-replayed cell.
   EXPECT_EQ(replay.stats().jobs_run + replay.stats().jobs_replayed,
             sweep.workloads.size() * sweep.policy_specs.size());
   EXPECT_EQ(direct.stats().jobs_replayed, 0u);
+}
+
+TEST(Replay, EngineFallsBackToDirectOnAnEarlyPenalty) {
+  // idle-timeout:64 penalizes within the first few windows of a high-miss
+  // config (small caches): the engine must take exactly one full from-zero
+  // fallback for that cell and still match the replay-disabled engine
+  // byte-for-byte.
+  SweepSpec sweep;
+  sweep.base.instructions = 12'000;
+  sweep.base.warmup_instructions = 3'000;
+  sweep.base.mem.l1d.size_bytes = 4 * 1024;
+  sweep.base.mem.l1d.assoc = 4;
+  sweep.base.mem.l2.size_bytes = 32 * 1024;
+  sweep.base.mem.l2.assoc = 8;
+  sweep.workloads = {*find_profile("mcf-like")};
+  sweep.policy_specs = {"none", "idle-timeout:64"};
+
+  ExecOptions opt;
+  opt.use_disk_cache = false;
+  opt.use_replay = false;
+  ExperimentEngine direct(opt);
+  const SweepResult a = direct.run_sweep(sweep);
+  opt.use_replay = true;
+  ExperimentEngine replay(opt);
+  const SweepResult b = replay.run_sweep(sweep);
+
+  ASSERT_TRUE(a.at(0, 0, 1).ok && b.at(0, 0, 1).ok);
+  EXPECT_EQ(dump(*a.at(0, 0, 1).result), dump(*b.at(0, 0, 1).result));
+  EXPECT_EQ(replay.stats().replay_fallbacks, 1u);
+  EXPECT_EQ(replay.stats().jobs_replayed, 0u);
+}
+
+TEST(Replay, LadderLandsOnEachTier) {
+  // resolve_on_timeline, the ladder the engine, the server and the sampler
+  // share: on one timeline, one policy per outcome, and every answered
+  // result byte-identical to a direct run.
+  const SimConfig cfg = small_config(42);
+  const WorkloadProfile* p = find_profile("mcf-like");
+  ASSERT_NE(p, nullptr);
+  const StallTimeline tl = record_timeline(cfg, *p);
+  const struct {
+    const char* spec;
+    TimelineTier tier;
+  } cases[] = {{"none", TimelineTier::kReference},
+               {"mapg", TimelineTier::kReplay},
+               {"idle-timeout:64", TimelineTier::kDirect}};
+  for (const auto& c : cases) {
+    const TimelineOutcome out = resolve_on_timeline(tl, c.spec);
+    EXPECT_EQ(out.tier, c.tier) << c.spec;
+    if (out.tier == TimelineTier::kDirect) continue;
+    EXPECT_EQ(dump(out.result), dump(Simulator(cfg).run(*p, c.spec)))
+        << c.spec;
+  }
+  EXPECT_THROW(resolve_on_timeline(tl, "not-a-policy"), std::invalid_argument);
 }
 
 // The replay tiers read every recorded window back through StallSeries, so

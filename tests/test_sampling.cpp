@@ -864,18 +864,10 @@ struct PhasedPlan {
   SamplePlan plan;
 };
 
-/// Checkpoints every 5000 instructions, so a penalized policy can resume
-/// inside a 35k-instruction window instead of simulating it from scratch.
-SimConfig window_config() {
-  SimConfig cfg = sim_config();
-  cfg.checkpoint_stride = 5'000;
-  return cfg;
-}
-
 TEST(SampledRun, ConcurrentRepresentativesAreIdenticalForEveryJobsCount) {
   // `none` takes the reference, `mapg` replays, and `idle-timeout:64` is
-  // penalized, so it resumes from a checkpoint or simulates directly: every
-  // tier runs on the workers, and no result may depend on how many.
+  // penalized, so it simulates directly: every tier runs on the workers,
+  // and no result may depend on how many.
   const PhasedPlan t;
   ASSERT_FALSE(t.plan.exhaustive);
   ASSERT_GE(t.plan.clusters.size(), 4u);
@@ -884,7 +876,7 @@ TEST(SampledRun, ConcurrentRepresentativesAreIdenticalForEveryJobsCount) {
   std::vector<SampledResult> want;
   for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
     FileTraceSource src(t.file.path);
-    SampledRunner runner(window_config(), src, t.plan, "trc", jobs);
+    SampledRunner runner(sim_config(), src, t.plan, "trc", jobs);
     for (std::size_t p = 0; p < policies.size(); ++p) {
       const SampledResult got = runner.run(policies[p]);
       if (jobs == 1) {
@@ -996,7 +988,7 @@ TEST(SampledRun, StagedWindowsProjectTheSameResults) {
   for (const unsigned jobs : {1u, 4u}) {
     const std::uint64_t staged0 = staged_runs();
     FileTraceSource src(t.file.path);
-    SampledRunner runner(window_config(), src, t.plan, "trc", jobs);
+    SampledRunner runner(sim_config(), src, t.plan, "trc", jobs);
     std::vector<std::string> got;
     for (const char* spec : {"none", "mapg", "idle-timeout:64"}) {
       const std::vector<std::string> bits = projection_bits(runner.run(spec));
@@ -1128,7 +1120,7 @@ TEST(SampledRun, SuccessiveProjectionsRunOnTheRunnersOwnThreads) {
   tracer.start();
   {
     FileTraceSource src(t.file.path);
-    SampledRunner runner(window_config(), src, t.plan, "trc", 4);
+    SampledRunner runner(sim_config(), src, t.plan, "trc", 4);
     for (const char* spec : {"idle-timeout:64", "mapg", "idle-timeout:64"})
       runner.run(spec);
   }

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -16,7 +18,9 @@
 #include <vector>
 
 #include <netdb.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "exec/serialize.h"
@@ -510,6 +514,63 @@ TEST_F(ServeServerTest, BadRequestsGetErrorsAndGarbageKillsOnlyThatConn) {
 
   // ...but the server (and this healthy connection) survive.
   EXPECT_TRUE(client->ping(&error)) << error;
+}
+
+/// Connect a raw socket to the server on localhost and wait up to 10 s for
+/// it to be closed: the read's result (0 = closed by the server), or -2
+/// when the connection could not be made.
+ssize_t connect_and_read(std::uint16_t port) {
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* res = nullptr;
+  if (::getaddrinfo("127.0.0.1", std::to_string(port).c_str(), &hints,
+                    &res) != 0)
+    return -2;
+  const int fd = ::socket(res->ai_family, res->ai_socktype,
+                          res->ai_protocol);
+  const bool connected =
+      fd >= 0 && ::connect(fd, res->ai_addr, res->ai_addrlen) == 0;
+  ::freeaddrinfo(res);
+  if (!connected) {
+    if (fd >= 0) ::close(fd);
+    return -2;
+  }
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  char buf[16];
+  const ssize_t n = ::read(fd, buf, sizeof(buf));
+  ::close(fd);
+  return n;
+}
+
+// The accept loop starts one thread per connection.  When none can be
+// started, that connection is closed, its bookkeeping given back (stop()
+// waits for every counted connection) and the next one accepted.  The
+// child makes every thread start fail without starting any: no 64 TiB
+// stack can be mapped.  Without the catch, the failed start escapes the
+// accept thread and std::terminate aborts the child.
+TEST(ServeServerDeathTest, FailedConnectionThreadDropsOnlyThatConnection) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ServerOptions opts;
+        opts.port = 0;  // ephemeral
+        opts.exec.jobs = 1;
+        ServeServer server(opts);
+        std::string error;
+        if (!server.start(&error)) std::_Exit(2);
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setstacksize(&attr, std::size_t{1} << 46);
+        if (pthread_setattr_default_np(&attr) != 0) std::_Exit(3);
+        // Two connections: each is closed, so the loop kept accepting.
+        for (int i = 0; i < 2; ++i)
+          if (connect_and_read(server.port()) != 0) std::_Exit(4);
+        server.stop();
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(ServeServerTest, ShutdownRequestUnblocksWait) {

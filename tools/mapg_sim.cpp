@@ -79,8 +79,6 @@ int usage() {
       "  --runlog=FILE                   append per-job JSONL telemetry\n"
       "  --replay=0                      simulate every cell directly (no\n"
       "                                  timeline replay; same results)\n"
-      "  --checkpoint-stride=N           instructions between checkpoints\n"
-      "                                  of a recorded timeline (0 = none)\n"
       "  --print-metrics                 metrics table on stdout after the run\n"
       "  --metrics-out=FILE              metrics snapshot as JSON\n"
       "  --trace-out=FILE                Chrome trace (Perfetto-loadable)\n"
