@@ -53,8 +53,8 @@ struct BenchEnv {
   SimConfig sim;
   bool csv = false;
   ExecOptions exec;
-  /// Engine built from `exec`; shared so every runner in the binary pools
-  /// threads and memoized results.
+  /// Engine built from `exec`: every sweep, job list and parallel_for in
+  /// the binary runs on it, so they share its threads and memoized results.
   std::shared_ptr<ExperimentEngine> engine;
   /// Observability sinks; empty = off.  Written by report_engine().
   std::string metrics_out;

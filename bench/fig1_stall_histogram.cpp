@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   bench::banner("R-Fig.1", "full-core memory-stall duration distribution",
                 env);
 
-  const Simulator sim(env.sim);
   const PgCircuit circuit(env.sim.pg, env.sim.tech);
   std::cout << "PG circuit horizon: entry=" << circuit.entry_latency_cycles()
             << "cyc wakeup=" << circuit.wakeup_latency_cycles()
@@ -34,8 +33,14 @@ int main(int argc, char** argv) {
   };
   std::vector<Series> series;
 
-  for (const auto& profile : builtin_profiles()) {
-    const SimResult r = sim.run(profile, "none");
+  SweepSpec sweep;
+  sweep.base = env.sim;
+  sweep.workloads = builtin_profiles();
+  sweep.policy_specs = {"none"};
+  const SweepResult grid = env.engine->run_sweep(sweep);
+
+  for (std::size_t wi = 0; wi < sweep.workloads.size(); ++wi) {
+    const SimResult& r = grid.result(0, wi, 0);
     const auto& h = r.core.dram_stall_hist;
     const double stall_frac =
         r.core.cycles
@@ -78,5 +83,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::emit(fig, env);
+  bench::report_engine(env);
   return 0;
 }

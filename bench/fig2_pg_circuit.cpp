@@ -61,5 +61,6 @@ int main(int argc, char** argv) {
               1);
   }
   bench::emit(bet, env);
+  bench::report_engine(env);
   return 0;
 }

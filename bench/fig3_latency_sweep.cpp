@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
   bench::BenchEnv env = bench::parse_env(argc, argv, 1'000'000);
   bench::banner("R-Fig.3", "energy savings vs DRAM latency scaling", env);
 
-  Table t({"latency_scale", "workload", "policy", "core_energy_savings",
-           "runtime_overhead", "gated_time", "mean_stall_len"});
-
-  for (double scale : {0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0}) {
+  const std::vector<double> scales = {0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0};
+  SweepSpec sweep;
+  sweep.base = env.sim;
+  for (const double scale : scales) {
     SimConfig cfg = env.sim;
     auto scaled = [&](Cycle c) {
       return static_cast<Cycle>(static_cast<double>(c) * scale);
@@ -28,11 +28,20 @@ int main(int argc, char** argv) {
     cfg.mem.dram.t_rp = scaled(env.sim.mem.dram.t_rp);
     cfg.mem.dram.t_cl = scaled(env.sim.mem.dram.t_cl);
     cfg.mem.dram.t_ras = scaled(env.sim.mem.dram.t_ras);
-    ExperimentRunner runner(cfg);
+    sweep.variants.emplace_back("latency=" + std::to_string(scale), cfg);
+  }
+  sweep.workloads = representative_profiles();
+  sweep.policy_specs = {"none", "mapg", "oracle"};
+  const SweepResult grid = env.engine->run_sweep(sweep);
 
-    for (const auto& profile : representative_profiles()) {
-      for (const char* spec : {"mapg", "oracle"}) {
-        const Comparison c = runner.compare_one(profile, spec);
+  Table t({"latency_scale", "workload", "policy", "core_energy_savings",
+           "runtime_overhead", "gated_time", "mean_stall_len"});
+
+  for (std::size_t vi = 0; vi < scales.size(); ++vi) {
+    for (std::size_t wi = 0; wi < sweep.workloads.size(); ++wi) {
+      for (std::size_t pi = 1; pi < sweep.policy_specs.size(); ++pi) {
+        const Comparison c = score_against(
+            grid.baseline(vi, wi), SimResult(grid.result(vi, wi, pi)));
         const SimResult& r = c.result;
         const double mean_stall =
             r.core.stalls_dram
@@ -40,8 +49,8 @@ int main(int argc, char** argv) {
                       static_cast<double>(r.core.stalls_dram)
                 : 0.0;
         t.begin_row()
-            .cell(scale, 2)
-            .cell(profile.name)
+            .cell(scales[vi], 2)
+            .cell(sweep.workloads[wi].name)
             .cell(r.policy)
             .cell(format_percent(c.core_energy_savings))
             .cell(format_percent(c.runtime_overhead, 2))
@@ -51,5 +60,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

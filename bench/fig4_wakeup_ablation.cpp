@@ -25,27 +25,42 @@ int main(int argc, char** argv) {
             << d.t_cl + d.t_bl + env.sim.mem.fill_return_latency
             << " cycles\n\n";
 
-  // The baseline is independent of the PG circuit: compute it once.
-  const SimResult base = Simulator(env.sim).run(*profile, "none");
-
-  Table t({"wakeup_cycles", "policy", "runtime_overhead",
-           "core_energy_savings", "gated_time", "penalty_per_event"});
+  // The baseline is independent of the PG circuit: compute it once, then
+  // the (wakeup stages x policy) grid.
+  SweepSpec base_sweep;
+  base_sweep.base = env.sim;
+  base_sweep.workloads = {*profile};
+  base_sweep.policy_specs = {"none"};
+  const SweepResult bases = env.engine->run_sweep(base_sweep);
 
   // The threshold rule makes plain MAPG decline all gating once
   // entry + wakeup + BET exceeds the residual estimate (~78-cycle wakeup at
   // the defaults) — savings drop to zero rather than overhead growing.  The
   // aggressive pair forces gating regardless, isolating the pure
   // wake-mechanism cost across the whole sweep.
-  for (std::uint32_t stages : {1u, 4u, 8u, 12u, 16u, 20u, 24u, 30u, 36u,
-                               44u, 56u}) {
+  const std::vector<std::uint32_t> stages = {1,  4,  8,  12, 16, 20,
+                                             24, 30, 36, 44, 56};
+  SweepSpec sweep;
+  sweep.base = env.sim;
+  for (const std::uint32_t n : stages) {
     SimConfig cfg = env.sim;
-    cfg.pg.wakeup_stages = stages;
-    const Simulator sim(cfg);
-    const PgCircuit circuit(cfg.pg, cfg.tech);
+    cfg.pg.wakeup_stages = n;
+    sweep.variants.emplace_back("stages=" + std::to_string(n), cfg);
+  }
+  sweep.workloads = {*profile};
+  sweep.policy_specs = {"mapg", "mapg-noearly", "mapg-aggressive",
+                        "mapg-aggressive-noearly"};
+  const SweepResult grid = env.engine->run_sweep(sweep);
 
-    for (const char* spec : {"mapg", "mapg-noearly", "mapg-aggressive",
-                             "mapg-aggressive-noearly"}) {
-      const Comparison c = score_against(base, sim.run(*profile, spec));
+  Table t({"wakeup_cycles", "policy", "runtime_overhead",
+           "core_energy_savings", "gated_time", "penalty_per_event"});
+
+  for (std::size_t vi = 0; vi < stages.size(); ++vi) {
+    const SimConfig& cfg = sweep.variants[vi].second;
+    const PgCircuit circuit(cfg.pg, cfg.tech);
+    for (std::size_t pi = 0; pi < sweep.policy_specs.size(); ++pi) {
+      const Comparison c = score_against(bases.result(0, 0, 0),
+                                         SimResult(grid.result(vi, 0, pi)));
       const SimResult& r = c.result;
       const double penalty_per_event =
           r.gating.gated_events
@@ -62,5 +77,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

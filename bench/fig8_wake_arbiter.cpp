@@ -27,16 +27,23 @@ int main(int argc, char** argv) {
   base.warmup_instructions = env.sim.warmup_instructions;
   base.run_seed = env.sim.run_seed;
 
-  base.wake_arbiter_slots = 0;
-  const MulticoreResult none = MulticoreSim(base).run(mix, "none");
+  // Multicore runs are not cache-keyed: the no-gating reference (unlimited
+  // slots) and each budget's MAPG run are parallel_for tasks.
+  const std::vector<std::uint32_t> budgets = {0, 8, 4, 2, 1};
+  std::vector<MulticoreResult> results(budgets.size() + 1);
+  env.engine->parallel_for(results.size(), [&](std::size_t i) {
+    MulticoreConfig cfg = base;
+    cfg.wake_arbiter_slots = i == 0 ? 0 : budgets[i - 1];
+    results[i] = MulticoreSim(cfg).run(mix, i == 0 ? "none" : "mapg");
+  });
+  const MulticoreResult& none = results[0];
 
   Table t({"wake_slots", "delayed_wakeups", "avg_delay", "makespan_overhead",
            "avg_gated_time", "energy_savings"});
 
-  for (std::uint32_t arb_slots : {0u, 8u, 4u, 2u, 1u}) {
-    MulticoreConfig cfg = base;
-    cfg.wake_arbiter_slots = arb_slots;
-    const MulticoreResult r = MulticoreSim(cfg).run(mix, "mapg");
+  for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
+    const std::uint32_t arb_slots = budgets[bi];
+    const MulticoreResult& r = results[bi + 1];
 
     const double overhead = static_cast<double>(r.makespan) /
                                 static_cast<double>(none.makespan) -
@@ -56,5 +63,6 @@ int main(int argc, char** argv) {
         .cell(format_percent(1.0 - r.total_j() / none.total_j()));
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

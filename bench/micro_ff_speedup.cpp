@@ -104,5 +104,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "warning: %s speedup %.2fx below %.1fx target\n",
                    c.workload, speedup, c.target);
   }
+  mapg::bench::report_engine(env);
   return all_ok ? 0 : 1;
 }

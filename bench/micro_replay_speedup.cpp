@@ -184,6 +184,7 @@ int main(int argc, char** argv) {
   print_census(sweep, replay.grid);
   if (smoke) {
     std::printf("smoke mode: identity only, skipping timing\n");
+    bench::report_engine(env);
     return 0;
   }
 
@@ -244,5 +245,6 @@ int main(int argc, char** argv) {
     out << j.dump() << "\n";
     std::fprintf(stderr, "[bench] json -> %s\n", json_path.c_str());
   }
+  bench::report_engine(env);
   return 0;
 }

@@ -26,19 +26,27 @@ int main(int argc, char** argv) {
   bench::BenchEnv env = bench::parse_env(argc, argv, 1'000'000);
   bench::banner("R-Tab.3", "MAPG mechanism ablations", env);
 
-  ExperimentRunner runner(env.sim);
+  const std::vector<std::string> specs = {
+      "none",         "mapg",            "mapg-aggressive",
+      "mapg-noearly", "mapg-unfiltered", "idle-timeout:64",
+      "idle-timeout-early:64"};
+  SweepSpec sweep;
+  sweep.base = env.sim;
+  sweep.workloads = builtin_profiles();
+  sweep.policy_specs = specs;
+  const SweepResult grid = env.engine->run_sweep(sweep);
+
   Table t({"workload", "variant", "core_energy_savings", "net_leak_savings",
            "runtime_overhead", "gate_events", "unprofitable",
            "aborted_entries"});
 
-  for (const auto& profile : builtin_profiles()) {
-    for (const char* spec :
-         {"mapg", "mapg-aggressive", "mapg-noearly", "mapg-unfiltered",
-          "idle-timeout:64", "idle-timeout-early:64"}) {
-      const Comparison c = runner.compare_one(profile, spec);
+  for (std::size_t wi = 0; wi < sweep.workloads.size(); ++wi) {
+    for (std::size_t pi = 1; pi < specs.size(); ++pi) {
+      const Comparison c = score_against(grid.baseline(0, wi),
+                                         SimResult(grid.result(0, wi, pi)));
       const SimResult& r = c.result;
       t.begin_row()
-          .cell(profile.name)
+          .cell(sweep.workloads[wi].name)
           .cell(r.policy)
           .cell(format_percent(c.core_energy_savings))
           .cell(format_percent(c.net_leakage_savings))
@@ -49,5 +57,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

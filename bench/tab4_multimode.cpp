@@ -30,11 +30,10 @@ int main(int argc, char** argv) {
               << "\n\n";
   }
 
-  Table t({"dram_scale", "workload", "policy", "core_energy_savings",
-           "runtime_overhead", "deep_events", "light_events",
-           "mean_stall_len"});
-
-  for (double scale : {0.25, 0.5, 0.75, 1.0, 2.0}) {
+  const std::vector<double> scales = {0.25, 0.5, 0.75, 1.0, 2.0};
+  SweepSpec sweep;
+  sweep.base = env.sim;
+  for (const double scale : scales) {
     SimConfig cfg = env.sim;
     auto scaled = [&](Cycle c) {
       const auto v = static_cast<Cycle>(static_cast<double>(c) * scale);
@@ -44,12 +43,22 @@ int main(int argc, char** argv) {
     cfg.mem.dram.t_rp = scaled(env.sim.mem.dram.t_rp);
     cfg.mem.dram.t_cl = scaled(env.sim.mem.dram.t_cl);
     cfg.mem.dram.t_ras = scaled(env.sim.mem.dram.t_ras);
-    ExperimentRunner runner(cfg);
+    sweep.variants.emplace_back("dram=" + std::to_string(scale), cfg);
+  }
+  for (const char* workload : {"libquantum-like", "mcf-like"})
+    sweep.workloads.push_back(*find_profile(workload));
+  sweep.policy_specs = {"none", "mapg", "mapg-multimode", "oracle"};
+  const SweepResult grid = env.engine->run_sweep(sweep);
 
-    for (const char* workload : {"libquantum-like", "mcf-like"}) {
-      const WorkloadProfile* p = find_profile(workload);
-      for (const char* spec : {"mapg", "mapg-multimode", "oracle"}) {
-        const Comparison c = runner.compare_one(*p, spec);
+  Table t({"dram_scale", "workload", "policy", "core_energy_savings",
+           "runtime_overhead", "deep_events", "light_events",
+           "mean_stall_len"});
+
+  for (std::size_t vi = 0; vi < scales.size(); ++vi) {
+    for (std::size_t wi = 0; wi < sweep.workloads.size(); ++wi) {
+      for (std::size_t pi = 1; pi < sweep.policy_specs.size(); ++pi) {
+        const Comparison c = score_against(
+            grid.baseline(vi, wi), SimResult(grid.result(vi, wi, pi)));
         const SimResult& r = c.result;
         const double mean_stall =
             r.core.stalls_dram
@@ -57,8 +66,8 @@ int main(int argc, char** argv) {
                       static_cast<double>(r.core.stalls_dram)
                 : 0.0;
         t.begin_row()
-            .cell(scale, 2)
-            .cell(workload)
+            .cell(scales[vi], 2)
+            .cell(sweep.workloads[wi].name)
             .cell(r.policy)
             .cell(format_percent(c.core_energy_savings))
             .cell(format_percent(c.runtime_overhead, 2))
@@ -69,5 +78,6 @@ int main(int argc, char** argv) {
     }
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

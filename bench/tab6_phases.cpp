@@ -18,7 +18,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "exec/runner.h"
 #include "pg/factory.h"
 #include "trace/generator.h"
 #include "trace/profile.h"
@@ -44,31 +43,36 @@ int main(int argc, char** argv) {
   Table t({"phase_len_instrs", "policy", "core_energy_savings",
            "runtime_overhead", "gate_events", "unprofitable"});
 
-  for (std::uint64_t phase_len :
-       {2'000u, 10'000u, 50'000u, 250'000u, 1'000'000u}) {
-    // Baseline for this phase length (no gating, same trace).
-    PhasedTraceGenerator base_trace(mem_phase, short_phase, phase_len,
-                                    env.sim.run_seed);
-    NoGatingPolicy none(ctx);
-    const SimResult base = sim.run(base_trace, "phased", none);
+  // The phased trace has no profile identity for the result cache, so the
+  // cells run through parallel_for: per phase length, the no-gating
+  // baseline and every spec, each over its own generator of the same trace.
+  const std::vector<std::uint64_t> phase_lens = {2'000, 10'000, 50'000,
+                                                 250'000, 1'000'000};
+  const std::vector<std::string> specs = {"none", "mapg", "mapg-history",
+                                          "mapg-hybrid", "oracle"};
+  std::vector<SimResult> results(phase_lens.size() * specs.size());
+  env.engine->parallel_for(results.size(), [&](std::size_t i) {
+    PhasedTraceGenerator trace(mem_phase, short_phase,
+                               phase_lens[i / specs.size()],
+                               env.sim.run_seed);
+    const auto policy = make_policy(specs[i % specs.size()], ctx);
+    results[i] = sim.run(trace, "phased", *policy);
+  });
 
-    for (const char* spec :
-         {"mapg", "mapg-history", "mapg-hybrid", "oracle"}) {
-      PhasedTraceGenerator trace(mem_phase, short_phase, phase_len,
-                                 env.sim.run_seed);
-      auto policy = make_policy(spec, ctx);
-      const Comparison c =
-          score_against(base, sim.run(trace, "phased", *policy));
-      const SimResult& r = c.result;
-      t.begin_row()
-          .cell(phase_len)
-          .cell(r.policy)
-          .cell(format_percent(c.core_energy_savings))
-          .cell(format_percent(c.runtime_overhead, 2))
-          .cell(r.gating.gated_events)
-          .cell(r.gating.unprofitable_events);
-    }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (i % specs.size() == 0) continue;  // the phase length's baseline
+    const Comparison c =
+        score_against(results[i - i % specs.size()], SimResult(results[i]));
+    const SimResult& r = c.result;
+    t.begin_row()
+        .cell(phase_lens[i / specs.size()])
+        .cell(r.policy)
+        .cell(format_percent(c.core_energy_savings))
+        .cell(format_percent(c.runtime_overhead, 2))
+        .cell(r.gating.gated_events)
+        .cell(r.gating.unprofitable_events);
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

@@ -33,18 +33,28 @@ int main(int argc, char** argv) {
   Table t({"workload", "T_avg_none", "T_avg_mapg", "delta_T",
            "iso_savings", "thermal_savings", "amplification"});
 
-  for (const char* name : {"mcf-like", "lbm-like", "libquantum-like",
-                           "omnetpp-like", "gcc-like", "gamess-like"}) {
-    const WorkloadProfile* p = find_profile(name);
-    const ThermalResult none = sim.run_thermal(*p, "none");
-    const ThermalResult mapg = sim.run_thermal(*p, "mapg");
+  // Thermal runs are not cache-keyed: each (workload, policy) cell is one
+  // parallel_for task, emitted in grid order afterwards.
+  const std::vector<std::string> names = {
+      "mcf-like",     "lbm-like", "libquantum-like",
+      "omnetpp-like", "gcc-like", "gamess-like"};
+  const std::vector<std::string> specs = {"none", "mapg"};
+  std::vector<ThermalResult> results(names.size() * specs.size());
+  env.engine->parallel_for(results.size(), [&](std::size_t i) {
+    results[i] = sim.run_thermal(*find_profile(names[i / specs.size()]),
+                                 specs[i % specs.size()]);
+  });
+
+  for (std::size_t wi = 0; wi < names.size(); ++wi) {
+    const ThermalResult& none = results[wi * specs.size()];
+    const ThermalResult& mapg = results[wi * specs.size() + 1];
 
     const double iso =
         1.0 - mapg.sim.energy.total_j() / none.sim.energy.total_j();
     const double thermal =
         1.0 - mapg.thermal_total_j() / none.thermal_total_j();
     t.begin_row()
-        .cell(name)
+        .cell(names[wi])
         .cell(none.avg_temperature_c, 1)
         .cell(mapg.avg_temperature_c, 1)
         .cell(none.avg_temperature_c - mapg.avg_temperature_c, 1)
@@ -53,5 +63,6 @@ int main(int argc, char** argv) {
         .cell(format_percent(thermal - iso));
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

@@ -49,19 +49,32 @@ int main(int argc, char** argv) {
             << env.sim.dram_energy.powerdown_w_per_channel * 1e3
             << " mW/ch\n\n";
 
-  const Simulator off_sim(off_cfg);
-  const Simulator to_sim(to_cfg);
-  const Simulator co_sim(co_cfg);
+  // Each platform fixes its own policy, so the cells are an explicit job
+  // list rather than a sweep: (off, timeout, coordinated) per workload.
+  const std::vector<std::string> names = {
+      "mcf-like",     "lbm-like", "libquantum-like",
+      "omnetpp-like", "gcc-like", "gamess-like"};
+  std::vector<ExperimentJob> jobs;
+  for (const std::string& name : names) {
+    const WorkloadProfile& p = *find_profile(name);
+    jobs.push_back({off_cfg, p, "mapg"});
+    jobs.push_back({to_cfg, p, "mapg"});
+    jobs.push_back({co_cfg, p, "mapg-dram"});
+  }
+  const std::vector<JobOutcome> cells = env.engine->run(jobs);
+  for (const JobOutcome& o : cells)
+    if (!o.ok) {
+      std::cerr << "R-Tab.8: cell failed: " << o.error << "\n";
+      return 1;
+    }
 
   Table t({"workload", "dram_off_mJ", "dram_to_mJ", "dram_co_mJ", "to_save",
            "co_save", "to_overhead", "pd_resid", "co_windows"});
 
-  for (const char* name : {"mcf-like", "lbm-like", "libquantum-like",
-                           "omnetpp-like", "gcc-like", "gamess-like"}) {
-    const WorkloadProfile* p = find_profile(name);
-    const SimResult off = off_sim.run(*p, "mapg");
-    const SimResult to = to_sim.run(*p, "mapg");
-    const SimResult co = co_sim.run(*p, "mapg-dram");
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const SimResult& off = *cells[3 * i].result;
+    const SimResult& to = *cells[3 * i + 1].result;
+    const SimResult& co = *cells[3 * i + 2].result;
 
     // Timeout mode perturbs timing (tXP on the critical path); coordinated
     // mode does not, so its runtime matches `off` and needs no column.
@@ -73,7 +86,7 @@ int main(int argc, char** argv) {
         (static_cast<double>(to.core.cycles) * to_cfg.mem.dram.channels);
 
     t.begin_row()
-        .cell(name)
+        .cell(names[i])
         .cell(off.energy.dram_j * 1e3, 3)
         .cell(to.energy.dram_j * 1e3, 3)
         .cell(co.energy.dram_j * 1e3, 3)
@@ -84,5 +97,6 @@ int main(int argc, char** argv) {
         .cell(co.gating.dram_pd_windows);
   }
   bench::emit(t, env);
+  bench::report_engine(env);
   return 0;
 }

@@ -10,6 +10,7 @@
 
 #include "common/config.h"
 #include "common/table.h"
+#include "exec/engine.h"
 #include "exec/runner.h"
 #include "trace/profile.h"
 
@@ -35,7 +36,11 @@ int main(int argc, char** argv) {
   Table t({"latency_scale", "read_latency_avg", "IPC", "stall_time",
            "mapg_core_savings", "mapg_overhead", "gated_time"});
 
-  for (double scale : {0.5, 1.0, 2.0, 4.0}) {
+  // One sweep: each latency scale is a config variant with its own
+  // baseline.
+  const std::vector<double> scales = {0.5, 1.0, 2.0, 4.0};
+  SweepSpec sweep;
+  for (const double scale : scales) {
     SimConfig sim_cfg = base;
     auto scaled = [&](Cycle c) {
       return static_cast<Cycle>(static_cast<double>(c) * scale);
@@ -44,16 +49,23 @@ int main(int argc, char** argv) {
     sim_cfg.mem.dram.t_rp = scaled(base.mem.dram.t_rp);
     sim_cfg.mem.dram.t_cl = scaled(base.mem.dram.t_cl);
     sim_cfg.mem.dram.t_ras = scaled(base.mem.dram.t_ras);
+    sweep.variants.emplace_back("latency=" + std::to_string(scale), sim_cfg);
+  }
+  sweep.workloads = {*profile};
+  sweep.policy_specs = {"none", "mapg"};
+  ExperimentEngine engine;
+  const SweepResult grid = engine.run_sweep(sweep);
 
-    ExperimentRunner runner(sim_cfg);
-    const Comparison c = runner.compare_one(*profile, "mapg");
+  for (std::size_t vi = 0; vi < scales.size(); ++vi) {
+    const Comparison c = score_against(grid.baseline(vi, 0),
+                                       SimResult(grid.result(vi, 0, 1)));
     const SimResult& r = c.result;
     const double stall_frac =
         r.core.cycles ? static_cast<double>(r.core.stall_cycles_dram) /
                             static_cast<double>(r.core.cycles)
                       : 0.0;
     t.begin_row()
-        .cell(scale, 2)
+        .cell(scales[vi], 2)
         .cell(r.dram.read_latency.mean(), 1)
         .cell(r.ipc(), 3)
         .cell(format_percent(stall_frac))

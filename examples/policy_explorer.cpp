@@ -1,6 +1,7 @@
 // Policy explorer: run any set of policies against any workload and print a
 // full comparison, including per-policy gating diagnostics.  Demonstrates
-// the ExperimentRunner API and the policy-spec mini-language.
+// an ExperimentEngine sweep scored with score_against, and the policy-spec
+// mini-language.
 //
 //   ./policy_explorer --workload=libquantum-like \
 //       --policies=none,idle-timeout:32,mapg,mapg-history,oracle \
@@ -12,6 +13,7 @@
 
 #include "common/config.h"
 #include "common/table.h"
+#include "exec/engine.h"
 #include "exec/runner.h"
 #include "pg/factory.h"
 #include "trace/profile.h"
@@ -61,22 +63,31 @@ int main(int argc, char** argv) {
   sim_cfg.instructions = cfg.get_uint("instructions", 2'000'000);
   sim_cfg.warmup_instructions = cfg.get_uint("warmup", 250'000);
   sim_cfg.run_seed = cfg.get_uint("seed", 42);
-  ExperimentRunner runner(sim_cfg);
 
   std::cout << "exploring " << profile->name << " (" << profile->description
             << ") over " << sim_cfg.instructions << " instructions\n\n";
 
+  // One sweep over the "none" baseline and every spec; a bad spec fails
+  // only its own cell.
+  SweepSpec sweep;
+  sweep.base = sim_cfg;
+  sweep.workloads = {*profile};
+  sweep.policy_specs = specs;
+  sweep.policy_specs.insert(sweep.policy_specs.begin(), "none");
+  ExperimentEngine engine;
+  const SweepResult grid = engine.run_sweep(sweep);
+
   Table t({"policy", "IPC", "core_savings", "total_savings", "overhead",
            "gated_time", "events", "skipped", "unprofitable", "aborted",
            "avg_gated_len"});
-  for (const auto& spec : specs) {
-    Comparison c;
-    try {
-      c = runner.compare_one(*profile, spec);
-    } catch (const std::exception& e) {
-      std::cerr << "skipping '" << spec << "': " << e.what() << "\n";
+  const JobOutcome& base = grid.at(0, 0, 0);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const JobOutcome& cell = base.ok ? grid.at(0, 0, i + 1) : base;
+    if (!cell.ok) {
+      std::cerr << "skipping '" << specs[i] << "': " << cell.error << "\n";
       continue;
     }
+    const Comparison c = score_against(*base.result, SimResult(*cell.result));
     const SimResult& r = c.result;
     const double avg_gated =
         r.gating.gated_events

@@ -7,6 +7,7 @@
 #include "common/config.h"
 #include "common/table.h"
 #include "core/sim.h"
+#include "exec/engine.h"
 #include "exec/runner.h"
 #include "power/energy_model.h"
 #include "trace/profile.h"
@@ -28,17 +29,25 @@ int main(int argc, char** argv) {
 
   SimConfig sim_cfg;
   sim_cfg.instructions = cfg.get_uint("instructions", 2'000'000);
-  ExperimentRunner runner(sim_cfg);
 
   std::cout << "MAPG quickstart on " << profile->name << " ("
             << profile->description << ")\n";
-  const PolicyContext ctx = runner.simulator().policy_context();
+  const PolicyContext ctx = Simulator(sim_cfg).policy_context();
   std::cout << "circuit: entry=" << ctx.entry_latency
             << "cyc, wakeup=" << ctx.wakeup_latency
             << "cyc, break-even=" << ctx.break_even << "cyc\n\n";
 
-  for (const std::string spec : {"none", "mapg", "oracle"}) {
-    const Comparison c = runner.compare_one(*profile, spec);
+  // One sweep: the "none" baseline and both policies on the same trace.
+  SweepSpec sweep;
+  sweep.base = sim_cfg;
+  sweep.workloads = {*profile};
+  sweep.policy_specs = {"none", "mapg", "oracle"};
+  ExperimentEngine engine;
+  const SweepResult grid = engine.run_sweep(sweep);
+
+  for (std::size_t pi = 0; pi < sweep.policy_specs.size(); ++pi) {
+    const Comparison c =
+        score_against(grid.baseline(0, 0), SimResult(grid.result(0, 0, pi)));
     const SimResult& r = c.result;
     std::cout << "policy " << r.policy << ":\n"
               << "  cycles " << r.core.cycles << "  IPC "

@@ -9,8 +9,8 @@
 // repeated cells are simulated exactly once per cache lifetime.
 //
 // Layering: exec sits above core (it drives Simulator); nothing in core may
-// depend on exec.  ExperimentRunner (exec/runner.h) is the baseline-scoring
-// convenience layer on top of this engine.
+// depend on exec.  exec/runner.h scores sweep cells against their "none"
+// baselines.
 #pragma once
 
 #include <cstdint>

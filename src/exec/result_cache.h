@@ -3,7 +3,7 @@
 // Keys are cache_key() hashes of the full experiment identity (config +
 // profile + policy spec + seed, see serialize.h).  The memory tier holds
 // shared_ptr<const SimResult> so concurrent readers and long-lived
-// references (ExperimentRunner baselines) stay valid with no copying; the
+// references (a sweep's baseline column) stay valid with no copying; the
 // disk tier stores one pretty-small JSON file per cell under
 // `<dir>/<key>.json`, written atomically (tmp file + rename) so a killed
 // run never leaves a torn entry behind.

@@ -1,7 +1,5 @@
 #include "exec/runner.h"
 
-#include <stdexcept>
-
 namespace mapg {
 
 Comparison score_against(const SimResult& base, SimResult result) {
@@ -30,69 +28,13 @@ Comparison score_against(const SimResult& base, SimResult result) {
   return c;
 }
 
-ExperimentRunner::ExperimentRunner(SimConfig config,
-                                   std::shared_ptr<ExperimentEngine> engine)
-    : sim_(std::move(config)), engine_(std::move(engine)) {
-  if (!engine_) engine_ = std::make_shared<ExperimentEngine>();
-}
-
-const SimResult& ExperimentRunner::unwrap(const JobOutcome& outcome) {
-  if (!outcome.ok) throw std::invalid_argument(outcome.error);
-  return *outcome.result;
-}
-
-const SimResult& ExperimentRunner::baseline(const WorkloadProfile& profile) {
-  auto it = baselines_.find(profile.name);
-  if (it == baselines_.end()) {
-    JobOutcome o = engine_->run_one({sim_.config(), profile, "none"});
-    unwrap(o);
-    it = baselines_.emplace(profile.name, std::move(o.result)).first;
-  }
-  return *it->second;
-}
-
-Comparison ExperimentRunner::compare_one(const WorkloadProfile& profile,
-                                         const std::string& policy_spec) {
-  const SimResult& base = baseline(profile);
-  return score_against(
-      base, unwrap(engine_->run_one({sim_.config(), profile, policy_spec})));
-}
-
-std::vector<Comparison> ExperimentRunner::compare(
-    const WorkloadProfile& profile, const std::vector<std::string>& specs) {
-  // One batch: the baseline plus every spec, deduplicated by the engine's
-  // memoization and spread across its worker threads.
-  std::vector<ExperimentJob> jobs;
-  jobs.reserve(specs.size() + 1);
-  jobs.push_back({sim_.config(), profile, "none"});
-  for (const auto& spec : specs) jobs.push_back({sim_.config(), profile, spec});
-  std::vector<JobOutcome> outcomes = engine_->run(jobs);
-
-  const SimResult& base = unwrap(outcomes.front());
-  baselines_.emplace(profile.name, outcomes.front().result);
-
-  std::vector<Comparison> out;
-  out.reserve(specs.size());
-  for (std::size_t i = 1; i < outcomes.size(); ++i)
-    out.push_back(score_against(base, SimResult(unwrap(outcomes[i]))));
-  return out;
-}
-
-ReplicatedComparison ExperimentRunner::replicate(
-    const WorkloadProfile& profile, const std::string& policy_spec,
-    unsigned n_seeds) {
-  SweepSpec spec;
-  spec.base = sim_.config();
-  spec.workloads = {profile};
-  spec.policy_specs = {"none", policy_spec};
-  spec.n_seeds = n_seeds;
-  const SweepResult sweep = engine_->run_sweep(spec);
-
+ReplicatedComparison replicate(const SweepResult& sweep, std::size_t vi,
+                               std::size_t wi, std::size_t pi) {
   ReplicatedComparison rep;
-  rep.workload = profile.name;
-  for (unsigned i = 0; i < n_seeds; ++i) {
-    const SimResult& base = sweep.baseline(0, 0, i);
-    Comparison c = score_against(base, SimResult(sweep.result(0, 0, 1, i)));
+  for (std::size_t si = 0; si < sweep.n_seeds; ++si) {
+    Comparison c = score_against(sweep.baseline(vi, wi, si),
+                                 SimResult(sweep.result(vi, wi, pi, si)));
+    rep.workload = c.result.workload;
     rep.policy = c.result.policy;
     rep.core_energy_savings.add(c.core_energy_savings);
     rep.total_energy_savings.add(c.total_energy_savings);

@@ -1,18 +1,14 @@
-// ExperimentRunner: grids of (workload x policy) with baseline-relative
-// metrics.  Every bench binary is a thin wrapper over this.
+// Baseline-relative scoring over engine results.
 //
-// Since the exec subsystem landed, the runner is a scoring layer over
-// ExperimentEngine: all simulation traffic (baselines, comparisons,
-// replicated seeds) is routed through the engine, so it parallelizes across
-// the engine's worker threads and memoizes through the shared result cache.
-// Per-workload baselines live in the engine's content-addressed memory
-// tier — every runner (and bench) sharing an engine shares them.
+// Every grid runs as an ExperimentEngine sweep (exec/engine.h) with the
+// "none" policy on its policy axis; this layer turns a cell and its
+// same-variant, same-workload, same-seed baseline into the paper's
+// metrics, and aggregates one multi-seed column into mean / stdev / min /
+// max per metric.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/stats.h"
 #include "core/sim.h"
@@ -52,51 +48,14 @@ struct ReplicatedComparison {
   std::uint64_t replicates() const { return core_energy_savings.count(); }
 };
 
-class ExperimentRunner {
- public:
-  /// Without an explicit engine, a private single-threaded, memory-only
-  /// engine is created — same observable behaviour as the historical
-  /// serial runner.  Pass a shared engine (see bench_util) for parallel
-  /// execution and persistent caching.
-  explicit ExperimentRunner(SimConfig config,
-                            std::shared_ptr<ExperimentEngine> engine = {});
-
-  /// Run (or fetch from cache) the no-gating baseline for a workload.
-  const SimResult& baseline(const WorkloadProfile& profile);
-
-  /// Run one policy and score it against the cached baseline.
-  Comparison compare_one(const WorkloadProfile& profile,
-                         const std::string& policy_spec);
-
-  /// Run a policy list (baseline included or not) against one workload.
-  /// The baseline and all policies execute as one engine batch.
-  std::vector<Comparison> compare(const WorkloadProfile& profile,
-                                  const std::vector<std::string>& specs);
-
-  /// Run (workload, policy) under `n_seeds` independent trace draws
-  /// (run_seed, run_seed+1, ...), each scored against its own same-seed
-  /// baseline.  All 2*n_seeds simulations execute as one engine batch;
-  /// aggregation order is seed order, so results are scheduling-invariant.
-  ReplicatedComparison replicate(const WorkloadProfile& profile,
-                                 const std::string& policy_spec,
-                                 unsigned n_seeds);
-
-  const Simulator& simulator() const { return sim_; }
-  ExperimentEngine& engine() { return *engine_; }
-
- private:
-  /// Unwrap an outcome, rethrowing per-job failures (bad policy specs must
-  /// keep surfacing as exceptions to preserve the historical API).
-  static const SimResult& unwrap(const JobOutcome& outcome);
-
-  Simulator sim_;  ///< kept for config() and the simulator() accessor
-  std::shared_ptr<ExperimentEngine> engine_;
-  /// Pins the shared_ptr<const SimResult> entries so baseline() can hand
-  /// out stable references; keyed by workload name.
-  std::map<std::string, std::shared_ptr<const SimResult>> baselines_;
-};
-
 /// Score `result` against `base` (exposed for tests and custom harnesses).
 Comparison score_against(const SimResult& base, SimResult result);
+
+/// Aggregate the seed axis of cell (vi, wi, pi), each seed scored against
+/// its own same-seed baseline.  Aggregation runs in seed order, so the
+/// result does not depend on scheduling.  Throws std::runtime_error (via
+/// SweepResult::result) if a cell of the column or its baseline failed.
+ReplicatedComparison replicate(const SweepResult& sweep, std::size_t vi,
+                               std::size_t wi, std::size_t pi);
 
 }  // namespace mapg

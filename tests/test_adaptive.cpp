@@ -111,11 +111,12 @@ TEST(HybridMapg, EndToEndFewestUnprofitableEvents) {
   cfg.instructions = 200'000;
   cfg.warmup_instructions = 50'000;
   cfg.pg.overhead_scale = 2.0;  // put the horizon inside the distribution
-  ExperimentRunner runner(cfg);
+  const Simulator sim(cfg);
   const WorkloadProfile* p = find_profile("libquantum-like");
-  const Comparison est = runner.compare_one(*p, "mapg");
-  const Comparison hist = runner.compare_one(*p, "mapg-history");
-  const Comparison hyb = runner.compare_one(*p, "mapg-hybrid");
+  const SimResult base = sim.run(*p, "none");
+  const Comparison est = score_against(base, sim.run(*p, "mapg"));
+  const Comparison hist = score_against(base, sim.run(*p, "mapg-history"));
+  const Comparison hyb = score_against(base, sim.run(*p, "mapg-hybrid"));
   EXPECT_LE(hyb.result.gating.unprofitable_events,
             est.result.gating.unprofitable_events);
   EXPECT_LE(hyb.result.gating.unprofitable_events,
@@ -127,10 +128,12 @@ TEST(HistoryMapg, EndToEndTracksPlainMapgOnMemoryBound) {
   SimConfig cfg;
   cfg.instructions = 300'000;
   cfg.warmup_instructions = 100'000;
-  ExperimentRunner runner(cfg);
+  const Simulator sim(cfg);
   const WorkloadProfile* p = find_profile("mcf-like");
-  const Comparison plain = runner.compare_one(*p, "mapg");
-  const Comparison history = runner.compare_one(*p, "mapg-history");
+  const SimResult base = sim.run(*p, "none");
+  const Comparison plain = score_against(base, sim.run(*p, "mapg"));
+  const Comparison history =
+      score_against(base, sim.run(*p, "mapg-history"));
   // mcf's stalls are uniformly long, so history prediction stays above the
   // threshold: savings within 10% of estimate-driven MAPG.
   EXPECT_GT(history.core_energy_savings, 0.9 * plain.core_energy_savings);
@@ -141,9 +144,10 @@ TEST(HistoryMapg, EndToEndStaysQuietOnComputeBound) {
   SimConfig cfg;
   cfg.instructions = 300'000;
   cfg.warmup_instructions = 100'000;
-  ExperimentRunner runner(cfg);
+  const Simulator sim(cfg);
+  const WorkloadProfile* p = find_profile("povray-like");
   const Comparison c =
-      runner.compare_one(*find_profile("povray-like"), "mapg-history");
+      score_against(sim.run(*p, "none"), sim.run(*p, "mapg-history"));
   EXPECT_GE(c.core_energy_savings, -0.01);
   EXPECT_LT(c.runtime_overhead, 0.01);
 }

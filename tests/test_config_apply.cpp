@@ -1,6 +1,7 @@
 // Tests for the textual-config applier and the multi-seed replication API.
 #include <gtest/gtest.h>
 
+#include "exec/engine.h"
 #include "exec/runner.h"
 #include "multicore/config_apply.h"
 
@@ -152,9 +153,13 @@ TEST(Replicate, AggregatesAcrossSeeds) {
   SimConfig cfg;
   cfg.instructions = 100'000;
   cfg.warmup_instructions = 30'000;
-  ExperimentRunner runner(cfg);
-  const WorkloadProfile* p = find_profile("omnetpp-like");
-  const ReplicatedComparison r = runner.replicate(*p, "mapg", 4);
+  SweepSpec sweep;
+  sweep.base = cfg;
+  sweep.workloads = {*find_profile("omnetpp-like")};
+  sweep.policy_specs = {"none", "mapg"};
+  sweep.n_seeds = 4;
+  ExperimentEngine engine;
+  const ReplicatedComparison r = replicate(engine.run_sweep(sweep), 0, 0, 1);
   EXPECT_EQ(r.replicates(), 4u);
   EXPECT_EQ(r.policy, "mapg");
   EXPECT_EQ(r.workload, "omnetpp-like");
@@ -170,10 +175,17 @@ TEST(Replicate, SingleSeedMatchesCompareOne) {
   SimConfig cfg;
   cfg.instructions = 100'000;
   cfg.warmup_instructions = 30'000;
-  ExperimentRunner runner(cfg);
   const WorkloadProfile* p = find_profile("gcc-like");
-  const ReplicatedComparison rep = runner.replicate(*p, "mapg", 1);
-  const Comparison one = runner.compare_one(*p, "mapg");
+  SweepSpec sweep;
+  sweep.base = cfg;
+  sweep.workloads = {*p};
+  sweep.policy_specs = {"none", "mapg"};
+  ExperimentEngine engine;
+  const ReplicatedComparison rep =
+      replicate(engine.run_sweep(sweep), 0, 0, 1);
+  const Simulator sim(cfg);
+  const Comparison one =
+      score_against(sim.run(*p, "none"), sim.run(*p, "mapg"));
   EXPECT_DOUBLE_EQ(rep.core_energy_savings.mean(), one.core_energy_savings);
   EXPECT_DOUBLE_EQ(rep.runtime_overhead.mean(), one.runtime_overhead);
 }

@@ -534,26 +534,33 @@ TEST(ExperimentEngine, ParallelForCoversRangeOnce) {
     ASSERT_EQ(hits[i], 1) << "index " << i;
 }
 
-// --- ExperimentRunner on the engine ---
+// --- Baseline scoring over sweeps ---
 
-TEST(ExperimentRunner, SharesBaselinesThroughEngineCache) {
-  auto engine = std::make_shared<ExperimentEngine>();
-  ExperimentRunner runner(tiny_config(), engine);
-  const WorkloadProfile& p = *find_profile("mcf-like");
-  runner.compare_one(p, "mapg");
-  const std::uint64_t runs_after_first = engine->stats().jobs_run;
-  runner.compare_one(p, "idle-timeout:64");
-  // Second comparison reuses the memoized "none" baseline: exactly one new
+TEST(ExperimentEngine, SweepsShareBaselinesThroughCache) {
+  ExperimentEngine engine;
+  SweepSpec sweep;
+  sweep.base = tiny_config();
+  sweep.workloads = {*find_profile("mcf-like")};
+  sweep.policy_specs = {"none", "mapg"};
+  engine.run_sweep(sweep);
+  const std::uint64_t runs_after_first = engine.stats().jobs_run;
+  sweep.policy_specs = {"none", "idle-timeout:64"};
+  engine.run_sweep(sweep);
+  // The second sweep reuses the memoized "none" baseline: exactly one new
   // simulation, not two.
-  EXPECT_EQ(engine->stats().jobs_run, runs_after_first + 1);
+  EXPECT_EQ(engine.stats().jobs_run, runs_after_first + 1);
 }
 
-TEST(ExperimentRunner, ReplicateMatchesDirectSeedRuns) {
-  auto engine = std::make_shared<ExperimentEngine>();
+TEST(Replicate, MatchesDirectSeedRuns) {
+  ExperimentEngine engine;
   SimConfig cfg = tiny_config();
-  ExperimentRunner runner(cfg, engine);
   const WorkloadProfile& p = *find_profile("lbm-like");
-  const ReplicatedComparison rep = runner.replicate(p, "mapg", 3);
+  SweepSpec sweep;
+  sweep.base = cfg;
+  sweep.workloads = {p};
+  sweep.policy_specs = {"none", "mapg"};
+  sweep.n_seeds = 3;
+  const ReplicatedComparison rep = replicate(engine.run_sweep(sweep), 0, 0, 1);
   EXPECT_EQ(rep.replicates(), 3u);
 
   // Recompute one replicate by hand and check it is inside the observed
@@ -567,6 +574,50 @@ TEST(ExperimentRunner, ReplicateMatchesDirectSeedRuns) {
       1.0 - gated.energy.core_domain_j() / base.energy.core_domain_j();
   EXPECT_LE(rep.core_energy_savings.min(), savings + 1e-12);
   EXPECT_GE(rep.core_energy_savings.max(), savings - 1e-12);
+}
+
+void expect_same_stat(const RunningStat& a, const RunningStat& b,
+                      const char* field) {
+  EXPECT_EQ(a.count(), b.count()) << field;
+  EXPECT_EQ(a.mean(), b.mean()) << field;
+  EXPECT_EQ(a.m2(), b.m2()) << field;
+  EXPECT_EQ(a.min(), b.min()) << field;
+  EXPECT_EQ(a.max(), b.max()) << field;
+}
+
+TEST(Replicate, ReplayedColumnsEqualDirectColumns) {
+  SweepSpec sweep;
+  sweep.base = tiny_config();
+  sweep.workloads = {*find_profile("mcf-like")};
+  sweep.policy_specs = {"none", "oracle", "mapg", "idle-timeout:64"};
+  sweep.n_seeds = 3;
+
+  ExperimentEngine replayed;
+  const SweepResult fast = replayed.run_sweep(sweep);
+  // Per seed, `none` is the recording and oracle and mapg replay.
+  EXPECT_GE(replayed.stats().jobs_replayed, 6u);
+
+  ExecOptions direct_opts;
+  direct_opts.use_replay = false;
+  ExperimentEngine direct(direct_opts);
+  const SweepResult slow = direct.run_sweep(sweep);
+  EXPECT_EQ(direct.stats().jobs_replayed, 0u);
+
+  for (std::size_t pi = 0; pi < sweep.policy_specs.size(); ++pi) {
+    const ReplicatedComparison a = replicate(fast, 0, 0, pi);
+    const ReplicatedComparison b = replicate(slow, 0, 0, pi);
+    SCOPED_TRACE(sweep.policy_specs[pi]);
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.replicates(), 3u);
+    expect_same_stat(a.core_energy_savings, b.core_energy_savings, "core");
+    expect_same_stat(a.total_energy_savings, b.total_energy_savings,
+                     "total");
+    expect_same_stat(a.net_leakage_savings, b.net_leakage_savings, "leak");
+    expect_same_stat(a.runtime_overhead, b.runtime_overhead, "overhead");
+    expect_same_stat(a.mpki, b.mpki, "mpki");
+    expect_same_stat(a.ipc, b.ipc, "ipc");
+  }
 }
 
 }  // namespace

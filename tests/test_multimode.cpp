@@ -129,10 +129,12 @@ TEST(MultiMode, EndToEndAtLeastAsGoodAsDeepOnlyWithFastMemory) {
   for (Cycle* t : {&cfg.mem.dram.t_rcd, &cfg.mem.dram.t_rp,
                    &cfg.mem.dram.t_cl, &cfg.mem.dram.t_ras})
     *t /= 2;
-  ExperimentRunner runner(cfg);
+  const Simulator sim(cfg);
   const WorkloadProfile* p = find_profile("libquantum-like");
-  const Comparison deep_only = runner.compare_one(*p, "mapg");
-  const Comparison multimode = runner.compare_one(*p, "mapg-multimode");
+  const SimResult base = sim.run(*p, "none");
+  const Comparison deep_only = score_against(base, sim.run(*p, "mapg"));
+  const Comparison multimode =
+      score_against(base, sim.run(*p, "mapg-multimode"));
   EXPECT_GE(multimode.core_energy_savings,
             deep_only.core_energy_savings - 1e-6);
   EXPECT_LT(multimode.runtime_overhead, 0.01);
@@ -142,10 +144,12 @@ TEST(MultiMode, EndToEndConvergesToMapgOnSlowMemory) {
   SimConfig cfg;
   cfg.instructions = 300'000;
   cfg.warmup_instructions = 100'000;
-  ExperimentRunner runner(cfg);
+  const Simulator sim(cfg);
   const WorkloadProfile* p = find_profile("mcf-like");
-  const Comparison deep_only = runner.compare_one(*p, "mapg");
-  const Comparison multimode = runner.compare_one(*p, "mapg-multimode");
+  const SimResult base = sim.run(*p, "none");
+  const Comparison deep_only = score_against(base, sim.run(*p, "mapg"));
+  const Comparison multimode =
+      score_against(base, sim.run(*p, "mapg-multimode"));
   // mcf stalls are uniformly far beyond the crossover: nearly every gating
   // lands in deep mode and the two policies agree within 2%.
   EXPECT_NEAR(multimode.core_energy_savings, deep_only.core_energy_savings,

@@ -30,8 +30,8 @@ TEST_P(WorkloadPolicyProps, AccountingInvariantsHold) {
   const auto& [workload, spec] = GetParam();
   const WorkloadProfile* p = find_profile(workload);
   ASSERT_NE(p, nullptr);
-  ExperimentRunner runner(fast_config());
-  const Comparison c = runner.compare_one(*p, spec);
+  const Simulator sim(fast_config());
+  const Comparison c = score_against(sim.run(*p, "none"), sim.run(*p, spec));
   const SimResult& r = c.result;
 
   // Cycle conservation.
@@ -103,9 +103,10 @@ class WorkloadProps : public ::testing::TestWithParam<std::string> {};
 TEST_P(WorkloadProps, OracleDominatesAndMapgTracksIt) {
   const WorkloadProfile* p = find_profile(GetParam());
   ASSERT_NE(p, nullptr);
-  ExperimentRunner runner(fast_config());
-  const Comparison oracle = runner.compare_one(*p, "oracle");
-  const Comparison mapg = runner.compare_one(*p, "mapg");
+  const Simulator sim(fast_config());
+  const SimResult base = sim.run(*p, "none");
+  const Comparison oracle = score_against(base, sim.run(*p, "oracle"));
+  const Comparison mapg = score_against(base, sim.run(*p, "mapg"));
 
   // Oracle never loses energy and never loses time.
   EXPECT_GE(oracle.net_leakage_savings, -1e-12);
@@ -119,9 +120,11 @@ TEST_P(WorkloadProps, OracleDominatesAndMapgTracksIt) {
 TEST_P(WorkloadProps, EarlyWakeNeverWorseThanReactive) {
   const WorkloadProfile* p = find_profile(GetParam());
   ASSERT_NE(p, nullptr);
-  ExperimentRunner runner(fast_config());
-  const Comparison early = runner.compare_one(*p, "mapg");
-  const Comparison reactive = runner.compare_one(*p, "mapg-noearly");
+  const Simulator sim(fast_config());
+  const SimResult base = sim.run(*p, "none");
+  const Comparison early = score_against(base, sim.run(*p, "mapg"));
+  const Comparison reactive =
+      score_against(base, sim.run(*p, "mapg-noearly"));
   EXPECT_LE(early.runtime_overhead, reactive.runtime_overhead + 1e-12);
 }
 
@@ -192,10 +195,11 @@ TEST_P(OverheadScaleProps, BetGrowsWithOverheadAndMapgStaysSafe) {
   const double scale = GetParam();
   SimConfig cfg = fast_config();
   cfg.pg.overhead_scale = scale;
-  ExperimentRunner runner(cfg);
+  const Simulator sim(cfg);
   const WorkloadProfile* p = find_profile("mcf-like");
-  const Comparison mapg = runner.compare_one(*p, "mapg");
-  const Comparison oracle = runner.compare_one(*p, "oracle");
+  const SimResult none = sim.run(*p, "none");
+  const Comparison mapg = score_against(none, sim.run(*p, "mapg"));
+  const Comparison oracle = score_against(none, sim.run(*p, "oracle"));
 
   // Whatever the overhead, the threshold rule keeps MAPG's net savings
   // non-negative (it declines unprofitable stalls) and oracle-bounded.

@@ -1,11 +1,13 @@
-// Integration tests: full Simulator/ExperimentRunner runs across the policy
+// Integration tests: full Simulator runs and engine sweeps across the policy
 // stack, checking determinism, cross-component accounting consistency, the
 // baseline-relative scoring, and the public custom-trace/custom-policy API.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "core/sim.h"
+#include "exec/engine.h"
 #include "exec/runner.h"
 #include "multicore/config_apply.h"
 #include "trace/trace_file.h"
@@ -98,8 +100,9 @@ TEST(Sim, DynamicEnergyIndependentOfPolicy) {
 }
 
 TEST(Sim, MapgSavesEnergyOnMemoryBound) {
-  ExperimentRunner runner(fast_config());
-  const Comparison c = runner.compare_one(*find_profile("mcf-like"), "mapg");
+  const Simulator sim(fast_config());
+  const WorkloadProfile* p = find_profile("mcf-like");
+  const Comparison c = score_against(sim.run(*p, "none"), sim.run(*p, "mapg"));
   EXPECT_GT(c.core_energy_savings, 0.25);  // tens of percent
   EXPECT_GT(c.net_leakage_savings, 0.30);
   EXPECT_LT(c.runtime_overhead, 0.01);
@@ -107,19 +110,20 @@ TEST(Sim, MapgSavesEnergyOnMemoryBound) {
 }
 
 TEST(Sim, MapgNearZeroOnComputeBound) {
-  ExperimentRunner runner(fast_config());
-  const Comparison c =
-      runner.compare_one(*find_profile("gamess-like"), "mapg");
+  const Simulator sim(fast_config());
+  const WorkloadProfile* p = find_profile("gamess-like");
+  const Comparison c = score_against(sim.run(*p, "none"), sim.run(*p, "mapg"));
   EXPECT_LT(c.result.gated_time_fraction(), 0.05);
   EXPECT_GE(c.core_energy_savings, -0.01);  // never materially worse
   EXPECT_LT(c.runtime_overhead, 0.005);
 }
 
 TEST(Sim, OracleBoundsMapgSavings) {
-  ExperimentRunner runner(fast_config());
+  const Simulator sim(fast_config());
   for (const auto& profile : representative_profiles()) {
-    const Comparison mapg = runner.compare_one(profile, "mapg");
-    const Comparison oracle = runner.compare_one(profile, "oracle");
+    const SimResult base = sim.run(profile, "none");
+    const Comparison mapg = score_against(base, sim.run(profile, "mapg"));
+    const Comparison oracle = score_against(base, sim.run(profile, "oracle"));
     // Oracle gates every profitable stall with perfect wake placement; a
     // tiny tolerance absorbs rounding in the scoring division.
     EXPECT_GE(oracle.net_leakage_savings,
@@ -129,10 +133,12 @@ TEST(Sim, OracleBoundsMapgSavings) {
 }
 
 TEST(Sim, IdleTimeoutFarBelowMapg) {
-  ExperimentRunner runner(fast_config());
+  const Simulator sim(fast_config());
   const WorkloadProfile* p = find_profile("mcf-like");
-  const Comparison mapg = runner.compare_one(*p, "mapg");
-  const Comparison timeout = runner.compare_one(*p, "idle-timeout:64");
+  const SimResult base = sim.run(*p, "none");
+  const Comparison mapg = score_against(base, sim.run(*p, "mapg"));
+  const Comparison timeout =
+      score_against(base, sim.run(*p, "idle-timeout:64"));
   // The reconstructed baseline: the 64-cycle timeout truncates each gated
   // interval AND the reactive wakeup stretches runtime by ~wakeup_latency
   // per stall, which buys back leakage everywhere.  Its end-to-end (core
@@ -180,14 +186,6 @@ TEST(Sim, CustomTraceAndPolicyThroughPublicApi) {
   EXPECT_EQ(r.gating.gated_events, 0u);
 }
 
-TEST(Runner, BaselineIsCachedPerWorkload) {
-  ExperimentRunner runner(fast_config());
-  const WorkloadProfile* p = find_profile("bzip2-like");
-  const SimResult& b1 = runner.baseline(*p);
-  const SimResult& b2 = runner.baseline(*p);
-  EXPECT_EQ(&b1, &b2);  // same cached object
-}
-
 TEST(Runner, ScoreAgainstSelfIsZero) {
   const Simulator sim(fast_config());
   const SimResult base = sim.run(*find_profile("hmmer-like"), "none");
@@ -198,9 +196,17 @@ TEST(Runner, ScoreAgainstSelfIsZero) {
 }
 
 TEST(Runner, CompareReturnsRowPerSpec) {
-  ExperimentRunner runner(fast_config());
-  const auto rows =
-      runner.compare(*find_profile("gcc-like"), standard_policy_specs());
+  SweepSpec sweep;
+  sweep.base = fast_config();
+  sweep.workloads = {*find_profile("gcc-like")};
+  sweep.policy_specs = standard_policy_specs();
+  ExperimentEngine engine;
+  const SweepResult grid = engine.run_sweep(sweep);
+  ASSERT_EQ(grid.baseline_policy, 0u);
+  std::vector<Comparison> rows;
+  for (std::size_t pi = 0; pi < grid.n_policies; ++pi)
+    rows.push_back(score_against(grid.baseline(0, 0),
+                                 SimResult(grid.result(0, 0, pi))));
   ASSERT_EQ(rows.size(), standard_policy_specs().size());
   EXPECT_EQ(rows[0].result.policy, "no-gating");
   EXPECT_NEAR(rows[0].core_energy_savings, 0.0, 1e-12);

@@ -9,6 +9,7 @@
 //   mapg_sim --cores=8 --workload=mcf-like,gamess-like --policy=mapg
 // Any platform key from multicore/config_apply.h can be given either in the
 // --config file or directly on the command line (e.g. --l2.size_kib=2048).
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -157,15 +158,40 @@ int run_single(const KvConfig& kv, const std::vector<WorkloadProfile>& wls,
     return 0;
   }
 
-  auto engine = std::make_shared<ExperimentEngine>(exec_options_from(kv));
-  ExperimentRunner runner(cfg, engine);
+  // One sweep answers both tables: workloads x ({none} u specs) x seeds,
+  // each group recording its `none` timeline once and replaying the rest.
+  SweepSpec sweep;
+  sweep.base = cfg;
+  sweep.workloads = wls;
+  sweep.policy_specs = specs;
+  if (std::find(specs.begin(), specs.end(), "none") == specs.end())
+    sweep.policy_specs.insert(sweep.policy_specs.begin(), "none");
+  const std::size_t first = sweep.policy_specs.size() - specs.size();
+  sweep.n_seeds = seeds;
+  ExperimentEngine engine(exec_options_from(kv));
+  const SweepResult grid = engine.run_sweep(sweep);
+
+  // specs[i] is policy column first + i.  Report the first failed cell in
+  // grid order (a spec's baseline before the spec itself), before any table
+  // row prints.
+  for (std::size_t wi = 0; wi < wls.size(); ++wi)
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      for (std::size_t si = 0; si < grid.n_seeds; ++si)
+        for (const std::size_t pi : {grid.baseline_policy, first + i}) {
+          const JobOutcome& o = grid.at(0, wi, pi, si);
+          if (!o.ok) {
+            std::cerr << "policy '" << specs[i] << "': " << o.error << "\n";
+            return 1;
+          }
+        }
+
   if (seeds > 1) {
     Table t({"workload", "policy", "core_savings_mean", "core_savings_stdev",
              "overhead_mean", "overhead_max", "mpki_mean", "seeds"});
-    for (const auto& w : wls) {
-      for (const auto& spec : specs) {
-        if (spec == "none") continue;
-        const ReplicatedComparison r = runner.replicate(w, spec, seeds);
+    for (std::size_t wi = 0; wi < wls.size(); ++wi) {
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i] == "none") continue;
+        const ReplicatedComparison r = replicate(grid, 0, wi, first + i);
         t.begin_row()
             .cell(r.workload)
             .cell(r.policy)
@@ -183,18 +209,14 @@ int run_single(const KvConfig& kv, const std::vector<WorkloadProfile>& wls,
 
   Table t({"workload", "MPKI", "IPC", "policy", "core_savings",
            "total_savings", "overhead", "gated_time", "events"});
-  for (const auto& w : wls) {
-    for (const auto& spec : specs) {
-      Comparison c;
-      try {
-        c = runner.compare_one(w, spec);
-      } catch (const std::exception& e) {
-        std::cerr << "policy '" << spec << "': " << e.what() << "\n";
-        return 1;
-      }
+  for (std::size_t wi = 0; wi < wls.size(); ++wi) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const Comparison c =
+          score_against(grid.baseline(0, wi),
+                        SimResult(grid.result(0, wi, first + i)));
       const SimResult& r = c.result;
       t.begin_row()
-          .cell(w.name)
+          .cell(wls[wi].name)
           .cell(r.mpki(), 1)
           .cell(r.ipc(), 3)
           .cell(r.policy)
