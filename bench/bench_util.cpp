@@ -1,7 +1,9 @@
 #include "bench_util.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "multicore/config_apply.h"
 #include "obs/obs.h"
@@ -20,6 +22,13 @@ BenchEnv parse_env(int argc, char** argv, std::uint64_t default_instructions,
   base.instructions = default_instructions;
   base.warmup_instructions = default_warmup;
   env.sim = apply_sim_config(cfg, base);
+  try {
+    // Every cell the bench runs is built on this platform.
+    check_platform(env.sim.core, env.sim.mem);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(1);
+  }
   // apply_sim_config keeps the current setting for a name it does not
   // recognize; say so for the two named presets.  --dram-standard=ddr3-1600
   // is bit-identical to the default (the preset IS the default timing set).

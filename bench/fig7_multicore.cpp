@@ -8,8 +8,9 @@
 //
 // Multicore runs can't go through the single-core result cache (their
 // identity spans a whole workload mix), but they parallelize the same way:
-// each (mix, cores, policy) cell executes on the engine's thread pool via
+// each (mix, cores, policy) cell executes on the engine's --jobs threads via
 // parallel_for, and rows are emitted in fixed grid order afterwards.
+#include <exception>
 #include <iostream>
 
 #include "bench_util.h"
@@ -42,16 +43,21 @@ int main(int argc, char** argv) {
         cells.push_back({mix_name, cores, policy});
 
   std::vector<MulticoreResult> results(cells.size());
-  env.engine->parallel_for(cells.size(), [&](std::size_t i) {
-    const Cell& cell = cells[i];
-    const auto& mix = cell.mix_name == "mcf-only" ? mem_mix : mixed;
-    MulticoreConfig cfg;
-    cfg.num_cores = cell.cores;
-    cfg.instructions_per_core = env.sim.instructions;
-    cfg.warmup_instructions = env.sim.warmup_instructions;
-    cfg.run_seed = env.sim.run_seed;
-    results[i] = MulticoreSim(cfg).run(mix, cell.policy);
-  });
+  try {
+    env.engine->parallel_for(cells.size(), [&](std::size_t i) {
+      const Cell& cell = cells[i];
+      const auto& mix = cell.mix_name == "mcf-only" ? mem_mix : mixed;
+      MulticoreConfig cfg;
+      cfg.num_cores = cell.cores;
+      cfg.instructions_per_core = env.sim.instructions;
+      cfg.warmup_instructions = env.sim.warmup_instructions;
+      cfg.run_seed = env.sim.run_seed;
+      results[i] = MulticoreSim(cfg).run(mix, cell.policy);
+    });
+  } catch (const std::exception& e) {
+    std::cerr << "R-Fig.7: cell failed: " << e.what() << "\n";
+    return 1;
+  }
 
   Table t({"mix", "cores", "policy", "dram_read_lat", "row_hit_rate",
            "avg_MPKI", "avg_gated_time", "pkg_energy_savings",

@@ -6,6 +6,7 @@
 // slightly longer (marginally MORE leakage saved) but resume later, so
 // runtime overhead appears — the multicore analogue of the single-core
 // rush-current/staging trade-off in R-Fig.2.
+#include <exception>
 #include <iostream>
 
 #include "bench_util.h"
@@ -31,11 +32,16 @@ int main(int argc, char** argv) {
   // slots) and each budget's MAPG run are parallel_for tasks.
   const std::vector<std::uint32_t> budgets = {0, 8, 4, 2, 1};
   std::vector<MulticoreResult> results(budgets.size() + 1);
-  env.engine->parallel_for(results.size(), [&](std::size_t i) {
-    MulticoreConfig cfg = base;
-    cfg.wake_arbiter_slots = i == 0 ? 0 : budgets[i - 1];
-    results[i] = MulticoreSim(cfg).run(mix, i == 0 ? "none" : "mapg");
-  });
+  try {
+    env.engine->parallel_for(results.size(), [&](std::size_t i) {
+      MulticoreConfig cfg = base;
+      cfg.wake_arbiter_slots = i == 0 ? 0 : budgets[i - 1];
+      results[i] = MulticoreSim(cfg).run(mix, i == 0 ? "none" : "mapg");
+    });
+  } catch (const std::exception& e) {
+    std::cerr << "R-Fig.8: cell failed: " << e.what() << "\n";
+    return 1;
+  }
   const MulticoreResult& none = results[0];
 
   Table t({"wake_slots", "delayed_wakeups", "avg_delay", "makespan_overhead",

@@ -15,6 +15,7 @@
 // at each phase length (measured: the estimate's bias costs more than the
 // predictor's staleness except at the very shortest phases — an argument
 // for hybrid estimate+history policies as future work).
+#include <exception>
 #include <iostream>
 
 #include "bench_util.h"
@@ -51,13 +52,18 @@ int main(int argc, char** argv) {
   const std::vector<std::string> specs = {"none", "mapg", "mapg-history",
                                           "mapg-hybrid", "oracle"};
   std::vector<SimResult> results(phase_lens.size() * specs.size());
-  env.engine->parallel_for(results.size(), [&](std::size_t i) {
-    PhasedTraceGenerator trace(mem_phase, short_phase,
-                               phase_lens[i / specs.size()],
-                               env.sim.run_seed);
-    const auto policy = make_policy(specs[i % specs.size()], ctx);
-    results[i] = sim.run(trace, "phased", *policy);
-  });
+  try {
+    env.engine->parallel_for(results.size(), [&](std::size_t i) {
+      PhasedTraceGenerator trace(mem_phase, short_phase,
+                                 phase_lens[i / specs.size()],
+                                 env.sim.run_seed);
+      const auto policy = make_policy(specs[i % specs.size()], ctx);
+      results[i] = sim.run(trace, "phased", *policy);
+    });
+  } catch (const std::exception& e) {
+    std::cerr << "R-Tab.6: cell failed: " << e.what() << "\n";
+    return 1;
+  }
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i % specs.size() == 0) continue;  // the phase length's baseline

@@ -10,6 +10,7 @@
 // workloads — mcf's ungated hot-spot sits at ~T_ref and gains ~2 points —
 // while lukewarm workloads lose a fraction of a point.  Honest net: the
 // feedback helps exactly where MAPG already helps most.
+#include <exception>
 #include <iostream>
 
 #include "bench_util.h"
@@ -40,10 +41,15 @@ int main(int argc, char** argv) {
       "omnetpp-like", "gcc-like", "gamess-like"};
   const std::vector<std::string> specs = {"none", "mapg"};
   std::vector<ThermalResult> results(names.size() * specs.size());
-  env.engine->parallel_for(results.size(), [&](std::size_t i) {
-    results[i] = sim.run_thermal(*find_profile(names[i / specs.size()]),
-                                 specs[i % specs.size()]);
-  });
+  try {
+    env.engine->parallel_for(results.size(), [&](std::size_t i) {
+      results[i] = sim.run_thermal(*find_profile(names[i / specs.size()]),
+                                   specs[i % specs.size()]);
+    });
+  } catch (const std::exception& e) {
+    std::cerr << "R-Tab.7: cell failed: " << e.what() << "\n";
+    return 1;
+  }
 
   for (std::size_t wi = 0; wi < names.size(); ++wi) {
     const ThermalResult& none = results[wi * specs.size()];

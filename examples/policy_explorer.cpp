@@ -3,9 +3,9 @@
 // an ExperimentEngine sweep scored with score_against, and the policy-spec
 // mini-language.
 //
-//   ./policy_explorer --workload=libquantum-like \
-//       --policies=none,idle-timeout:32,mapg,mapg-history,oracle \
-//       [--instructions=2000000] [--list]
+//   ./policy_explorer --workload=libquantum-like
+//       --policies=none,idle-timeout:32,mapg,mapg-history,oracle
+//       [--instructions=2000000] [--list]        (one command line)
 #include <iostream>
 #include <sstream>
 #include <string>

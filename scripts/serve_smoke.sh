@@ -4,7 +4,9 @@
 #
 #   1. start mapg_served on an ephemeral port;
 #   2. drive a request mix through mapg_client: ping, a cell that computes,
-#      the same cell again (hot tier), a sweep, stats;
+#      the same cell again (hot tier), a sweep, stats, and a cell on a
+#      platform no model can be built for (an error reply naming the key,
+#      after which the server still answers a ping);
 #   3. byte-identity: the server's embedded result JSON for a cell must be
 #      identical to an in-process engine run of the same cell
 #      (`mapg_client --local=1`), including for concurrent identical
@@ -61,6 +63,14 @@ grep -q '"tier":"hot"' "$tmp/cell2.json" \
 "${C[@]}" stats > "$tmp/stats.json"
 grep -q '"computed"' "$tmp/stats.json" \
   || { echo "FAIL: stats missing serve counters"; cat "$tmp/stats.json"; exit 1; }
+if "${C[@]}" cell "${CELL_ARGS[@]}" --dram.channels=0 > "$tmp/bad.json" \
+    2> "$tmp/bad.err"; then
+  echo "FAIL: a zero-channel cell was answered"; cat "$tmp/bad.json"; exit 1
+fi
+grep -q 'dram.channels=0' "$tmp/bad.err" \
+  || { echo "FAIL: error reply does not name the key"; cat "$tmp/bad.err"; exit 1; }
+"${C[@]}" ping
+echo "bad platform: error reply, server still serving"
 
 # --- 3. byte-identity vs a local in-process engine run --------------------
 "${C[@]}" cell "${CELL_ARGS[@]}" --result-only=1 > "$tmp/from_server.json"

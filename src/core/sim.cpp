@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/obs.h"
 #include "power/interval_energy.h"
@@ -150,6 +152,42 @@ void compose_result_energy(const SimConfig& config, const PgCircuit& circuit,
   result.energy.dram_j = dram_e.total_j();
   result.energy.dram_background_j = dram_e.background_j;
   result.energy.dram_lowpower_saved_j = dram_e.lowpower_saved_j;
+}
+
+void check_platform(const CoreConfig& core, const HierarchyConfig& mem) {
+  const auto fail = [](const std::string& key, std::uint64_t value,
+                       const std::string& need) {
+    throw std::invalid_argument("invalid platform: " + key + "=" +
+                                std::to_string(value) + " (" + need + ")");
+  };
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"core.issue_width", core.issue_width},
+      {"core.mlp_window", core.mlp_window},
+      {"core.scoreboard", core.scoreboard_window},
+      {"mem.line_bytes", mem.l1d.line_bytes},
+      {"l1.size_kib", mem.l1d.size_bytes}, {"l1.assoc", mem.l1d.assoc},
+      {"l2.size_kib", mem.l2.size_bytes}, {"l2.assoc", mem.l2.assoc},
+      {"dram.channels", mem.dram.channels},
+      {"dram.banks", mem.dram.banks_per_channel}};
+  for (const auto& [key, value] : counts)
+    if (value == 0) fail(key, 0, "must be at least 1");
+  for (const auto& [level, cache] :
+       {std::pair<std::string, const CacheConfig*>{"l1", &mem.l1d},
+        {"l2", &mem.l2}})
+    if (!cache->valid())
+      fail(level + ".size_kib", cache->size_bytes / 1024,
+           "with " + level + ".assoc=" + std::to_string(cache->assoc) +
+               " and mem.line_bytes=" + std::to_string(cache->line_bytes) +
+               ", the line size and the number of sets must be powers of"
+               " two");
+  if (mem.dram.row_bytes < mem.dram.line_bytes)
+    fail("dram.row_bytes", mem.dram.row_bytes,
+         "must be at least mem.line_bytes=" +
+             std::to_string(mem.dram.line_bytes));
+}
+
+Simulator::Simulator(SimConfig config) : config_(std::move(config)) {
+  check_platform(config_.core, config_.mem);
 }
 
 PolicyContext Simulator::policy_context() const {

@@ -121,15 +121,22 @@ struct RunRecord {
   /// once per instruction on a dependence plus once per load for an MLP
   /// credit (cpu/core.cpp), so at most twice per instruction; pages the
   /// run never touches are never made resident.  Sampled recording
-  /// (src/sample) calls this on the calling thread before a pool worker
-  /// records, because glibc keeps memory a pool thread allocated in that
-  /// thread's arena after it is freed.
+  /// (src/sample) calls this on the calling thread before an executor
+  /// thread records, because glibc keeps memory such a thread allocated in
+  /// its own arena after it is freed.
   void reserve(std::uint64_t warmup, std::uint64_t instructions);
 };
 
+/// Throws std::invalid_argument, naming the config key and its value, for
+/// a platform no model can be built for: a count below 1, a cache geometry
+/// CacheConfig::valid() refuses, or a DRAM row smaller than a line.  Both
+/// simulators run it before building any model.
+void check_platform(const CoreConfig& core, const HierarchyConfig& mem);
+
 class Simulator {
  public:
-  explicit Simulator(SimConfig config) : config_(std::move(config)) {}
+  /// Throws std::invalid_argument for a platform check_platform rejects.
+  explicit Simulator(SimConfig config);
 
   /// Run one (workload, policy) combination.  `policy_spec` is a factory
   /// spec (see pg/factory.h).  Throws std::invalid_argument on a bad spec.

@@ -96,6 +96,10 @@ ExperimentEngine::ExperimentEngine(ExecOptions options)
 }
 
 ExperimentEngine::~ExperimentEngine() {
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    drained_.wait(lk, [this] { return drainers_ == 0; });
+  }
   // Close the run log with a metrics snapshot line (docs/OBSERVABILITY.md):
   // distinguishable from per-job lines by its "event" field.
   MAPG_OBS_ONLY(if (log_ && log_->is_open()) {
@@ -109,64 +113,75 @@ EngineStats ExperimentEngine::stats() const {
   return stats_;
 }
 
+std::optional<JobOutcome> ExperimentEngine::lookup(const ExperimentJob& job,
+                                                   const std::string& key) {
+  const double t0 = now_ms();
+  [[maybe_unused]] std::uint64_t trace_ts = 0;
+  MAPG_OBS_ONLY(if (obs::EventTracer::instance().enabled()) trace_ts =
+                    obs::EventTracer::instance().now_ns();)
+  std::shared_ptr<const SimResult> hit = cache_->get(key);
+  if (!hit) return std::nullopt;
+  JobOutcome out;
+  out.result = std::move(hit);
+  out.ok = true;
+  out.from_cache = true;
+  out.wall_ms = now_ms() - t0;
+  account(job, key, out, trace_ts);
+  return out;
+}
+
 JobOutcome ExperimentEngine::execute(
     const ExperimentJob& job,
-    std::shared_ptr<const std::vector<Instr>> trace) {
+    std::shared_ptr<const std::vector<Instr>> trace, bool probe) {
   const std::string key =
       cache_key(job.config, job.profile, job.policy_spec,
                 job.trace ? &*job.trace : nullptr);
+  if (std::optional<JobOutcome> hit = probe ? lookup(job, key) : std::nullopt)
+    return std::move(*hit);
   const double t0 = now_ms();
   [[maybe_unused]] std::uint64_t trace_ts = 0;
   MAPG_OBS_ONLY(if (obs::EventTracer::instance().enabled()) trace_ts =
                     obs::EventTracer::instance().now_ns();)
   JobOutcome out;
-
-  if (std::shared_ptr<const SimResult> hit = cache_->get(key)) {
-    out.result = std::move(hit);
-    out.ok = true;
-    out.from_cache = true;
-    out.wall_ms = now_ms() - t0;
-  } else {
-    try {
-      const Simulator sim(job.config);
-      if (job.trace.has_value()) {
-        // Trace-bound cell: stream the window from disk.  The digest check
-        // keeps the cache honest — the key claims this content, so a file
-        // swapped behind the binding must fail, not silently mis-key.
-        FileTraceSource file(job.trace->path);
-        if (!job.trace->digest_hex.empty() &&
-            file.info().digest_hex() != job.trace->digest_hex)
-          throw std::runtime_error(
-              job.trace->path + ": content digest " +
-              file.info().digest_hex() + " does not match binding " +
-              job.trace->digest_hex);
-        file.seek(job.trace->offset);
-        const std::uint64_t count =
-            job.config.warmup_instructions + job.config.instructions;
-        LimitedTraceSource window(file, count);
-        // Read and digest-checked ahead of the core where a thread is free.
-        TraceFrontEnd front = stage_if_free(window, count);
-        out.result = cache_->store(
-            key, sim.run(front.source(), job.trace->name, job.policy_spec));
-      } else if (trace != nullptr) {
-        // Shared materialized trace (replay-group fallback): the stream is
-        // what a fresh generator would produce, so this is bit-identical to
-        // the generator path.
-        SharedTraceView view(std::move(trace));
-        out.result = cache_->store(
-            key, sim.run(view, job.profile.name, job.policy_spec));
-      } else {
-        out.result =
-            cache_->store(key, sim.run(job.profile, job.policy_spec));
-      }
-      out.ok = true;
-    } catch (const std::exception& e) {
-      out.error = e.what();
-    } catch (...) {
-      out.error = "unknown exception";
+  try {
+    const Simulator sim(job.config);
+    if (job.trace.has_value()) {
+      // Trace-bound cell: stream the window from disk.  The digest check
+      // keeps the cache honest — the key claims this content, so a file
+      // swapped behind the binding must fail, not silently mis-key.
+      FileTraceSource file(job.trace->path);
+      if (!job.trace->digest_hex.empty() &&
+          file.info().digest_hex() != job.trace->digest_hex)
+        throw std::runtime_error(
+            job.trace->path + ": content digest " +
+            file.info().digest_hex() + " does not match binding " +
+            job.trace->digest_hex);
+      file.seek(job.trace->offset);
+      const std::uint64_t count =
+          job.config.warmup_instructions + job.config.instructions;
+      LimitedTraceSource window(file, count);
+      // Read and digest-checked ahead of the core where a thread is free.
+      TraceFrontEnd front = stage_if_free(window, count);
+      out.result = cache_->store(
+          key, sim.run(front.source(), job.trace->name, job.policy_spec));
+    } else if (trace != nullptr) {
+      // Shared materialized trace (replay-group fallback): the stream is
+      // what a fresh generator would produce, so this is bit-identical to
+      // the generator path.
+      SharedTraceView view(std::move(trace));
+      out.result = cache_->store(
+          key, sim.run(view, job.profile.name, job.policy_spec));
+    } else {
+      out.result =
+          cache_->store(key, sim.run(job.profile, job.policy_spec));
     }
-    out.wall_ms = now_ms() - t0;
+    out.ok = true;
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  } catch (...) {
+    out.error = "unknown exception";
   }
+  out.wall_ms = now_ms() - t0;
 
   account(job, key, out, trace_ts);
   return out;
@@ -274,14 +289,10 @@ void ExperimentEngine::dispatch(
   // Every task holds its slot from here until it ends, so trace front-end
   // helpers start only once fewer tasks than --jobs are left.
   ThreadBudget::Slots tasks(budget_, n);
-  if (options_.jobs <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) tasks.run([&] { body(i); });
-    return;
-  }
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.jobs);
-  const WaitIdleOnExit join(pool_.get());
-  for (std::size_t i = 0; i < n; ++i)
-    pool_->submit([&tasks, &body, i] { tasks.run([&] { body(i); }); });
+  for_each_claimed(n, ThreadPool::workers_for(options_.jobs, n),
+                   [&](std::size_t i, unsigned) {
+                     tasks.run([&] { body(i); });
+                   });
 }
 
 void ExperimentEngine::submit_detached(std::function<void()> task) {
@@ -290,14 +301,40 @@ void ExperimentEngine::submit_detached(std::function<void()> task) {
     return;
   }
   {
-    // run()/parallel_for() create the pool from a single caller thread;
-    // detached submissions can race each other, so creation locks here.
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.jobs);
+    const std::lock_guard<std::mutex> lk(mu_);
+    // Held from hand-out to the task's end, as dispatch() holds its tasks'.
+    detached_.emplace_back(ThreadBudget::Slots(budget_, 1), std::move(task));
+    if (drainers_ == options_.jobs) return;
+    ++drainers_;
   }
-  // Held from hand-out to the task's end, as dispatch() holds its tasks'.
-  auto slot = std::make_shared<ThreadBudget::Slots>(budget_, 1);
-  pool_->submit([slot, task = std::move(task)] { slot->run(task); });
+  // A drainer runs queued tasks until none is left.  Its last touch of the
+  // engine is under mu_, so the destructor may run once that is released.
+  const auto drain = [this] {
+    std::unique_lock<std::mutex> lk(mu_);
+    while (!detached_.empty()) {
+      {
+        auto next = std::move(detached_.front());
+        detached_.pop_front();
+        lk.unlock();
+        try {
+          next.first.run(next.second);
+        } catch (const std::exception& e) {
+          // The task's owner tracks its completion; the queue goes on.
+          log_warn() << "exec: a detached task threw: " << e.what();
+        } catch (...) {
+          log_warn() << "exec: a detached task threw";
+        }
+      }
+      lk.lock();
+    }
+    --drainers_;
+    drained_.notify_all();
+  };
+  try {
+    ThreadPool::launch(drain);
+  } catch (...) {
+    drain();  // no thread to be had: this one drains the queue
+  }
 }
 
 std::vector<JobOutcome> ExperimentEngine::run(
@@ -376,16 +413,17 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
   std::vector<std::size_t> missing;
   for (const std::size_t c : cell_indices) {
     const ExperimentJob& job = jobs[c];
-    if (cache_->get(cache_key(job.config, job.profile, job.policy_spec)))
-      outcomes[c] = execute(job);  // re-probe hits; accounting stays uniform
+    if (std::optional<JobOutcome> hit = lookup(
+            job, cache_key(job.config, job.profile, job.policy_spec)))
+      outcomes[c] = std::move(*hit);
     else
       missing.push_back(c);
   }
   // 2. A recording (one full `none` simulation) only amortizes across >= 2
-  // would-be simulations.
+  // would-be simulations.  Cells found missing are not probed again.
   if (missing.empty()) return;
   if (missing.size() == 1) {
-    outcomes[missing.front()] = execute(jobs[missing.front()]);
+    outcomes[missing.front()] = execute(jobs[missing.front()], {}, false);
     return;
   }
 
@@ -413,7 +451,7 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
   for (const std::size_t c : missing) {
     const ExperimentJob& job = jobs[c];
     if (!recorded) {
-      outcomes[c] = execute(job);
+      outcomes[c] = execute(job, {}, false);
       continue;
     }
     const double t0 = now_ms();
@@ -422,7 +460,7 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
       exact = resolve_on_timeline(timeline, job.policy_spec);
     } catch (...) {
       // A bad spec: the direct path reports the exact error.
-      outcomes[c] = execute(job, timeline.record.trace);
+      outcomes[c] = execute(job, timeline.record.trace, false);
       continue;
     }
     if (exact.tier == TimelineTier::kDirect) {
@@ -431,7 +469,7 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
         ++stats_.replay_fallbacks;
       }
       MAPG_OBS_COUNTER_INC("sim.replay.full_fallbacks");
-      outcomes[c] = execute(job, timeline.record.trace);
+      outcomes[c] = execute(job, timeline.record.trace, false);
       continue;
     }
     const std::string key =

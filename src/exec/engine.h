@@ -13,7 +13,9 @@
 // baselines.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -29,7 +31,6 @@
 #include "exec/serialize.h"
 #include "exec/thread_pool.h"
 #include "trace/profile.h"
-#include "trace/staged_source.h"
 
 namespace mapg {
 
@@ -163,12 +164,14 @@ class ExperimentEngine {
   JobOutcome run_one_traced(const ExperimentJob& job,
                             std::shared_ptr<const std::vector<Instr>> trace);
 
-  /// Enqueue an opaque task on the engine's pool and return immediately
-  /// (the pool is created on first use; with jobs <= 1 the task runs
-  /// inline).  Serve-layer hook: connection readers feed request handlers
-  /// to the same workers that run simulations, so one knob (--jobs) bounds
-  /// total compute.  Unlike run()/parallel_for(), completion is the
-  /// caller's contract to track.
+  /// Queue an opaque task and return without waiting for it.  Tasks start
+  /// in submission order, at most --jobs at once, each holding a slot of
+  /// budget() from here to its end; with jobs <= 1 the task runs inline.
+  /// Serve-layer hook: connection readers feed request handlers through
+  /// it, so one knob (--jobs) bounds total compute.  Unlike
+  /// run()/parallel_for(), completion is the caller's contract to track;
+  /// an exception a task throws is logged and the queue goes on.  The
+  /// destructor waits for every queued task.
   void submit_detached(std::function<void()> task);
 
   /// Expand in deterministic order: variant, workload, policy, seed.
@@ -182,14 +185,16 @@ class ExperimentEngine {
   /// jobs count.
   SweepResult run_sweep(const SweepSpec& spec);
 
-  /// Generic ordered parallel-for over [0, n) on the engine's pool — for
-  /// work the result cache cannot key (e.g. multicore simulations).
+  /// Generic parallel-for over [0, n) on --jobs threads — for work the
+  /// result cache cannot key (e.g. multicore simulations).  Every index
+  /// runs even after one throws; once all have ended, the lowest throwing
+  /// index's exception is rethrown, whatever --jobs is.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
   ResultCache& cache() { return *cache_; }
   const ExecOptions& options() const { return options_; }
-  /// --jobs as a ThreadBudget (trace/staged_source.h).  Besides the slots
+  /// --jobs as a ThreadBudget (exec/thread_pool.h).  Besides the slots
   /// the engine holds per task, the server holds one per open connection.
   ThreadBudget& budget() { return budget_; }
   EngineStats stats() const;
@@ -198,8 +203,14 @@ class ExperimentEngine {
   /// Simulate (or serve from cache) one cell.  A non-null `trace` feeds the
   /// simulator from the shared materialized buffer instead of a fresh
   /// generator — the stream is identical, so results are bit-identical.
+  /// `probe` false skips the cache: lookup() just missed it.
   JobOutcome execute(const ExperimentJob& job,
-                     std::shared_ptr<const std::vector<Instr>> trace = {});
+                     std::shared_ptr<const std::vector<Instr>> trace = {},
+                     bool probe = true);
+  /// The cache's answer for `job` under `key`, accounted; nullopt when the
+  /// cache does not hold it.
+  std::optional<JobOutcome> lookup(const ExperimentJob& job,
+                                   const std::string& key);
   /// Shared outcome bookkeeping: engine stats, obs counters/trace, run log.
   void account(const ExperimentJob& job, const std::string& key,
                const JobOutcome& outcome, std::uint64_t trace_ts);
@@ -214,9 +225,10 @@ class ExperimentEngine {
   void log_job(const ExperimentJob& job, const std::string& key,
                const JobOutcome& outcome);
   void progress_tick(std::size_t done, std::size_t total);
-  /// Runs body(i) for every i in [0, n) as n tasks of budget_, on the pool
-  /// when --jobs and n allow, else in order on the calling thread, and
-  /// returns when all have finished.
+  /// Runs body(i) for every i in [0, n) as n tasks of budget_, claimed by
+  /// the calling thread and up to --jobs - 1 launched ones
+  /// (for_each_claimed), and returns when all have finished, rethrowing
+  /// the lowest throwing index's exception.
   void dispatch(std::size_t n, const std::function<void(std::size_t)>& body);
 
   ExecOptions options_;
@@ -226,10 +238,13 @@ class ExperimentEngine {
   /// its end, and the trace front-end helpers of its simulations take
   /// theirs from what is left (trace/staged_source.h).
   ThreadBudget budget_;
-  std::unique_ptr<ThreadPool> pool_;  ///< created lazily, only when jobs > 1
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards the members below
   EngineStats stats_;
+  /// submit_detached's tasks not yet started, each with its slot.
+  std::deque<std::pair<ThreadBudget::Slots, std::function<void()>>> detached_;
+  unsigned drainers_ = 0;  ///< threads draining detached_
+  std::condition_variable drained_;  ///< signalled as a drainer ends
   std::unique_ptr<std::ofstream> log_;
   double run_started_ms_ = 0;  ///< monotonic, for the sims/sec meter
 };

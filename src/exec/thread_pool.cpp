@@ -1,12 +1,117 @@
 #include "exec/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "obs/obs.h"
 
 namespace mapg {
+namespace {
+
+/// One executor thread: the body it runs next, and how it is woken.
+struct Worker {
+  std::thread thread;
+  std::function<void()> body;  ///< guarded by Executor::mu
+  std::condition_variable wake;
+  bool retire = false;  ///< guarded by Executor::mu
+};
+
+/// The threads waiting for a body, most recently parked last.  Never
+/// destroyed: parked threads wait on it until the process exits.
+struct Executor {
+  std::mutex mu;
+  std::vector<Worker*> parked;
+};
+
+void retire_parked();
+void release_lock();
+
+Executor& executor() {
+  static Executor* const ex = [] {
+    auto* e = new Executor;
+    pthread_atfork(retire_parked, release_lock, release_lock);
+    return e;
+  }();
+  return *ex;
+}
+
+/// A thread's life: run the body it was started with, park, and run each
+/// body launch() hands it, until a fork retires it.
+void serve(Worker* self) {
+  Executor& ex = executor();
+  std::unique_lock<std::mutex> lk(ex.mu);
+  for (;;) {
+    std::function<void()> body = std::move(self->body);
+    self->body = nullptr;
+    lk.unlock();
+    body();
+    body = nullptr;  // its captures go before the thread parks
+    lk.lock();
+    ex.parked.push_back(self);
+    self->wake.wait(lk,
+                    [self] { return self->body != nullptr || self->retire; });
+    if (self->retire) return;
+  }
+}
+
+// Before a fork: join every parked thread, then hold the lock across the
+// fork, so the child's copy of the executor has no parked thread and no
+// half-made change.
+void retire_parked() {
+  Executor& ex = executor();
+  std::vector<Worker*> retiring;
+  {
+    const std::lock_guard<std::mutex> lk(ex.mu);
+    retiring.swap(ex.parked);
+    for (Worker* w : retiring) {
+      w->retire = true;
+      w->wake.notify_one();
+    }
+  }
+  for (Worker* w : retiring) {
+    w->thread.join();
+    delete w;
+  }
+  ex.mu.lock();
+}
+
+void release_lock() { executor().mu.unlock(); }
+
+/// The budget of the task this thread runs, innermost first (Slots::run).
+thread_local ThreadBudget* t_budget = nullptr;
+
+}  // namespace
+
+void ThreadPool::launch(std::function<void()> body) {
+  Executor& ex = executor();
+  std::unique_lock<std::mutex> lk(ex.mu);
+  if (!ex.parked.empty()) {
+    Worker* w = ex.parked.back();
+    ex.parked.pop_back();
+    w->body = std::move(body);
+    lk.unlock();
+    w->wake.notify_one();
+    return;
+  }
+  auto* w = new Worker;
+  w->body = std::move(body);
+  try {
+    // Under the lock, so the thread parks (where a fork may join it) only
+    // once `thread` holds it.
+    w->thread = std::thread(serve, w);
+  } catch (...) {
+    delete w;
+    throw;
+  }
+  lk.unlock();
+  MAPG_OBS_COUNTER_INC("exec.threads.started");
+}
 
 unsigned ThreadPool::default_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -19,125 +124,72 @@ unsigned ThreadPool::workers_for(unsigned jobs, std::size_t items) {
       1, std::min({want, items, std::size_t{kMaxThreads}})));
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = default_threads();
-  threads = std::min(threads, kMaxThreads);
-  queues_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    queues_.push_back(std::make_unique<Worker>());
-  workers_.reserve(threads);
-  try {
-    for (unsigned i = 0; i < threads; ++i)
-      workers_.emplace_back([this, i] { worker_loop(i); });
-  } catch (...) {
-    // A joinable std::thread destroyed during unwinding calls
-    // std::terminate, so the started workers are joined first.
-    stop_and_join();
-    throw;
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  wait_idle();
-  stop_and_join();
-}
-
-void ThreadPool::stop_and_join() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  std::size_t target;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++pending_;
-    ++queued_;
-    MAPG_OBS_GAUGE_SET("exec.pool.pending", pending_);
-    target = next_queue_;
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-  }
-  MAPG_OBS_COUNTER_INC("exec.pool.submitted");
-  try {
-    std::lock_guard<std::mutex> lk(queues_[target]->mu);
-    queues_[target]->deque.push_back(std::move(task));
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(mu_);
-    --queued_;
-    if (--pending_ == 0) idle_.notify_all();
-    throw;
-  }
-  work_.notify_one();
-}
-
-bool ThreadPool::try_get_task(std::size_t self, std::function<void()>& out) {
-  // Own deque first, newest-first.
-  {
-    Worker& w = *queues_[self];
-    std::lock_guard<std::mutex> lk(w.mu);
-    if (!w.deque.empty()) {
-      out = std::move(w.deque.back());
-      w.deque.pop_back();
+bool ThreadBudget::try_hold(std::size_t n) {
+  std::size_t cur = in_use_.load(std::memory_order_relaxed);
+  while (cur + n <= limit_)
+    if (in_use_.compare_exchange_weak(cur, cur + n,
+                                      std::memory_order_relaxed))
       return true;
-    }
-  }
-  // Steal oldest-first from the other workers.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    Worker& v = *queues_[(self + k) % queues_.size()];
-    std::lock_guard<std::mutex> lk(v.mu);
-    if (!v.deque.empty()) {
-      out = std::move(v.deque.front());
-      v.deque.pop_front();
-      MAPG_OBS_COUNTER_INC("exec.pool.steals");
-      return true;
-    }
-  }
   return false;
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  for (;;) {
-    std::function<void()> task;
-    if (try_get_task(self, task)) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        --queued_;
-      }
-      try {
-        task();
-      } catch (...) {
-        // Job bodies catch their own exceptions (see engine.cpp); anything
-        // reaching here is contained so one bad task can't kill the pool.
-      }
-      std::lock_guard<std::mutex> lk(mu_);
-      MAPG_OBS_GAUGE_SET("exec.pool.pending", pending_ - 1);
-      if (--pending_ == 0) idle_.notify_all();
-      continue;
-    }
-    // A submit counts its task under mu_ before it signals, so one that
-    // lands between the failed try_get_task above and this wait is seen
-    // here instead of slept through.  (The count is raised before the task
-    // reaches a deque, so a worker woken for it may retry a few times
-    // until the push lands.)
-    std::unique_lock<std::mutex> lk(mu_);
-    work_.wait(lk, [this] { return stop_ || queued_ > 0; });
-    if (stop_) return;
-  }
+ThreadBudget& ThreadBudget::process() {
+  static ThreadBudget budget(ThreadPool::default_threads());
+  return budget;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  idle_.wait(lk, [this] { return pending_ == 0; });
+ThreadBudget* ThreadBudget::current() { return t_budget; }
+
+ThreadBudget::Slots::Slots(ThreadBudget& budget, std::size_t n)
+    : budget_(&budget), held_(n) {
+  budget.hold(n);
+}
+
+ThreadBudget::Slots ThreadBudget::Slots::try_take(ThreadBudget& budget,
+                                                  std::size_t n) {
+  Slots slots;
+  if (budget.try_hold(n)) {
+    slots.budget_ = &budget;
+    slots.held_.store(n, std::memory_order_relaxed);
+  }
+  return slots;
+}
+
+ThreadBudget::Slots::Slots(Slots&& other) noexcept
+    : budget_(other.budget_), held_(other.held_.exchange(0)) {}
+
+ThreadBudget::Slots& ThreadBudget::Slots::operator=(Slots&& other) noexcept {
+  if (this != &other) {
+    give_back();
+    budget_ = other.budget_;
+    held_.store(other.held_.exchange(0), std::memory_order_relaxed);
+  }
+  return *this;
+}
+
+ThreadBudget::Slots::~Slots() { give_back(); }
+
+void ThreadBudget::Slots::give_back() {
+  const std::size_t n = held_.exchange(0);
+  if (n > 0) budget_->release(n);
+}
+
+ThreadBudget::Slots::Running::Running(Slots& slots)
+    : slots_(slots), enclosing_(t_budget) {
+  if (enclosing_ == nullptr) ThreadBudget::process().hold(1);
+  t_budget = slots.budget_;
+}
+
+ThreadBudget::Slots::Running::~Running() {
+  t_budget = enclosing_;
+  if (enclosing_ == nullptr) ThreadBudget::process().release(1);
+  slots_.held_.fetch_sub(1);
+  slots_.budget_->release(1);
 }
 
 void for_each_claimed(
-    ThreadPool* pool, std::size_t items, unsigned workers,
+    std::size_t items, unsigned workers,
     const std::function<void(std::size_t item, unsigned worker)>& body) {
-  workers = pool == nullptr ? 1 : std::min(workers, pool->size() + 1);
   std::vector<std::exception_ptr> errors(items);
   std::atomic<std::size_t> next{0};
   const auto work = [&](unsigned worker) {
@@ -151,13 +203,33 @@ void for_each_claimed(
       }
     }
   };
-  if (workers <= 1) {
-    work(0);
-  } else {
-    const WaitIdleOnExit join(pool);
-    for (unsigned w = 1; w < workers; ++w)
-      pool->submit([&work, w] { work(w); });
-    work(0);
+  // Launched workers not yet finished.  Each says so under `mu` as its
+  // last touch of this frame.
+  std::mutex mu;
+  std::condition_variable finished;
+  unsigned running = 0;
+  for (unsigned w = 1; w < workers; ++w) {
+    {
+      const std::lock_guard<std::mutex> lk(mu);
+      ++running;
+    }
+    try {
+      ThreadPool::launch([&, w] {
+        work(w);
+        const std::lock_guard<std::mutex> lk(mu);
+        if (--running == 0) finished.notify_one();
+      });
+    } catch (...) {
+      // No thread to be had: the workers already going share the items.
+      const std::lock_guard<std::mutex> lk(mu);
+      --running;
+      break;
+    }
+  }
+  work(0);
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    finished.wait(lk, [&] { return running == 0; });
   }
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);

@@ -1,59 +1,44 @@
-// Work-stealing thread pool for independent simulation jobs.
+// The process executor, and the budgets that bound what runs on it.
 //
-// Each worker owns a deque: it pushes/pops its own work LIFO (cache-warm)
-// and steals FIFO from a victim when empty (oldest task first, the classic
-// work-stealing discipline).  External submissions are dealt round-robin
-// across the worker deques so a large sweep starts balanced even before
-// stealing kicks in.
+// Every thread the simulator starts, besides a server's accept thread,
+// comes from ThreadPool::launch(): it hands a body to a parked thread, or
+// starts a thread when none is parked, and a thread whose body returns
+// parks for the next one.  A launched body never queues behind another,
+// so a body that waits on one it launched (a run's trace front-end
+// helper, trace/staged_source.h) always has a thread.  How many bodies run
+// at once is bounded by ThreadBudget (below), not by the executor.
 //
-// Tasks are opaque void() closures; result ordering is the caller's problem
-// (the ExperimentEngine writes results into pre-allocated slots, so sweep
-// output order never depends on scheduling).  A task that throws is the
-// caller's bug — the engine wraps every job body in its own try/catch — but
-// the pool still contains it rather than calling std::terminate.
+// Fork: a pthread_atfork handler joins the parked threads first, so a
+// process whose executor threads are all parked forks as one thread and
+// the child starts with none parked.
 //
-// for_each_claimed() below is the other way to use it: a fixed fan-out of
-// indexed items (the sampled signature scan, and the sampled runner's
-// representative recordings and cells) claimed from one atomic counter on
-// a pool the caller keeps.
+// for_each_claimed() is the fan-out over indexed items: the engine's
+// tasks, the signature scan, the sampled runner's recordings and cells.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <utility>
 
 namespace mapg {
 
 class ThreadPool {
  public:
-  /// Ceiling on a pool's threads, and so on --jobs (exec_options_from
-  /// clamps to it too): far above the hosts this simulator runs on, far
+  /// Ceiling on --jobs (exec_options_from clamps to it) and on one
+  /// fan-out's workers: far above the hosts this simulator runs on, far
   /// below the thread counts at which a host refuses to start more.
   static constexpr unsigned kMaxThreads = 256;
 
-  /// `threads` == 0 selects default_threads(); more than kMaxThreads is
-  /// clamped to it.  If a thread fails to start, the workers already
-  /// started are stopped and joined before the std::system_error is
-  /// rethrown.
-  explicit ThreadPool(unsigned threads);
-  ~ThreadPool();
+  ThreadPool() = delete;
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueue one task.  Thread-safe (including from inside a task).  If
-  /// it throws (std::bad_alloc), the task was not enqueued.
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished executing.
-  void wait_idle();
-
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+  /// Runs body() on a parked executor thread, or on a new one when none
+  /// is parked, and returns without waiting for it.  Throws
+  /// std::system_error when no thread is parked and none can start; body
+  /// is then not run.  An exception escaping body ends the process, as
+  /// one escaping a std::thread's function does.  Counts each thread
+  /// started in exec.threads.started.
+  static void launch(std::function<void()> body);
 
   /// Hardware concurrency, clamped to at least 1.
   static unsigned default_threads();
@@ -62,59 +47,116 @@ class ThreadPool {
   /// meaning: `jobs` (0 = default_threads()), at most `items` and
   /// kMaxThreads, at least 1.
   static unsigned workers_for(unsigned jobs, std::size_t items);
+};
+
+/// A count of busy threads against a limit: one caller's --jobs, or every
+/// hardware thread of the process (process()).  Slots are taken and given
+/// back only through Slots, so none outlives what holds it.
+class ThreadBudget {
+ public:
+  class Slots;
+
+  explicit ThreadBudget(std::size_t limit) : limit_(limit) {}
+  ThreadBudget(const ThreadBudget&) = delete;
+  ThreadBudget& operator=(const ThreadBudget&) = delete;
+
+  std::size_t in_use() const {
+    return in_use_.load(std::memory_order_relaxed);
+  }
+  std::size_t limit() const { return limit_; }
+
+  /// One slot per hardware thread.  Every thread running a task holds one,
+  /// every helper holds one, and so does a simulating thread outside any
+  /// task while its stage lives.
+  static ThreadBudget& process();
+  /// The budget of the task the calling thread runs (the innermost, when
+  /// tasks nest), or nullptr outside any task.
+  static ThreadBudget* current();
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> deque;  ///< guarded by `mu`
-    std::mutex mu;
+  void hold(std::size_t n) { in_use_.fetch_add(n, std::memory_order_relaxed); }
+  /// Counts `n` more threads busy if that keeps in_use() within limit().
+  bool try_hold(std::size_t n);
+  void release(std::size_t n) {
+    in_use_.fetch_sub(n, std::memory_order_relaxed);
+  }
+
+  const std::size_t limit_;
+  std::atomic<std::size_t> in_use_{0};
+};
+
+/// Slots held on a ThreadBudget, given back when the Slots is destroyed or,
+/// one at a time, as run() ends the tasks they were held for.
+///
+/// A caller that hands out n tasks holds n slots before the first starts,
+/// so a slot is free only while fewer tasks than threads are left.  run()
+/// runs one of them on the calling thread, which is busy with the budget
+/// meanwhile: stage_if_free there takes helpers from it, and the thread
+/// holds one process() slot (once, however deeply tasks nest).  Slots no
+/// run() used (tasks never started because a submit threw, or an open
+/// server connection that only keeps a thread for its next request) are
+/// given back by the destructor.
+class ThreadBudget::Slots {
+ public:
+  Slots() = default;
+  /// Holds `n` slots of `budget` whatever its limit: work already handed
+  /// out is never refused.
+  Slots(ThreadBudget& budget, std::size_t n);
+  /// `n` slots of `budget` if that many are free, else none.
+  static Slots try_take(ThreadBudget& budget, std::size_t n);
+  Slots(Slots&& other) noexcept;
+  Slots& operator=(Slots&& other) noexcept;
+  ~Slots();
+
+  /// Whether any slot is held.
+  explicit operator bool() const {
+    return held_.load(std::memory_order_relaxed) > 0;
+  }
+
+  /// Runs one task on the calling thread and gives its slot back when the
+  /// task returns or throws.  At most one run() per slot; run()s on
+  /// several threads at once are fine.
+  template <class F>
+  decltype(auto) run(F&& task) {
+    const Running running(*this);
+    return std::forward<F>(task)();
+  }
+
+ private:
+  /// Marks the calling thread busy with the budget while a task runs.
+  class Running {
+   public:
+    explicit Running(Slots& slots);
+    ~Running();
+    Running(const Running&) = delete;
+    Running& operator=(const Running&) = delete;
+
+   private:
+    Slots& slots_;
+    ThreadBudget* enclosing_;
   };
 
-  void worker_loop(std::size_t self);
-  void stop_and_join();
-  bool try_get_task(std::size_t self, std::function<void()>& out);
+  void give_back();
 
-  std::vector<std::unique_ptr<Worker>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;                 ///< guards the counters below
-  std::condition_variable work_;  ///< signalled on submit and shutdown
-  std::condition_variable idle_;  ///< signalled when pending_ hits zero
-  std::size_t pending_ = 0;       ///< submitted but not yet finished
-  std::size_t queued_ = 0;        ///< submitted but not yet taken
-  std::size_t next_queue_ = 0;    ///< round-robin submission cursor
-  bool stop_ = false;
+  ThreadBudget* budget_ = nullptr;
+  std::atomic<std::size_t> held_{0};
 };
 
-/// Waits for a pool to go idle when it leaves scope, also while unwinding,
-/// so tasks that refer to the enclosing frame are done before it goes.
-class WaitIdleOnExit {
- public:
-  explicit WaitIdleOnExit(ThreadPool* pool) : pool_(pool) {}
-  ~WaitIdleOnExit() {
-    if (pool_ != nullptr) pool_->wait_idle();
-  }
-  WaitIdleOnExit(const WaitIdleOnExit&) = delete;
-  WaitIdleOnExit& operator=(const WaitIdleOnExit&) = delete;
-
- private:
-  ThreadPool* pool_;
-};
-
-/// Run body(item, worker) for every item in [0, items) on `workers`
-/// threads: the calling thread is worker 0 and up to workers - 1 threads
-/// of `pool` supply the rest, each claiming the next item from one atomic
-/// counter.  `pool` is one the caller keeps for such fan-outs and does not
-/// run the caller: the call returns once it is idle.  A null `pool` runs
-/// on the calling thread alone.  `worker` indexes per-worker state the
-/// caller built beforehand — on the calling thread, because glibc keeps
-/// memory a pool thread allocated in that thread's arena after it is
-/// freed.  Every item is attempted even after one throws, so which errors
-/// are recorded never depends on thread timing; after every worker has
-/// finished, the lowest failing item's exception is rethrown, the one an
-/// in-order loop would meet first.  workers <= 1 runs the items in order
-/// on the calling thread, under the same error rule.
+/// Run body(item, worker) for every item in [0, items) on up to `workers`
+/// threads: the calling thread is worker 0 and up to workers - 1 launched
+/// threads supply the rest, each claiming the next item from one atomic
+/// counter.  The call returns once every worker has finished; a worker
+/// that cannot start leaves its items to the others.  `worker` indexes
+/// per-worker state the caller built beforehand — on the calling thread,
+/// because glibc keeps memory an executor thread allocated in that
+/// thread's arena after it is freed.  Every item is attempted even after
+/// one throws, so which errors are recorded never depends on thread
+/// timing; after every worker has finished, the lowest failing item's
+/// exception is rethrown, the one an in-order loop would meet first.
+/// workers <= 1 runs the items in order on the calling thread, under the
+/// same error rule.
 void for_each_claimed(
-    ThreadPool* pool, std::size_t items, unsigned workers,
+    std::size_t items, unsigned workers,
     const std::function<void(std::size_t item, unsigned worker)>& body);
 
 }  // namespace mapg

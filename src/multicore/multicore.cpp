@@ -37,6 +37,7 @@ struct Slot {
 
 MulticoreSim::MulticoreSim(MulticoreConfig config)
     : config_(std::move(config)) {
+  check_platform(config_.core, config_.mem);
   assert(config_.num_cores > 0 && "need at least one core");
   assert(config_.mem.valid() && "invalid hierarchy configuration");
 }

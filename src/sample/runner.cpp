@@ -6,6 +6,7 @@
 
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
+#include "trace/staged_source.h"
 
 namespace mapg {
 namespace {
@@ -107,32 +108,13 @@ SampledRunner::SampledRunner(const SimConfig& base, FileTraceSource& trace,
   timelines_.resize(plan_.exhaustive ? 1 : plan_.clusters.size());
 }
 
-unsigned SampledRunner::pool_threads(unsigned jobs, std::size_t clusters) {
-  const unsigned limit = ThreadPool::workers_for(jobs, ThreadPool::kMaxThreads);
-  const unsigned workers = ThreadPool::workers_for(jobs, clusters);
-  // Workers 1.. run on the pool, and so does the window helper of each
-  // recording the budget grants one.  A recording holds its slot until it
-  // ends and has at most one helper, so the pool workers recording plus
-  // the helpers never pass `limit`, nor 2 * workers - 1: with that many
-  // threads every granted helper starts at once.  With fewer, a recording
-  // whose helper is queued behind busy pool workers stalls, and one whose
-  // helper waits for the recording's own thread never ends.
-  return limit <= 1 ? 0 : std::min(limit, 2 * workers - 1);
-}
-
-ThreadPool* SampledRunner::pool() {
-  const unsigned threads = pool_threads(jobs_, timelines_.size());
-  if (!pool_ && threads > 0) pool_ = std::make_unique<ThreadPool>(threads);
-  return pool_.get();
-}
-
 void SampledRunner::for_each_task(
     std::size_t items,
     const std::function<void(std::size_t item, unsigned worker)>& body) {
   // Every item is one task of budget_ from here until it ends, so a window
   // helper starts only once fewer items than --jobs are left.
   ThreadBudget::Slots tasks(budget_, items);
-  for_each_claimed(pool(), items, ThreadPool::workers_for(jobs_, items),
+  for_each_claimed(items, ThreadPool::workers_for(jobs_, items),
                    [&](std::size_t item, unsigned worker) {
                      tasks.run([&] { body(item, worker); });
                    });
@@ -165,8 +147,8 @@ void SampledRunner::record_timelines() {
     if (!timelines_[c].has_value()) missing.push_back(c);
   if (missing.empty()) return;
 
-  // When pool workers record, everything they fill is built here, on the
-  // calling thread (exec/thread_pool.h): the readers and every window's
+  // When launched workers record, everything they fill is built here, on
+  // the calling thread (exec/thread_pool.h): the readers and every window's
   // trace buffer and stall series.  A serial recording (one worker, which
   // includes the exhaustive plan's whole-trace window) grows its own.
   const unsigned workers = ThreadPool::workers_for(jobs_, missing.size());
@@ -179,12 +161,6 @@ void SampledRunner::record_timelines() {
       records[i].reserve(windows[i].config.warmup_instructions,
                          windows[i].config.instructions);
   }
-  ThreadPool* threads = pool();
-  StagedTraceSource::Launcher on_pool;
-  if (threads != nullptr)
-    on_pool = [threads](std::function<void()> body) {
-      threads->submit(std::move(body));
-    };
   for_each_task(missing.size(), [&](std::size_t i, unsigned w) {
     [[maybe_unused]] std::uint64_t ts = 0;
     MAPG_OBS_ONLY(ts = span_begin();)
@@ -193,7 +169,7 @@ void SampledRunner::record_timelines() {
     const std::uint64_t count =
         win.config.warmup_instructions + win.config.instructions;
     LimitedTraceSource window(readers[w], count);
-    TraceFrontEnd front = stage_if_free(window, count, on_pool);
+    TraceFrontEnd front = stage_if_free(window, count);
     timelines_[missing[i]] = record_timeline_traced(
         win.config, front.source(), workload_, std::move(records[i]));
     MAPG_OBS_COUNTER_ADD("sim.sample.simulated", win.config.instructions);

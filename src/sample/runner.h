@@ -8,16 +8,14 @@
 // use (resolve_on_timeline: reference -> exact replay), falling back to
 // direct simulation over the materialized window.  Recordings and cells
 // run on up to --jobs workers through exec's claim loop (for_each_claimed,
-// exec/thread_pool.h) on one pool the runner keeps; each worker reads
-// through its own digest-checking reader, and the projection sums
-// per-cluster results in cluster order after the join, so a result never
-// depends on the worker count.  Where --jobs
-// leaves threads over, a recording's window is read and digest-checked
-// ahead of its core by a helper from the same pool
-// (trace/staged_source.h).  Per-representative results are
-// therefore bit-identical to directly simulating that window; approximation
-// enters ONLY in the projection step, where extensive metrics are scaled by
-// cluster weights and summed:
+// exec/thread_pool.h); each worker reads through its own digest-checking
+// reader, and the projection sums per-cluster results in cluster order
+// after the join, so a result never depends on the worker count.  Where
+// --jobs leaves threads over, a recording's window is read and
+// digest-checked ahead of its core by a helper (trace/staged_source.h).
+// Per-representative results are therefore bit-identical to directly
+// simulating that window; approximation enters ONLY in the projection
+// step, where extensive metrics are scaled by cluster weights and summed:
 //
 //   m_hat = sum_k w_k * m_k,   w_k = (sum_{r in k} len_r) / len_{rep_k}
 //
@@ -39,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,7 +44,6 @@
 #include "exec/thread_pool.h"
 #include "replay/replay.h"
 #include "sample/planner.h"
-#include "trace/staged_source.h"
 
 namespace mapg {
 
@@ -102,11 +98,6 @@ class SampledRunner {
 
   const SamplePlan& plan() const { return plan_; }
 
-  /// Threads of the pool a runner keeps for `jobs` (the constructor's
-  /// meaning) and `clusters` representatives: enough that a window helper
-  /// --jobs grants one never waits for a pool thread.  0 for one job.
-  static unsigned pool_threads(unsigned jobs, std::size_t clusters);
-
  private:
   /// A representative's trace window: where it starts and the config
   /// (warmup + measured counts) it is recorded under.
@@ -117,12 +108,8 @@ class SampledRunner {
   Window window_for(std::size_t cluster) const;
   void record_timelines();
   std::vector<SimResult> simulate_cells(const std::string& policy_spec);
-  /// The runner's pool, started on first use and kept for its lifetime:
-  /// workers beyond the calling thread, plus the window helpers --jobs
-  /// leaves room for.  Null when jobs is 1.
-  ThreadPool* pool();
-  /// for_each_claimed over `items` on pool(), each item one task of
-  /// budget_ (trace/staged_source.h).
+  /// for_each_claimed over `items`, each item one task of budget_
+  /// (exec/thread_pool.h).
   void for_each_task(
       std::size_t items,
       const std::function<void(std::size_t item, unsigned worker)>& body);
@@ -133,7 +120,6 @@ class SampledRunner {
   std::string workload_;
   unsigned jobs_;
   ThreadBudget budget_;  ///< jobs_ threads: recordings plus their helpers
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::optional<StallTimeline>> timelines_;  ///< per cluster
 };
 

@@ -265,8 +265,8 @@ std::vector<RegionSignature> compute_file_signatures(
 
   // Each worker scans through its own reader (worker 0 through the
   // caller's) into one reused accumulator; both are built here, on the
-  // calling thread (thread_pool.h).  A region accumulator's line map still
-  // grows where it scans.
+  // calling thread (exec/thread_pool.h).  A region accumulator's line map
+  // still grows where it scans.
   TraceReaders readers(trace, workers);
   std::vector<RegionAccum> accs(workers);
   const std::uint64_t line_shift = line_shift_for(line_bytes);
@@ -274,8 +274,7 @@ std::vector<RegionSignature> compute_file_signatures(
   std::vector<RegionSignature> out(regions);
   // A damaged trace raises the error of its lowest failing region, the one
   // the serial scan stops at.
-  ThreadPool pool(workers - 1);
-  for_each_claimed(&pool, regions, workers, [&](std::size_t r, unsigned w) {
+  for_each_claimed(regions, workers, [&](std::size_t r, unsigned w) {
     const std::uint64_t start = r * region_instructions;
     const std::uint64_t length = std::min(region_instructions, total - start);
     readers[w].seek(start);

@@ -17,10 +17,10 @@
 #include "common/config.h"
 #include "common/log.h"
 #include "exec/serialize.h"
+#include "exec/thread_pool.h"
 #include "multicore/config_apply.h"
 #include "obs/obs.h"
 #include "trace/profile.h"
-#include "trace/staged_source.h"
 
 namespace mapg::serve {
 
@@ -37,7 +37,9 @@ Frame error_frame(const std::string& text) {
 /// CellRequest -> ExperimentJob: apply the key=value config dialect onto
 /// the platform defaults and resolve the builtin workload.  Unknown config
 /// keys are request errors, not warnings — a typo must not silently serve
-/// results for a different platform than the client asked about.
+/// results for a different platform than the client asked about.  A
+/// platform no model can be built for throws (check_platform), and
+/// process() answers the request with its error.
 bool job_from_cell(const CellRequest& req, ExperimentJob* job,
                    std::string* error) {
   KvConfig kv;
@@ -48,6 +50,7 @@ bool job_from_cell(const CellRequest& req, ExperimentJob* job,
     *error = "unknown config key '" + unknown.front() + "'";
     return false;
   }
+  check_platform(job->config.core, job->config.mem);
   const WorkloadProfile* profile = find_profile(req.workload);
   if (profile == nullptr) {
     *error = "unknown workload '" + req.workload + "'";
@@ -70,6 +73,7 @@ bool expand_sweep(const SweepRequest& req, std::vector<ExperimentJob>* jobs,
     *error = "unknown config key '" + unknown.front() + "'";
     return false;
   }
+  check_platform(base.core, base.mem);
   if (req.policies.empty() || req.workloads.empty()) {
     *error = "sweep needs workloads and policies";
     return false;
@@ -208,7 +212,7 @@ void ServeServer::accept_loop() {
     MAPG_OBS_COUNTER_INC("serve.connections");
     MAPG_OBS_ONLY(MAPG_OBS_GAUGE_ADD("serve.connections.open", 1);)
     try {
-      std::thread(&ServeServer::handle_connection, this, conn).detach();
+      ThreadPool::launch([this, conn] { handle_connection(conn); });
     } catch (const std::system_error&) {
       // No thread to serve it: drop this connection, give back what it was
       // counted as, and keep accepting.
@@ -258,7 +262,7 @@ void ServeServer::handle_connection(std::shared_ptr<Conn> conn) {
   ::close(conn->fd);
   // Gauge and notify stay under mu_: once it is released with
   // active_conns_ == 0, stop() may return and the server (state_cv_
-  // included) may be destroyed while this detached thread still runs.
+  // included) may be destroyed while this thread still runs.
   std::lock_guard<std::mutex> lk(mu_);
   conns_.erase(conn);
   --active_conns_;
@@ -295,8 +299,8 @@ void ServeServer::serve_requests(const std::shared_ptr<Conn>& conn) {
               request.type == FrameType::kPing ? ok_frame() : handle_stats());
       continue;
     }
-    // Compute requests ride the engine's worker pool; the sequencer keeps
-    // the response order regardless of completion order.
+    // Compute requests queue on the engine (at most --jobs run at once);
+    // the sequencer keeps the response order regardless of completion order.
     engine_->submit_detached([this, conn, seq,
                               req = std::move(request)]() mutable {
       [[maybe_unused]] std::uint64_t ts = 0;
@@ -348,6 +352,8 @@ Frame ServeServer::process(const Frame& request) {
                            std::to_string(static_cast<std::uint32_t>(
                                request.type)));
     }
+  } catch (const std::invalid_argument& e) {
+    return error_frame(e.what());  // a request no model can be built for
   } catch (const std::exception& e) {
     return error_frame(std::string("internal error: ") + e.what());
   }

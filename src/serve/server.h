@@ -1,9 +1,10 @@
 // ServeServer: the resident experiment server (docs/SERVE.md).
 //
 // One process, one listening TCP socket, one ExperimentEngine.  An accept
-// loop hands each connection to a reader thread; every request the reader
-// parses is assigned a per-connection sequence number and fed to the
-// engine's ThreadPool (exec::submit_detached), so simulation work from all
+// thread hands each connection to a reader on the process executor
+// (exec/thread_pool.h); every request the reader parses is assigned a
+// per-connection sequence number and queued on the engine
+// (ExperimentEngine::submit_detached), so simulation work from all
 // connections shares one bounded worker set — `--jobs` is the server's
 // whole compute budget.  A per-connection sequencer writes responses back
 // in request order regardless of which worker finished first, which is
@@ -74,7 +75,7 @@ class ServeServer {
   std::uint64_t requests_served() const { return requests_.load(); }
 
  private:
-  /// Per-connection state shared by the reader thread and pool tasks.
+  /// Per-connection state shared by the reader and its request tasks.
   struct Conn {
     int fd = -1;
     std::mutex mu;

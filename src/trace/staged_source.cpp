@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <exception>
 #include <system_error>
 #include <utility>
@@ -10,75 +11,6 @@
 #include "obs/obs.h"
 
 namespace mapg {
-namespace {
-
-/// The budget of the task this thread runs, innermost first (Slots::run).
-thread_local ThreadBudget* t_budget = nullptr;
-
-}  // namespace
-
-bool ThreadBudget::try_hold(std::size_t n) {
-  std::size_t cur = in_use_.load(std::memory_order_relaxed);
-  while (cur + n <= limit_)
-    if (in_use_.compare_exchange_weak(cur, cur + n,
-                                      std::memory_order_relaxed))
-      return true;
-  return false;
-}
-
-ThreadBudget& ThreadBudget::process() {
-  static ThreadBudget budget(std::max(1u, std::thread::hardware_concurrency()));
-  return budget;
-}
-
-ThreadBudget* ThreadBudget::current() { return t_budget; }
-
-ThreadBudget::Slots::Slots(ThreadBudget& budget, std::size_t n)
-    : budget_(&budget), held_(n) {
-  budget.hold(n);
-}
-
-ThreadBudget::Slots ThreadBudget::Slots::try_take(ThreadBudget& budget,
-                                                  std::size_t n) {
-  Slots slots;
-  if (budget.try_hold(n)) {
-    slots.budget_ = &budget;
-    slots.held_.store(n, std::memory_order_relaxed);
-  }
-  return slots;
-}
-
-ThreadBudget::Slots::Slots(Slots&& other) noexcept
-    : budget_(other.budget_), held_(other.held_.exchange(0)) {}
-
-ThreadBudget::Slots& ThreadBudget::Slots::operator=(Slots&& other) noexcept {
-  if (this != &other) {
-    give_back();
-    budget_ = other.budget_;
-    held_.store(other.held_.exchange(0), std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-ThreadBudget::Slots::~Slots() { give_back(); }
-
-void ThreadBudget::Slots::give_back() {
-  const std::size_t n = held_.exchange(0);
-  if (n > 0) budget_->release(n);
-}
-
-ThreadBudget::Slots::Running::Running(Slots& slots)
-    : slots_(slots), enclosing_(t_budget) {
-  if (enclosing_ == nullptr) ThreadBudget::process().hold(1);
-  t_budget = slots.budget_;
-}
-
-ThreadBudget::Slots::Running::~Running() {
-  t_budget = enclosing_;
-  if (enclosing_ == nullptr) ThreadBudget::process().release(1);
-  slots_.held_.fetch_sub(1);
-  slots_.budget_->release(1);
-}
 
 // The ring: block b of the stream lives in slot b % kBlocks.  The helper
 // fills a slot only after the consumer has handed it back (`consumed`),
@@ -152,9 +84,8 @@ void StagedTraceSource::produce(Ring& r, TraceSource& inner,
   }
 }
 
-StagedTraceSource::StagedTraceSource(TraceSource& inner, std::uint64_t count,
-                                     Launcher launch)
-    : inner_(inner), count_(count), launch_(std::move(launch)) {
+StagedTraceSource::StagedTraceSource(TraceSource& inner, std::uint64_t count)
+    : inner_(inner), count_(count) {
   start();
 }
 
@@ -174,10 +105,7 @@ void StagedTraceSource::start() {
     ring->done.store(true, std::memory_order_release);
     ring->done.notify_one();
   };
-  if (launch_)
-    launch_(std::move(body));
-  else
-    thread_ = std::thread(std::move(body));
+  ThreadPool::launch(std::move(body));
   ring_ = std::move(ring);
 }
 
@@ -187,12 +115,8 @@ void StagedTraceSource::stop() {
   r.stop.store(true, std::memory_order_seq_cst);
   r.consumed.fetch_add(kBlocks, std::memory_order_seq_cst);
   r.consumed.notify_one();
-  if (thread_.joinable()) {
-    thread_.join();
-  } else {
-    while (!r.done.load(std::memory_order_acquire))
-      r.done.wait(false, std::memory_order_acquire);
-  }
+  while (!r.done.load(std::memory_order_acquire))
+    r.done.wait(false, std::memory_order_acquire);
   ring_.reset();
   cur_ = end_ = nullptr;
   block_ = 0;
@@ -241,8 +165,7 @@ bool StagedTraceSource::next_block(Instr& out) {
   }
 }
 
-TraceFrontEnd stage_if_free(TraceSource& inner, std::uint64_t count,
-                            StagedTraceSource::Launcher launch) {
+TraceFrontEnd stage_if_free(TraceSource& inner, std::uint64_t count) {
   TraceFrontEnd front(inner);
   ThreadBudget* task = ThreadBudget::current();
   if (task != nullptr) front.caller_ = ThreadBudget::Slots::try_take(*task, 1);
@@ -253,8 +176,7 @@ TraceFrontEnd stage_if_free(TraceSource& inner, std::uint64_t count,
                                                    task != nullptr ? 1 : 2);
   if (front.process_) {
     try {
-      front.stage_ =
-          std::make_unique<StagedTraceSource>(inner, count, std::move(launch));
+      front.stage_ = std::make_unique<StagedTraceSource>(inner, count);
     } catch (const std::system_error&) {
       // No thread to be had: read on this one.
     }

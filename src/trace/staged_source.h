@@ -13,135 +13,32 @@
 //
 // A helper is a thread the run did not have before, so it starts only
 // where one is free (stage_if_free): within the --jobs of the task the
-// calling thread runs (ThreadBudget::Slots::run), and within one busy
-// thread per hardware thread process-wide.  Where no thread is free the
+// calling thread runs (ThreadBudget::Slots::run, exec/thread_pool.h), and
+// within one busy thread per hardware thread process-wide.  Where no thread is free the
 // run reads its source on the simulating thread, exactly as before.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <thread>
-#include <utility>
 
+#include "exec/thread_pool.h"
 #include "trace/instr.h"
 
 namespace mapg {
 
-/// A count of busy threads against a limit: one caller's --jobs, or every
-/// hardware thread of the process (process()).  Slots are taken and given
-/// back only through Slots, so none outlives what holds it.
-class ThreadBudget {
- public:
-  class Slots;
-
-  explicit ThreadBudget(std::size_t limit) : limit_(limit) {}
-  ThreadBudget(const ThreadBudget&) = delete;
-  ThreadBudget& operator=(const ThreadBudget&) = delete;
-
-  std::size_t in_use() const {
-    return in_use_.load(std::memory_order_relaxed);
-  }
-  std::size_t limit() const { return limit_; }
-
-  /// One slot per hardware thread.  Every thread running a task holds one,
-  /// every helper holds one, and so does a simulating thread outside any
-  /// task while its stage lives.
-  static ThreadBudget& process();
-  /// The budget of the task the calling thread runs (the innermost, when
-  /// tasks nest), or nullptr outside any task.
-  static ThreadBudget* current();
-
- private:
-  void hold(std::size_t n) { in_use_.fetch_add(n, std::memory_order_relaxed); }
-  /// Counts `n` more threads busy if that keeps in_use() within limit().
-  bool try_hold(std::size_t n);
-  void release(std::size_t n) {
-    in_use_.fetch_sub(n, std::memory_order_relaxed);
-  }
-
-  const std::size_t limit_;
-  std::atomic<std::size_t> in_use_{0};
-};
-
-/// Slots held on a ThreadBudget, given back when the Slots is destroyed or,
-/// one at a time, as run() ends the tasks they were held for.
-///
-/// A caller that hands out n tasks holds n slots before the first starts,
-/// so a slot is free only while fewer tasks than threads are left.  run()
-/// runs one of them on the calling thread, which is busy with the budget
-/// meanwhile: stage_if_free there takes helpers from it, and the thread
-/// holds one process() slot (once, however deeply tasks nest).  Slots no
-/// run() used (tasks never started because a submit threw, or an open
-/// server connection that only keeps a thread for its next request) are
-/// given back by the destructor.
-class ThreadBudget::Slots {
- public:
-  Slots() = default;
-  /// Holds `n` slots of `budget` whatever its limit: work already handed
-  /// out is never refused.
-  Slots(ThreadBudget& budget, std::size_t n);
-  /// `n` slots of `budget` if that many are free, else none.
-  static Slots try_take(ThreadBudget& budget, std::size_t n);
-  Slots(Slots&& other) noexcept;
-  Slots& operator=(Slots&& other) noexcept;
-  ~Slots();
-
-  /// Whether any slot is held.
-  explicit operator bool() const {
-    return held_.load(std::memory_order_relaxed) > 0;
-  }
-
-  /// Runs one task on the calling thread and gives its slot back when the
-  /// task returns or throws.  At most one run() per slot; run()s on
-  /// several threads at once are fine.
-  template <class F>
-  decltype(auto) run(F&& task) {
-    const Running running(*this);
-    return std::forward<F>(task)();
-  }
-
- private:
-  /// Marks the calling thread busy with the budget while a task runs.
-  class Running {
-   public:
-    explicit Running(Slots& slots);
-    ~Running();
-    Running(const Running&) = delete;
-    Running& operator=(const Running&) = delete;
-
-   private:
-    Slots& slots_;
-    ThreadBudget* enclosing_;
-  };
-
-  void give_back();
-
-  ThreadBudget* budget_ = nullptr;
-  std::atomic<std::size_t> held_{0};
-};
-
-/// Reads up to `count` instructions of another source on a helper thread,
-/// into a ring of kBlocks blocks of kBlockInstrs instructions.  `inner` is
-/// read by the helper only, from construction until the stage is destroyed
-/// or reset, and must outlive the stage.  Destroying the stage early (a
-/// consumer that stops, or one that unwinds from an exception) stops the
-/// helper and waits for it.
+/// Reads up to `count` instructions of another source on a helper thread
+/// (ThreadPool::launch, exec/thread_pool.h), into a ring of kBlocks blocks
+/// of kBlockInstrs instructions.  `inner` is read by the helper only, from
+/// construction until the stage is destroyed or reset, and must outlive
+/// the stage.  Destroying the stage early (a consumer that stops, or one
+/// that unwinds from an exception) stops the helper and waits for it.
+/// Throws std::system_error when no thread can be had for the helper.
 class StagedTraceSource final : public TraceSource {
  public:
-  /// Runs the helper's body on another thread.  The default starts a
-  /// std::thread that the stage joins; the sampled runner hands it to a
-  /// pool it keeps (src/sample/runner.h), which must have a thread free
-  /// for it: the consumer waits for the helper's first block.
-  using Launcher = std::function<void(std::function<void()> body)>;
-
   static constexpr std::uint32_t kBlocks = 8;
   static constexpr std::uint32_t kBlockInstrs = 2048;
 
-  StagedTraceSource(TraceSource& inner, std::uint64_t count,
-                    Launcher launch = {});
+  StagedTraceSource(TraceSource& inner, std::uint64_t count);
   ~StagedTraceSource() override;
   StagedTraceSource(const StagedTraceSource&) = delete;
   StagedTraceSource& operator=(const StagedTraceSource&) = delete;
@@ -168,9 +65,7 @@ class StagedTraceSource final : public TraceSource {
 
   TraceSource& inner_;
   const std::uint64_t count_;
-  Launcher launch_;
   std::shared_ptr<Ring> ring_;
-  std::thread thread_;  ///< the default launcher's helper
   const Instr* cur_ = nullptr;
   const Instr* end_ = nullptr;
   std::uint32_t block_ = 0;  ///< ring block being served
@@ -186,8 +81,7 @@ class TraceFrontEnd {
   bool staged() const { return stage_ != nullptr; }
 
  private:
-  friend TraceFrontEnd stage_if_free(TraceSource& inner, std::uint64_t count,
-                                     StagedTraceSource::Launcher launch);
+  friend TraceFrontEnd stage_if_free(TraceSource& inner, std::uint64_t count);
   explicit TraceFrontEnd(TraceSource& inner) : inner_(inner) {}
 
   TraceSource& inner_;
@@ -202,10 +96,9 @@ class TraceFrontEnd {
 /// budget of the task the calling thread runs (if any) and process() both
 /// have a slot for the helper; a calling thread outside any task also
 /// counts itself busy process-wide while the stage lives.  Counts the run
-/// in sim.frontend.staged or sim.frontend.inline.  If starting the helper
-/// throws anything but a std::system_error (no thread to be had: the run
-/// reads inline), the exception propagates and every slot is given back.
-TraceFrontEnd stage_if_free(TraceSource& inner, std::uint64_t count,
-                            StagedTraceSource::Launcher launch = {});
+/// in sim.frontend.staged or sim.frontend.inline.  Where the executor has
+/// no thread for the helper (std::system_error), the run reads inline and
+/// every slot is given back.
+TraceFrontEnd stage_if_free(TraceSource& inner, std::uint64_t count);
 
 }  // namespace mapg

@@ -127,8 +127,8 @@ class FileTraceSource final : public TraceSource {
 /// through the caller's reader, every other worker through its own
 /// FileTraceSource on the same path, so every chunk it serves is still
 /// digest-checked.  The extra readers are opened here, on the calling
-/// thread, which also sizes their chunk buffers (a pool thread's glibc
-/// arena would keep them after the readers are gone), and a file whose
+/// thread, which also sizes their chunk buffers (an executor thread's
+/// glibc arena would keep them after the readers are gone), and a file whose
 /// stream digest no longer matches the caller's reader is refused with
 /// std::runtime_error.
 class TraceReaders {

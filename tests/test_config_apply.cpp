@@ -1,9 +1,15 @@
 // Tests for the textual-config applier and the multi-seed replication API.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "exec/engine.h"
 #include "exec/runner.h"
 #include "multicore/config_apply.h"
+#include "multicore/multicore.h"
 
 namespace mapg {
 namespace {
@@ -147,6 +153,56 @@ TEST(ConfigApply, DramPowerAliasYieldsToExplicitMode) {
   kv.set("dram.power.mode", "timeout");
   EXPECT_EQ(apply_sim_config(kv).mem.dram.power.mode,
             DramPowerMode::kTimeout);
+}
+
+TEST(ConfigApply, PlatformsNoModelCanBeBuiltForAreRejectedByName) {
+  // Each case would crash a run (a division by zero or an out-of-bounds
+  // index) or, like 6 sets, run with a wrong set mask.  Both simulators
+  // refuse it before building any model, naming the key.
+  const std::vector<std::pair<std::vector<std::pair<std::string, std::string>>,
+                              std::string>>
+      cases = {
+          {{{"l1.assoc", "0"}}, "l1.assoc=0"},
+          {{{"l2.assoc", "0"}}, "l2.assoc=0"},
+          {{{"mem.line_bytes", "0"}}, "mem.line_bytes=0"},
+          {{{"dram.channels", "0"}}, "dram.channels=0"},
+          {{{"dram.banks", "0"}}, "dram.banks=0"},
+          {{{"dram.row_bytes", "0"}}, "dram.row_bytes=0"},
+          {{{"core.mlp_window", "0"}}, "core.mlp_window=0"},
+          {{{"core.scoreboard", "0"}}, "core.scoreboard=0"},
+          {{{"l1.size_kib", "0"}}, "l1.size_kib=0"},
+          {{{"l2.size_kib", "0"}}, "l2.size_kib=0"},
+          {{{"l1.size_kib", "1"}, {"l1.assoc", "32"}}, "l1.size_kib=1"},
+          {{{"l1.size_kib", "3"}}, "l1.size_kib=3"},
+          {{{"dram.row_bytes", "32"}}, "dram.row_bytes=32"},
+      };
+  for (const auto& [settings, key] : cases) {
+    KvConfig kv;
+    for (const auto& [k, v] : settings) kv.set(k, v);
+    const SimConfig sim = apply_sim_config(kv);
+    const MulticoreConfig multi = apply_multicore_config(kv);
+    const auto expect_named = [&key = key](auto&& build, const char* what) {
+      try {
+        build();
+        ADD_FAILURE() << what << " accepted " << key;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << what << ": " << e.what();
+      }
+    };
+    expect_named([&] { check_platform(sim.core, sim.mem); }, "check");
+    expect_named([&] { Simulator{sim}; }, "Simulator");
+    expect_named([&] { MulticoreSim{multi}; }, "MulticoreSim");
+  }
+  // The defaults, and a small valid geometry, pass.
+  const SimConfig defaults;
+  EXPECT_NO_THROW(check_platform(defaults.core, defaults.mem));
+  KvConfig small;
+  small.set("l1.size_kib", "1");
+  small.set("l1.assoc", "16");
+  small.set("dram.row_bytes", "64");
+  const SimConfig ok = apply_sim_config(small);
+  EXPECT_NO_THROW(check_platform(ok.core, ok.mem));
 }
 
 TEST(Replicate, AggregatesAcrossSeeds) {

@@ -1,5 +1,5 @@
 // Unit tests for src/exec: canonical JSON, exact SimResult serialization,
-// the content-addressed result cache, the work-stealing pool, and the
+// the content-addressed result cache, the process executor, and the
 // determinism contract of ExperimentEngine (parallel == serial, bit for
 // bit; per-job failures never tear down a sweep).
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/sim.h"
@@ -27,6 +29,7 @@
 #include "exec/serialize.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
+#include "trace/generator.h"
 #include "trace/profile.h"
 #include "trace/staged_source.h"
 
@@ -221,24 +224,44 @@ TEST(ResultCache, CorruptDiskEntryIsAMissNotACrash) {
 
 // --- ThreadPool ---
 
+/// Counts the bodies that ran.  Shared with them, so a body still
+/// returning when a test ends touches nothing freed.
+struct Tally {
+  std::atomic<int> n{0};
+  void add() {
+    n.fetch_add(1);
+    n.notify_all();
+  }
+  void wait_for(int want) {
+    for (int v = n.load(); v < want; v = n.load()) n.wait(v);
+  }
+};
+
 TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 500);
+  auto tally = std::make_shared<Tally>();
+  for (int i = 0; i < 500; ++i) ThreadPool::launch([tally] { tally->add(); });
+  tally->wait_for(500);
+  EXPECT_EQ(tally->n.load(), 500);
 }
 
 TEST(ThreadPool, SurvivesThrowingTasks) {
-  ThreadPool pool(2);
+  // An executor body owns its errors; the engine's detached queue, which
+  // runs other people's tasks on it, drops what they throw and goes on.
   std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i)
-    pool.submit([&count, i] {
-      if (i % 2 == 0) throw std::runtime_error("boom");
-      ++count;
-    });
-  pool.wait_idle();
+  {
+    ExecOptions opts;
+    opts.jobs = 2;
+    ExperimentEngine engine(opts);
+    for (int i = 0; i < 50; ++i)
+      engine.submit_detached([&count, i] {
+        if (i % 2 == 0) throw std::runtime_error("boom");
+        ++count;
+      });
+  }  // the destructor waits for every queued task
   EXPECT_EQ(count.load(), 25);
+  auto tally = std::make_shared<Tally>();
+  ThreadPool::launch([tally] { tally->add(); });
+  tally->wait_for(1);
 }
 
 TEST(ThreadPool, ForEachClaimedAttemptsEveryItemAndRethrowsTheLowestError) {
@@ -246,11 +269,8 @@ TEST(ThreadPool, ForEachClaimedAttemptsEveryItemAndRethrowsTheLowestError) {
   // item 3's error is the one raised, for any worker count.
   for (const unsigned workers : {1u, 2u, 5u}) {
     std::vector<int> ran(12, 0);
-    std::optional<ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers - 1);
     try {
-      for_each_claimed(pool ? &*pool : nullptr, ran.size(), workers,
-                       [&](std::size_t i, unsigned w) {
+      for_each_claimed(ran.size(), workers, [&](std::size_t i, unsigned w) {
         ASSERT_LT(w, workers);
         ran[i] = 1;
         if (i == 3 || i == 7)
@@ -268,32 +288,66 @@ TEST(ThreadPool, ForEachClaimedAttemptsEveryItemAndRethrowsTheLowestError) {
 }
 
 TEST(ThreadPool, SubmitsRacingIdleWorkersAreNeverSleptThrough) {
-  // Back-to-back rounds that each hand an idle pool one task, or a claim
-  // loop, and wait for it.  Workers sleep without a timeout, so a submit
-  // lost between a worker's failed look and its wait would hang a round;
+  // Back-to-back rounds that each hand the executor one body, or a claim
+  // loop, and wait for it.  Parked threads sleep without a timeout, so a
+  // body lost between a thread's parking and its wait would hang a round;
   // run it under TSan (the tsan CI job) for the ordering.
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
+  auto tally = std::make_shared<Tally>();
   for (int round = 0; round < 4000; ++round) {
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
+    ThreadPool::launch([tally] { tally->add(); });
+    tally->wait_for(round + 1);
   }
-  EXPECT_EQ(ran.load(), 4000);
+  EXPECT_EQ(tally->n.load(), 4000);
   std::vector<int> items(4, 0);
   for (int round = 0; round < 4000; ++round)
-    for_each_claimed(&pool, items.size(), 4,
+    for_each_claimed(items.size(), 4,
                      [&items](std::size_t i, unsigned) { ++items[i]; });
   EXPECT_EQ(items, std::vector<int>(4, 4000));
-  // Submitters on other threads race the same idle workers.
-  std::vector<std::thread> submitters;
+  // Bodies launched from other threads race the same parked threads.
+  std::vector<std::thread> launchers;
   for (int t = 0; t < 3; ++t)
-    submitters.emplace_back([&pool, &ran] {
+    launchers.emplace_back([tally] {
       for (int i = 0; i < 1000; ++i)
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        ThreadPool::launch([tally] { tally->add(); });
     });
-  for (std::thread& t : submitters) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 7000);
+  for (std::thread& t : launchers) t.join();
+  tally->wait_for(7000);
+  EXPECT_EQ(tally->n.load(), 7000);
+}
+
+TEST(ThreadPool, AForkedChildStartsThreadsOfItsOwn) {
+  // The parent parks threads, then forks.  The child has none of them: it
+  // must start its own for a fan-out and a staged trace, not hand its
+  // bodies to parked threads that exist only in the parent.  An alarm in
+  // the child turns a hang into a failure.
+  std::vector<int> parked(8, 0);
+  for_each_claimed(parked.size(), 4,
+                   [&parked](std::size_t i, unsigned) { parked[i] = 1; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(60);
+    std::vector<int> items(8, 0);
+    for_each_claimed(items.size(), 4,
+                     [&items](std::size_t i, unsigned) { items[i] = 1; });
+    if (items != std::vector<int>(8, 1)) std::_Exit(2);
+    const WorkloadProfile& p = *find_profile("mcf-like");
+    TraceGenerator ref(p, 3);
+    TraceGenerator gen(p, 3);
+    StagedTraceSource stage(gen, 50'000);
+    Instr want, got;
+    for (int i = 0; i < 50'000; ++i)
+      if (!ref.next(want) || !stage.next(got) || want.op != got.op ||
+          want.dep_dist != got.dep_dist || want.addr != got.addr)
+        std::_Exit(3);
+    std::_Exit(stage.next(got) ? 4 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // --- ExperimentEngine ---
@@ -309,7 +363,7 @@ SweepSpec test_sweep(unsigned n_seeds = 4) {
 }
 
 TEST(ExecOptions, NegativeJobsIsUnparsableAndMeansAllThreads) {
-  // Parsed only: "-1" must not wrap to 4294967295 pool threads.
+  // Parsed only: "-1" must not wrap to 4294967295 threads.
   KvConfig kv;
   kv.set("jobs", "-1");
   EXPECT_EQ(exec_options_from(kv).jobs, 0u);
@@ -318,7 +372,7 @@ TEST(ExecOptions, NegativeJobsIsUnparsableAndMeansAllThreads) {
 }
 
 TEST(ExecOptions, JobsAboveTheCeilingClampToIt) {
-  // Parsed only, never handed to a pool: 100000 must not ask for 100000
+  // Parsed only, never handed to an engine: 100000 must not ask for 100000
   // threads, and 2^32 + 1 must not truncate to 1.
   KvConfig kv;
   for (const char* jobs : {"100000", "4294967297"}) {
@@ -405,6 +459,10 @@ TEST(ExperimentEngine, WarmDiskCacheRunsZeroSimulations) {
   EXPECT_EQ(warm.stats().jobs_run, 0u);
   EXPECT_EQ(warm.stats().jobs_replayed, 0u);
   EXPECT_EQ(warm.stats().jobs_cached, 9u);
+  // One probe per cell: each hit is read off disk once, never again from
+  // memory.
+  EXPECT_EQ(warm.cache().stats().disk_hits, 9u);
+  EXPECT_EQ(warm.cache().stats().memory_hits, 0u);
   for (const auto& o : r.outcomes) {
     EXPECT_TRUE(o.ok);
     EXPECT_TRUE(o.from_cache);
@@ -521,6 +579,29 @@ TEST(ExperimentEngine, FrontEndHelpersStayWithinJobs) {
             result_to_json(*serial[2].result).dump());
   if (ThreadBudget::process().limit() - ThreadBudget::process().in_use() >= 2) {
     EXPECT_EQ(staged(), s0 + counted);
+  }
+}
+
+TEST(ExperimentEngine, ParallelForRunsEveryIndexAndRethrowsTheLowestError) {
+  // Indices 2 and 5 throw: every index still runs, and index 2's error is
+  // the one raised, at every --jobs.
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    ExecOptions opts;
+    opts.jobs = jobs;
+    ExperimentEngine engine(opts);
+    std::vector<std::atomic<int>> ran(8);
+    try {
+      engine.parallel_for(ran.size(), [&](std::size_t i) {
+        ++ran[i];
+        if (i == 2 || i == 5)
+          throw std::runtime_error("index " + std::to_string(i));
+      });
+      ADD_FAILURE() << "jobs=" << jobs << ": no error raised";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 2") << "jobs=" << jobs;
+    }
+    for (std::size_t i = 0; i < ran.size(); ++i)
+      EXPECT_EQ(ran[i].load(), 1) << "jobs=" << jobs << " index " << i;
   }
 }
 

@@ -180,8 +180,11 @@ TEST_F(ObsTest, TracerRecordsCompleteEvents) {
 TEST_F(ObsTest, TracerOverflowDropsOldestAndCounts) {
   EventTracer& tracer = EventTracer::instance();
   tracer.start(4);
-  for (int i = 0; i < 10; ++i)
-    tracer.instant("e" + std::to_string(i), "test");
+  for (int i = 0; i < 10; ++i) {
+    std::string name = "e";
+    name += std::to_string(i);
+    tracer.instant(name, "test");
+  }
   tracer.stop();
 
   EXPECT_EQ(tracer.size(), 4u);

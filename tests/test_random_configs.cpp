@@ -228,8 +228,9 @@ TEST(RandomConfigs, FastForwardEquivalenceSweep) {
     } else {
       EXPECT_EQ(a.dram.accounted_cycles(), 0u) << what;
     }
-    if (mode != DramPowerMode::kCoordinated)
+    if (mode != DramPowerMode::kCoordinated) {
       EXPECT_EQ(a.gating.dram_pd_channel_cycles, 0u) << what;
+    }
   }
 }
 

@@ -18,7 +18,6 @@
 #include <fstream>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,7 +27,6 @@
 #include <unistd.h>
 
 #include "exec/engine.h"
-#include "exec/json.h"
 #include "exec/serialize.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
@@ -979,8 +977,8 @@ bool helpers_fit(unsigned workers, unsigned helpers) {
 
 TEST(SampledRun, StagedWindowsProjectTheSameResults) {
   // Two representatives and four jobs: each recording worker has a thread
-  // over, so its window is read and digest-checked by a helper from the
-  // runner's pool.  Every projection must equal the serial one.
+  // over, so its window is read and digest-checked by a helper.  Every
+  // projection must equal the serial one.
   const PhasedPlan t(2);
   ASSERT_FALSE(t.plan.exhaustive);
   ASSERT_EQ(t.plan.clusters.size(), 2u);
@@ -1045,28 +1043,17 @@ TEST(SampledRun, CorruptChunkInAStagedWindowThrowsTheReadersError) {
 }
 
 TEST(SampledRun, PoolHasAThreadForEveryWindowHelperItsJobsGrant) {
-  // Pool workers plus the helpers --jobs grants them, and never a pool for
-  // one job.
-  EXPECT_EQ(SampledRunner::pool_threads(1, 8), 0u);
-  EXPECT_EQ(SampledRunner::pool_threads(2, 1), 1u);
-  EXPECT_EQ(SampledRunner::pool_threads(2, 8), 2u);
-  EXPECT_EQ(SampledRunner::pool_threads(4, 2), 3u);
-  EXPECT_EQ(SampledRunner::pool_threads(4, 8), 4u);
-
-  // The tight case, forced: two recordings at two jobs, the pool worker's
-  // claimed while the calling thread's is in flight, and staged only once
-  // that one has ended.  Its budget then grants a helper while the pool
-  // worker recording it is the pool's only busy thread; a pool with no
-  // thread besides it would leave the recording waiting for its own
+  // The tight case, forced: two recordings at two jobs, the launched
+  // worker's claimed while the calling thread's is in flight, and staged
+  // only once that one has ended.  Its budget then grants a helper while
+  // the worker recording it is the only other busy thread; a helper queued
+  // behind busy threads would leave the recording waiting for its own
   // thread.  A watchdog turns such a hang into a failure.
   const ThreadBudget& process = ThreadBudget::process();
   if (process.limit() < process.in_use() + 2)
     GTEST_SKIP() << "one hardware thread: no helper ever starts";
-  ThreadPool pool(SampledRunner::pool_threads(2, 2));
-  const StagedTraceSource::Launcher on_pool =
-      [&pool](std::function<void()> body) { pool.submit(std::move(body)); };
   ThreadBudget jobs(2);
-  std::atomic<bool> pool_claimed{false};
+  std::atomic<bool> worker_claimed{false};
   std::atomic<bool> staged{false};
   std::uint64_t served = 0;
   std::mutex mu;
@@ -1081,16 +1068,16 @@ TEST(SampledRun, PoolHasAThreadForEveryWindowHelperItsJobsGrant) {
   });
   {
     ThreadBudget::Slots tasks(jobs, 2);
-    for_each_claimed(&pool, 2, 2, [&](std::size_t, unsigned worker) {
+    for_each_claimed(2, 2, [&](std::size_t, unsigned worker) {
       tasks.run([&] {
         if (worker == 0) {
-          while (!pool_claimed.load()) std::this_thread::yield();
+          while (!worker_claimed.load()) std::this_thread::yield();
           return;
         }
-        pool_claimed.store(true);
+        worker_claimed.store(true);
         while (jobs.in_use() != 1) std::this_thread::yield();
         TraceGenerator gen(*find_profile("mcf-like"), 3);
-        TraceFrontEnd front = stage_if_free(gen, 100'000, on_pool);
+        TraceFrontEnd front = stage_if_free(gen, 100'000);
         staged.store(front.staged());
         Instr instr;
         while (front.source().next(instr)) ++served;
@@ -1108,43 +1095,30 @@ TEST(SampledRun, PoolHasAThreadForEveryWindowHelperItsJobsGrant) {
   EXPECT_EQ(jobs.in_use(), 0u);
 }
 
-TEST(SampledRun, SuccessiveProjectionsRunOnTheRunnersOwnThreads) {
-  // The runner keeps one pool: every recording, cell and window helper of
-  // three projections runs on the calling thread or one of its pool
-  // threads (four at jobs 4), so a Chrome trace shows at most five tracks,
-  // not a new set per projection.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "MAPG_OBS=OFF: no spans";
+TEST(SampledRun, SuccessivePassesReuseTheExecutorsThreads) {
+  // Each pass scans signatures afresh, builds a fresh runner and projects
+  // two policies at four jobs.  The first pass may start threads; the
+  // eight after it find them parked and start at most a few more (where a
+  // thread had not parked yet when the next body came), not a set per
+  // pass.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "MAPG_OBS=OFF: no thread counter";
   const PhasedPlan t;
   ASSERT_GE(t.plan.clusters.size(), 4u);
-  obs::EventTracer& tracer = obs::EventTracer::instance();
-  tracer.start();
-  {
+  const auto started = [] {
+    return obs::MetricsRegistry::instance()
+        .counter("exec.threads.started")
+        .value();
+  };
+  const auto pass = [&t] {
     FileTraceSource src(t.file.path);
-    SampledRunner runner(sim_config(), src, t.plan, "trc", 4);
-    for (const char* spec : {"idle-timeout:64", "mapg", "idle-timeout:64"})
-      runner.run(spec);
-  }
-  tracer.stop();
-  std::ostringstream json;
-  tracer.write_json(json);
-  tracer.clear();
-  const std::optional<Json> doc = Json::parse(json.str());
-  ASSERT_TRUE(doc.has_value());
-  const Json& events = doc->get("traceEvents");
-  std::set<std::uint64_t> tracks;
-  std::size_t cells = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Json& ev = events.at(i);
-    const std::string& name = ev.get("name").as_string();
-    if (name != "sample.record" && name != "sample.cell" &&
-        name != "trace.frontend")
-      continue;
-    tracks.insert(ev.get("tid").as_u64());
-    if (name == "sample.cell") ++cells;
-  }
-  EXPECT_EQ(cells, 3 * t.plan.clusters.size());
-  EXPECT_LE(tracks.size(),
-            1 + SampledRunner::pool_threads(4, t.plan.clusters.size()));
+    const SamplePlan plan = build_sample_plan(src, t.plan.config, 4);
+    SampledRunner runner(sim_config(), src, plan, "trc", 4);
+    for (const char* spec : {"none", "mapg"}) runner.run(spec);
+  };
+  pass();
+  const std::uint64_t started0 = started();
+  for (int i = 0; i < 8; ++i) pass();
+  EXPECT_LE(started() - started0, 4u);
 }
 
 TEST(SampledRun, TraceReplacedUnderTheRunnerIsRefused) {

@@ -332,6 +332,23 @@ TEST_F(ServeServerTest, PingCellAndStats) {
   EXPECT_EQ(stats->get("engine").get("jobs_run").as_u64(), 1u);
 }
 
+TEST_F(ServeServerTest, UnbuildablePlatformIsAnErrorReplyAndServingGoesOn) {
+  // A zero-channel platform would divide by zero inside the server: the
+  // request gets an error naming the key, and the next one an answer.
+  start_server(2);
+  auto client = connect();
+  std::string error;
+  CellRequest req = tiny_cell();
+  req.config["dram.channels"] = "0";
+  EXPECT_FALSE(client->cell(req, &error));
+  EXPECT_NE(error.find("dram.channels=0"), std::string::npos) << error;
+  error.clear();
+  EXPECT_TRUE(client->ping(&error)) << error;
+  const std::optional<Json> doc = client->cell(tiny_cell(), &error);
+  ASSERT_TRUE(doc) << error;
+  EXPECT_TRUE(doc->get("ok").as_bool());
+}
+
 TEST_F(ServeServerTest, TraceFrontEndHelpersStartOnlyWithThreadsOver) {
   // Each open connection holds one slot of --jobs and each request in
   // flight another: two clients at two jobs leave no thread for a trace

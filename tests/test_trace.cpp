@@ -4,8 +4,10 @@
 // test_sampling.cpp).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -495,30 +497,27 @@ TEST(StagedSource, ConsumerThatUnwindsJoinsTheHelper) {
   EXPECT_EQ(counted.calls(), calls);  // nothing reads it after the join
 }
 
-TEST(StagedSource, PoolLauncherServesTheStreamAndIsWaitedFor) {
-  // The sampled runner runs helpers on pool threads it keeps: the same
-  // stream, and an early stop waits for the pool task to let go.
-  ThreadPool pool(1);
-  const StagedTraceSource::Launcher on_pool =
-      [&pool](std::function<void()> body) { pool.submit(std::move(body)); };
+TEST(StagedSource, ExecutorHelperServesTheStreamAndIsWaitedFor) {
+  // Helpers run on executor threads that park for the next body: the same
+  // stream each round, and an early stop waits for the helper to let go.
   const WorkloadProfile& p = *find_profile("hmmer-like");
   TraceGenerator ref(p, 9);
   const std::vector<Instr> want = drain(ref, 2 * kRing + 5);
   for (int round = 0; round < 3; ++round) {
     TraceGenerator gen(p, 9);
-    StagedTraceSource stage(gen, want.size(), on_pool);
+    StagedTraceSource stage(gen, want.size());
     expect_same_stream(want, drain(stage, ~0ULL, 1));
   }
   TraceGenerator gen(p, 9);
   CountingSource counted(gen);
   {
-    StagedTraceSource stage(counted, 100 * kRing, on_pool);
+    StagedTraceSource stage(counted, 100 * kRing);
     Instr instr;
     ASSERT_TRUE(stage.next(instr));
   }
   const std::uint64_t calls = counted.calls();
   EXPECT_LE(calls, kRing);
-  pool.wait_idle();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(counted.calls(), calls);
 }
 
@@ -542,28 +541,21 @@ class GatedSource final : public TraceSource {
 };
 
 TEST(StagedSource, DestroyingAStageWaitsForAHelperInsideItsSource) {
-  // With either launcher, a stage must not let go of its source while the
-  // helper is still inside the source's next().
-  ThreadPool pool(1);
-  const StagedTraceSource::Launcher on_pool =
-      [&pool](std::function<void()> body) { pool.submit(std::move(body)); };
-  for (const bool pooled : {false, true}) {
-    GatedSource gated;
-    auto stage = std::make_unique<StagedTraceSource>(
-        gated, 100, pooled ? on_pool : StagedTraceSource::Launcher{});
-    while (gated.inside() == 0) std::this_thread::yield();
-    std::atomic<bool> destroyed{false};
-    std::thread destroyer([&] {
-      stage.reset();
-      destroyed.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(destroyed.load()) << (pooled ? "pool" : "thread")
-                                   << ": destroyed under a reading helper";
-    gated.open();
-    destroyer.join();
-    EXPECT_EQ(gated.inside(), 0);
-  }
+  // A stage must not let go of its source while the helper is still inside
+  // the source's next().
+  GatedSource gated;
+  auto stage = std::make_unique<StagedTraceSource>(gated, 100);
+  while (gated.inside() == 0) std::this_thread::yield();
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    stage.reset();
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(destroyed.load()) << "destroyed under a reading helper";
+  gated.open();
+  destroyer.join();
+  EXPECT_EQ(gated.inside(), 0);
 }
 
 TEST(StagedSource, HelpersStartOnlyWhereTheCallersBudgetHasRoom) {
@@ -625,7 +617,8 @@ TEST(StagedSource, HelpersNeverPassOneBusyThreadPerHardwareThread) {
 
 TEST(StagedSource, EverySlotComesBackWhateverATaskOrItsHelperThrows) {
   // A task that throws gives its slot back, as do the tasks never run
-  // after it, and a launcher that throws gives back the helper's slots.
+  // after it.  (A helper that cannot start:
+  // StagedSourceDeathTest.HelperWithNoThreadLeavesTheRunInline.)
   ThreadBudget& process = ThreadBudget::process();
   const std::size_t process0 = process.in_use();
   ThreadBudget jobs(4);
@@ -638,18 +631,44 @@ TEST(StagedSource, EverySlotComesBackWhateverATaskOrItsHelperThrows) {
   }
   EXPECT_EQ(jobs.in_use(), 0u);
   EXPECT_EQ(process.in_use(), process0);
+}
 
-  if (process.limit() - process0 < 2) GTEST_SKIP() << "one hardware thread";
-  const StagedTraceSource::Launcher refuses = [](std::function<void()>) {
-    throw std::runtime_error("no thread for the helper");
-  };
-  TraceGenerator gen(*find_profile("gcc-like"), 5);
-  ThreadBudget::Slots(jobs, 1).run([&] {
-    EXPECT_THROW(stage_if_free(gen, 1000, refuses), std::runtime_error);
-    EXPECT_EQ(jobs.in_use(), 1u);
-  });
-  EXPECT_EQ(jobs.in_use(), 0u);
-  EXPECT_EQ(process.in_use(), process0);
+// A helper the executor has no thread for leaves the run reading inline,
+// with every slot given back.  The child makes every thread start fail
+// without starting any (no 64 TiB stack can be mapped); it is a fresh
+// process, so no parked thread can take the helper either.
+TEST(StagedSourceDeathTest, HelperWithNoThreadLeavesTheRunInline) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ThreadBudget& process = ThreadBudget::process();
+        const std::size_t process0 = process.in_use();
+        if (process.limit() - process0 < 2) std::_Exit(0);  // never staged
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setstacksize(&attr, std::size_t{1} << 46);
+        if (pthread_setattr_default_np(&attr) != 0) std::_Exit(2);
+        const WorkloadProfile& p = *find_profile("gcc-like");
+        TraceGenerator ref(p, 5);
+        const std::vector<Instr> want = drain(ref, 1000);
+        TraceGenerator gen(p, 5);
+        ThreadBudget jobs(4);
+        int code = 0;
+        ThreadBudget::Slots(jobs, 1).run([&] {
+          TraceFrontEnd front = stage_if_free(gen, 1000);
+          if (front.staged()) code = 3;
+          else if (jobs.in_use() != 1) code = 4;
+          else if (process.in_use() != process0 + 1) code = 5;
+          else if (const std::vector<Instr> got = drain(front.source(), 1000);
+                   !std::equal(got.begin(), got.end(), want.begin(),
+                               want.end(), same))
+            code = 6;
+        });
+        if (code == 0 && (jobs.in_use() != 0 || process.in_use() != process0))
+          code = 7;
+        std::_Exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

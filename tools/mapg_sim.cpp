@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "common/table.h"
@@ -426,6 +427,15 @@ int main(int argc, char** argv) {
   if (specs.empty()) {
     std::cerr << "no policies given\n";
     return usage();
+  }
+
+  try {
+    // Every run below builds this platform: reject it before any cell runs.
+    const SimConfig platform = apply_sim_config(kv);
+    check_platform(platform.core, platform.mem);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
 
   int rc;
