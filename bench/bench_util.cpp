@@ -24,7 +24,7 @@ BenchEnv parse_env(int argc, char** argv, std::uint64_t default_instructions,
   env.sim = apply_sim_config(cfg, base);
   try {
     // Every cell the bench runs is built on this platform.
-    check_platform(env.sim.core, env.sim.mem);
+    check_platform(env.sim);
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     std::exit(1);

@@ -3,23 +3,23 @@
 // R-Tab.1-shaped grid — every builtin workload crossed with an 11-policy
 // axis.
 //
-// The replay path records one `none` reference timeline per workload
-// (materializing the trace in the same pass — TeeTraceSource) and
-// reconstitutes every penalty-free policy cell from it.  A cell whose
-// replay hits a penalized window is simulated directly from cycle 0 over
-// the shared trace buffer.  The headline ratio is therefore sweep
+// The replay path records one `none` reference timeline per workload (its
+// stall events only; the trace is not kept) and reconstitutes every
+// penalty-free policy cell from it.  A cell whose replay hits a penalized
+// window is simulated directly from cycle 0, regenerating its stream, as
+// an engine task of its own.  The headline ratio is therefore sweep
 // wall-clock, not per-cell throughput, and it is bounded by
 //   P / (c_rec + F * c_fb)
 // for P policies of which F are penalized: c_rec = recording cost relative
-// to a direct cell (~1.1 with tee recording) and c_fb = fallback cost
-// (~0.9: skips trace generation).  Wake-exact policies (oracle + the MAPG
-// early-wake family, any alpha) replay; reactive-wake and threshold-free
-// policies are genuinely penalized — and, measured on these axes, their
-// FIRST penalized window lands within the first ~0.2% of recorded windows
-// (idle-timeout trips on the first long stall, mapg-aggressive within the
-// warmup), so no exact prefix would be left to skip even if the run were
-// resumed part-way.  That is a property of the policies, not an engine
-// limitation (docs/MODEL.md §4b).
+// to a direct cell (~1: the run only appends its stall events) and c_fb =
+// fallback cost (~1: a fallback is a direct cell).  Wake-exact policies
+// (oracle + the MAPG early-wake family, any alpha) replay; reactive-wake
+// and threshold-free policies are genuinely penalized — and, measured on
+// these axes, their FIRST penalized window lands within the first ~0.2% of
+// recorded windows (idle-timeout trips on the first long stall,
+// mapg-aggressive within the warmup), so no exact prefix would be left to
+// skip even if the run were resumed part-way.  That is a property of the
+// policies, not an engine limitation (docs/MODEL.md §4b).
 //
 // Two axes, both 12 x 11:
 //   --axis=tab1      (default) the R-Tab.1 comparison extended with the

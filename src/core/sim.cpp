@@ -1,8 +1,10 @@
 #include "core/sim.h"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/obs.h"
@@ -54,34 +56,42 @@ struct EpochSnap {
   }
 };
 
-/// Single-pass recording source: materializes the generator's stream into a
-/// buffer WHILE the core consumes it, instead of generating the full trace
-/// up front and re-reading it.  The stream the core sees is byte-identical
-/// to the generator's (each next() forwards one instruction verbatim), and
-/// the buffer ends up holding exactly the consumed prefix — which is exactly
-/// warmup + measured instructions, the complete stream every policy sees.
-/// Saves one full generate-then-reread pass per recording (the dominant
-/// recording overhead; see bench/micro_replay_speedup.cpp).
-class TeeTraceSource final : public TraceSource {
- public:
-  TeeTraceSource(TraceSource& inner, std::vector<Instr>& buf)
-      : inner_(inner), buf_(buf) {}
+/// A config value as the error names it: a count as an integer, a double
+/// to six significant digits (the stream default).
+template <typename T>
+std::string text(T value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
 
-  bool next(Instr& out) override {
-    if (!inner_.next(out)) return false;
-    buf_.push_back(out);
-    return true;
-  }
-  void reset() override {
-    // Single-pass by construction: run_impl never rewinds its source.
-    buf_.clear();
-    inner_.reset();
-  }
+/// check_platform's one error: the key, its value and what it must be.
+/// Only a failing check builds it, so a platform that passes costs a few
+/// dozen comparisons and no allocation.
+template <typename T>
+[[noreturn]] void fail(std::string_view key, T value, const std::string& need) {
+  throw std::invalid_argument("invalid platform: " + std::string(key) + "=" +
+                              text(value) + " (" + need + ")");
+}
 
- private:
-  TraceSource& inner_;
-  std::vector<Instr>& buf_;
-};
+void at_least(std::string_view key, std::uint64_t value,
+              std::uint64_t min = 1) {
+  if (value < min) fail(key, value, "must be at least " + text(min));
+}
+
+/// The comparisons below also refuse a NaN.
+void positive(std::string_view key, double value) {
+  if (!(value > 0)) fail(key, value, "must be above 0");
+}
+
+void non_negative(std::string_view key, double value) {
+  if (!(value >= 0)) fail(key, value, "must not be negative");
+}
+
+void fraction(std::string_view key, double value) {
+  if (!(value > 0 && value <= 1))
+    fail(key, value, "must be above 0 and at most 1");
+}
 
 }  // namespace
 
@@ -154,40 +164,121 @@ void compose_result_energy(const SimConfig& config, const PgCircuit& circuit,
   result.energy.dram_lowpower_saved_j = dram_e.lowpower_saved_j;
 }
 
-void check_platform(const CoreConfig& core, const HierarchyConfig& mem) {
-  const auto fail = [](const std::string& key, std::uint64_t value,
-                       const std::string& need) {
-    throw std::invalid_argument("invalid platform: " + key + "=" +
-                                std::to_string(value) + " (" + need + ")");
-  };
-  const std::pair<const char*, std::uint64_t> counts[] = {
-      {"core.issue_width", core.issue_width},
-      {"core.mlp_window", core.mlp_window},
-      {"core.scoreboard", core.scoreboard_window},
-      {"mem.line_bytes", mem.l1d.line_bytes},
-      {"l1.size_kib", mem.l1d.size_bytes}, {"l1.assoc", mem.l1d.assoc},
-      {"l2.size_kib", mem.l2.size_bytes}, {"l2.assoc", mem.l2.assoc},
-      {"dram.channels", mem.dram.channels},
-      {"dram.banks", mem.dram.banks_per_channel}};
-  for (const auto& [key, value] : counts)
-    if (value == 0) fail(key, 0, "must be at least 1");
+void check_platform(const SimConfig& config) {
+  const CoreConfig& core = config.core;
+  at_least("core.issue_width", core.issue_width);
+  at_least("core.mlp_window", core.mlp_window);
+  at_least("core.scoreboard", core.scoreboard_window, 2);
+
+  const HierarchyConfig& mem = config.mem;
+  const DramConfig& dram = mem.dram;
+  const std::uint32_t line = mem.l1d.line_bytes;
+  at_least("mem.line_bytes", line);
+  at_least("l1.size_kib", mem.l1d.size_bytes);
+  at_least("l1.assoc", mem.l1d.assoc);
+  at_least("l2.size_kib", mem.l2.size_bytes);
+  at_least("l2.assoc", mem.l2.assoc);
+  at_least("dram.channels", dram.channels);
+  at_least("dram.banks", dram.banks_per_channel);
+  if (mem.l2.line_bytes != line || dram.line_bytes != line)
+    fail("mem.line_bytes", line,
+         "the L2 and DRAM lines must be as long, not " +
+             text(mem.l2.line_bytes) + " and " + text(dram.line_bytes));
   for (const auto& [level, cache] :
-       {std::pair<std::string, const CacheConfig*>{"l1", &mem.l1d},
-        {"l2", &mem.l2}})
+       {std::pair{"l1", &mem.l1d}, std::pair{"l2", &mem.l2}})
     if (!cache->valid())
-      fail(level + ".size_kib", cache->size_bytes / 1024,
-           "with " + level + ".assoc=" + std::to_string(cache->assoc) +
-               " and mem.line_bytes=" + std::to_string(cache->line_bytes) +
+      fail(std::string(level) + ".size_kib", cache->size_bytes / 1024,
+           "with " + std::string(level) + ".assoc=" + text(cache->assoc) +
+               " and mem.line_bytes=" + text(cache->line_bytes) +
                ", the line size and the number of sets must be powers of"
                " two");
-  if (mem.dram.row_bytes < mem.dram.line_bytes)
-    fail("dram.row_bytes", mem.dram.row_bytes,
-         "must be at least mem.line_bytes=" +
-             std::to_string(mem.dram.line_bytes));
+  if (dram.row_bytes < line || dram.row_bytes % line != 0)
+    fail("dram.row_bytes", dram.row_bytes,
+         "must be a whole number of lines of mem.line_bytes=" + text(line) +
+             ", at least one");
+  at_least("dram.t_cl", dram.t_cl);
+  at_least("dram.t_bl", dram.t_bl);
+  if (dram.t_refi != 0 && dram.t_rfc >= dram.t_refi)
+    fail("dram.t_rfc", dram.t_rfc,
+         "must be below dram.t_refi=" + text(dram.t_refi) +
+             ", or dram.t_refi=0 to disable refresh");
+  if (dram.hybrid_addr_bits >= 64)
+    fail("dram.hybrid_bits", dram.hybrid_addr_bits, "must be below 64");
+  if (dram.queue_depth > 0)
+    at_least("dram.write_starve", dram.write_starve_limit);
+  const DramPowerConfig& pw = dram.power;
+  if (pw.enabled()) {
+    at_least("dram.power.t_pd", pw.t_pd);
+    at_least("dram.power.t_xp", pw.t_xp);
+    at_least("dram.power.t_cke", pw.t_cke);
+    if (pw.t_xs < pw.t_xp)
+      fail("dram.power.t_xs", pw.t_xs,
+           "must be at least dram.power.t_xp=" + text(pw.t_xp));
+    if (pw.powerdown_timeout != 0 && pw.selfrefresh_timeout != 0 &&
+        pw.selfrefresh_timeout < pw.powerdown_timeout)
+      fail("dram.power.sr_timeout", pw.selfrefresh_timeout,
+           "must be 0 or at least dram.power.pd_timeout=" +
+               text(pw.powerdown_timeout));
+  }
+  if (mem.prefetch.enable) {
+    at_least("prefetch.degree", mem.prefetch.degree);
+    at_least("prefetch.table", mem.prefetch.table_entries);
+  }
+
+  const TechParams& tech = config.tech;
+  positive("tech.freq_ghz", tech.freq_ghz);
+  positive("tech.vdd", tech.vdd);
+  non_negative("tech.core_leakage_w", tech.core_leakage_w);
+  if (!(tech.gated_fraction >= 0 && tech.gated_fraction <= 1))
+    fail("tech.gated_fraction", tech.gated_fraction,
+         "must be between 0 and 1");
+  for (std::size_t c = 0; c < kNumOpClasses; ++c)
+    if (!(tech.dyn_energy_nj[c] >= 0))
+      fail("tech.dyn_energy_nj." +
+               std::string(op_class_name(static_cast<OpClass>(c))),
+           tech.dyn_energy_nj[c], "must not be negative");
+
+  const PgCircuitConfig& pg = config.pg;
+  positive("pg.c_vrail_nf", pg.c_vrail_nf);
+  fraction("pg.rail_swing", pg.rail_swing_frac);
+  non_negative("pg.gate_charge_nj", pg.gate_charge_nj);
+  at_least("pg.stages", pg.wakeup_stages);
+  positive("pg.stage_delay_ns", pg.stage_delay_ns);
+  non_negative("pg.settle_ns", pg.settle_ns);
+  non_negative("pg.entry_ns", pg.entry_ns);
+  positive("pg.overhead_scale", pg.overhead_scale);
+  if (!(pg.light_swing_frac > 0 && pg.light_swing_frac <= pg.rail_swing_frac))
+    fail("pg.light_swing", pg.light_swing_frac,
+         "must be above 0 and at most pg.rail_swing=" +
+             text(pg.rail_swing_frac));
+  fraction("pg.light_save", pg.light_save_frac);
+  at_least("pg.light_stages", pg.light_wakeup_stages);
+
+  const DramEnergyParams& de = config.dram_energy;
+  non_negative("dram_energy.background_w", de.background_w_per_channel);
+  non_negative("dram_energy.selfrefresh_w", de.selfrefresh_w_per_channel);
+  if (!(de.selfrefresh_w_per_channel <= de.powerdown_w_per_channel))
+    fail("dram_energy.selfrefresh_w", de.selfrefresh_w_per_channel,
+         "must not exceed dram_energy.powerdown_w=" +
+             text(de.powerdown_w_per_channel));
+  if (!(de.powerdown_w_per_channel <= de.background_w_per_channel))
+    fail("dram_energy.powerdown_w", de.powerdown_w_per_channel,
+         "must not exceed dram_energy.background_w=" +
+             text(de.background_w_per_channel));
+  non_negative("dram_energy.activate_nj", de.activate_nj);
+  non_negative("dram_energy.read_nj", de.read_nj);
+  non_negative("dram_energy.write_nj", de.write_nj);
+  non_negative("dram_energy.refresh_nj", de.refresh_nj);
+
+  const ThermalConfig& th = config.thermal;
+  positive("thermal.r_th", th.r_th_k_per_w);
+  positive("thermal.tau_ms", th.tau_ms);
+  positive("thermal.doubling_c", th.leak_doubling_c);
+  at_least("thermal.epoch_instrs", th.epoch_instructions);
 }
 
 Simulator::Simulator(SimConfig config) : config_(std::move(config)) {
-  check_platform(config_.core, config_.mem);
+  check_platform(config_);
 }
 
 PolicyContext Simulator::policy_context() const {
@@ -218,7 +309,6 @@ SimResult Simulator::run(TraceSource& trace, const std::string& workload_name,
 }
 
 void RunRecord::reserve(std::uint64_t warmup, std::uint64_t instructions) {
-  trace_buffer.reserve(static_cast<std::size_t>(warmup + instructions));
   warmup_stalls.reserve(static_cast<std::size_t>(2 * warmup));
   stalls.reserve(static_cast<std::size_t>(2 * instructions));
 }
@@ -227,25 +317,13 @@ SimResult Simulator::run_recorded(TraceSource& trace,
                                   const std::string& workload_name,
                                   const std::string& policy_spec,
                                   RunRecord& record) const {
-  // The trace is materialized in the same pass that runs it (TeeTraceSource
-  // above): the core consumes exactly warmup + measured instructions, so
-  // the buffer ends the run holding the complete stream every policy sees.
-  // Clearing keeps capacity, so buffers RunRecord::reserve sized are
-  // adopted as they are.
-  std::vector<Instr>& buf = record.trace_buffer;
-  buf.clear();
-  buf.reserve(static_cast<std::size_t>(config_.warmup_instructions +
-                                       config_.instructions));
+  // Clearing keeps capacity, so series RunRecord::reserve sized are filled
+  // in place.
   record.warmup_stalls.clear();
   record.stalls.clear();
-
   const std::unique_ptr<PgPolicy> policy =
       build_policy(policy_spec, policy_context());
-  TeeTraceSource tee(trace, buf);
-  SimResult result = run_impl(tee, workload_name, *policy, &record);
-  // Moving leaves trace_buffer empty: the published trace owns the storage.
-  record.trace = std::make_shared<std::vector<Instr>>(std::move(buf));
-  return result;
+  return run_impl(trace, workload_name, *policy, &record);
 }
 
 SimResult Simulator::run_impl(TraceSource& trace,

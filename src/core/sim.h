@@ -100,24 +100,17 @@ struct ThermalResult {
 };
 
 /// Everything a reference run leaves behind for per-policy replay
-/// (src/replay): the materialized trace (exactly warmup + measured
-/// instructions, shareable across cells via SharedTraceView) and the ordered
-/// full-core stall sequence, split at the warmup boundary.  Trace generation
-/// is a pure function of (profile, run_seed) — it never consults core timing
-/// — so the buffer is valid for every policy, including ones that perturb
-/// timing and must fall back to direct simulation.
+/// (src/replay): the ordered full-core stall sequence, split at the warmup
+/// boundary.  The trace is not kept: a cell replay cannot answer is
+/// simulated again from its own stream, which is a pure function of
+/// (profile, run_seed) for a generator and of the file's bytes for a
+/// MAPGTRC2 window — it never consults core timing.
 struct RunRecord {
-  std::shared_ptr<const std::vector<Instr>> trace;
   StallSeries warmup_stalls;  ///< SoA (cpu/core.h): replay scans stream it
   StallSeries stalls;         ///< measured-phase stalls, in order
 
-  /// The buffer a recording run fills before publishing it as `trace`:
-  /// empty outside a run unless reserve() sized it.
-  std::vector<Instr> trace_buffer;
-
-  /// Reserve every buffer a recording of `warmup` + `instructions` fills,
-  /// so the run allocates none of them: `trace_buffer`, which run_recorded
-  /// adopts, and each stall series at its bound.  A core stalls at most
+  /// Reserve each stall series at its bound for a recording of `warmup` +
+  /// `instructions`, so the run allocates neither.  A core stalls at most
   /// once per instruction on a dependence plus once per load for an MLP
   /// credit (cpu/core.cpp), so at most twice per instruction; pages the
   /// run never touches are never made resident.  Sampled recording
@@ -127,11 +120,16 @@ struct RunRecord {
   void reserve(std::uint64_t warmup, std::uint64_t instructions);
 };
 
-/// Throws std::invalid_argument, naming the config key and its value, for
-/// a platform no model can be built for: a count below 1, a cache geometry
-/// CacheConfig::valid() refuses, or a DRAM row smaller than a line.  Both
-/// simulators run it before building any model.
-void check_platform(const CoreConfig& core, const HierarchyConfig& mem);
+/// The one statement of what a platform must satisfy: throws
+/// std::invalid_argument, naming the config key and its value, for a
+/// platform no model can be built for or whose results no model stands
+/// behind.  It covers every config a run builds: the core, each cache's
+/// geometry (CacheConfig::valid) and the hierarchy's equal line sizes,
+/// DRAM timing, queue and power states, the prefetcher, TechParams, the PG
+/// circuit, DRAM energy and the thermal model; a NaN fails every bound.
+/// Both simulators run it before building any model, and the models
+/// assume it passed.
+void check_platform(const SimConfig& config);
 
 class Simulator {
  public:
@@ -150,20 +148,18 @@ class Simulator {
 
   /// Spec-based variant of the trace-source overload; run(profile, spec) is
   /// this overload fed by the profile's TraceGenerator.  Feeding the same
-  /// stream from elsewhere gives a bit-identical result; the replay engine
-  /// uses this to share one materialized trace across a sweep group's
-  /// fallback cells.
+  /// stream from elsewhere (a staged front-end, a MAPGTRC2 window) gives a
+  /// bit-identical result.
   SimResult run(TraceSource& trace, const std::string& workload_name,
                 const std::string& policy_spec) const;
 
   /// Like run(trace, workload_name, policy_spec), but additionally
-  /// materializes the stream into `record.trace` (through
-  /// `record.trace_buffer`, whose reserved capacity it adopts) and captures
-  /// every full-core StallEvent (warmup and measured phases separately).  The
-  /// returned result is bit-identical to the unrecorded run — recording only
-  /// tees, it never perturbs timing.  record_timeline (src/replay) feeds it
-  /// either a profile's TraceGenerator or an external window (sampled
-  /// simulation).
+  /// captures every full-core StallEvent into `record` (warmup and
+  /// measured phases separately), filling series RunRecord::reserve sized
+  /// in place.  The returned result is bit-identical to the unrecorded run
+  /// — recording only tees the stall events, it never perturbs timing.
+  /// record_timeline (src/replay) feeds it either a profile's
+  /// TraceGenerator or an external window (sampled simulation).
   SimResult run_recorded(TraceSource& trace, const std::string& workload_name,
                          const std::string& policy_spec,
                          RunRecord& record) const;

@@ -1,7 +1,6 @@
 #include "cpu/core.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -24,7 +23,6 @@ Core::Core(CoreConfig config, MemoryHierarchy& mem, StallHandler* handler)
     : config_(config),
       mem_(mem),
       handler_(handler ? handler : &default_handler_) {
-  assert(config_.valid() && "invalid core configuration");
   scoreboard_.resize(config_.scoreboard_window);
   outstanding_.reserve(config_.mlp_window);
 }

@@ -37,10 +37,6 @@ struct CoreConfig {
   /// Scoreboard depth; must exceed the largest trace dep_dist (step()
   /// throws on a load whose dep_dist reaches it).
   std::uint32_t scoreboard_window = 128;
-
-  bool valid() const {
-    return issue_width > 0 && mlp_window > 0 && scoreboard_window > 1;
-  }
 };
 
 enum class StallReason : std::uint8_t {

@@ -130,9 +130,7 @@ std::optional<JobOutcome> ExperimentEngine::lookup(const ExperimentJob& job,
   return out;
 }
 
-JobOutcome ExperimentEngine::execute(
-    const ExperimentJob& job,
-    std::shared_ptr<const std::vector<Instr>> trace, bool probe) {
+JobOutcome ExperimentEngine::execute(const ExperimentJob& job, bool probe) {
   const std::string key =
       cache_key(job.config, job.profile, job.policy_spec,
                 job.trace ? &*job.trace : nullptr);
@@ -164,13 +162,6 @@ JobOutcome ExperimentEngine::execute(
       TraceFrontEnd front = stage_if_free(window, count);
       out.result = cache_->store(
           key, sim.run(front.source(), job.trace->name, job.policy_spec));
-    } else if (trace != nullptr) {
-      // Shared materialized trace (replay-group fallback): the stream is
-      // what a fresh generator would produce, so this is bit-identical to
-      // the generator path.
-      SharedTraceView view(std::move(trace));
-      out.result = cache_->store(
-          key, sim.run(view, job.profile.name, job.policy_spec));
     } else {
       out.result =
           cache_->store(key, sim.run(job.profile, job.policy_spec));
@@ -270,18 +261,12 @@ void ExperimentEngine::progress_tick(std::size_t done, std::size_t total) {
   std::fflush(stderr);
 }
 
-JobOutcome ExperimentEngine::run_one(const ExperimentJob& job) {
+JobOutcome ExperimentEngine::run_one(const ExperimentJob& job, bool probe) {
   // A served request already runs as one of this engine's tasks.
-  if (ThreadBudget::current() == &budget_) return execute(job);
+  if (ThreadBudget::current() == &budget_) return execute(job, probe);
   JobOutcome out;
-  dispatch(1, [&](std::size_t) { out = execute(job); });
+  dispatch(1, [&](std::size_t) { out = execute(job, probe); });
   return out;
-}
-
-JobOutcome ExperimentEngine::run_one_traced(
-    const ExperimentJob& job,
-    std::shared_ptr<const std::vector<Instr>> trace) {
-  return execute(job, std::move(trace));
 }
 
 void ExperimentEngine::dispatch(
@@ -408,7 +393,8 @@ SweepResult ExperimentEngine::run_sweep(const SweepSpec& spec) {
 
 void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
                                  const std::vector<std::size_t>& cell_indices,
-                                 std::vector<JobOutcome>& outcomes) {
+                                 std::vector<JobOutcome>& outcomes,
+                                 std::vector<std::size_t>& direct) {
   // 1. Serve whatever the cache already has; collect the misses.
   std::vector<std::size_t> missing;
   for (const std::size_t c : cell_indices) {
@@ -420,10 +406,9 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
       missing.push_back(c);
   }
   // 2. A recording (one full `none` simulation) only amortizes across >= 2
-  // would-be simulations.  Cells found missing are not probed again.
-  if (missing.empty()) return;
-  if (missing.size() == 1) {
-    outcomes[missing.front()] = execute(jobs[missing.front()], {}, false);
+  // would-be simulations: a lone missing cell is simulated directly.
+  if (missing.size() < 2) {
+    direct.insert(direct.end(), missing.begin(), missing.end());
     return;
   }
 
@@ -431,36 +416,31 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
   const ExperimentJob& first = jobs[missing.front()];
   const double t_rec = now_ms();
   StallTimeline timeline;
-  bool recorded = false;
   try {
     timeline = record_timeline(first.config, first.profile);
-    recorded = true;
   } catch (...) {
-    // A platform config the simulator rejects outright: fall through — the
-    // per-cell direct path below reproduces the exact error per cell.
+    // A platform config the simulator rejects outright: the direct path
+    // reproduces the exact error per cell.
+    direct.insert(direct.end(), missing.begin(), missing.end());
+    return;
   }
   const double record_ms = now_ms() - t_rec;
-  if (recorded) {
+  {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.timelines_recorded;
   }
 
   // 4. Resolve each missing cell on the timeline (resolve_on_timeline:
-  // reference, then replay); what no exact tier answers is simulated
-  // directly over the shared trace buffer.
+  // reference, then replay).  What no exact tier answers, and a bad spec,
+  // whose direct run reports the exact error, is left to `direct`.
   for (const std::size_t c : missing) {
     const ExperimentJob& job = jobs[c];
-    if (!recorded) {
-      outcomes[c] = execute(job, {}, false);
-      continue;
-    }
     const double t0 = now_ms();
     TimelineOutcome exact;
     try {
       exact = resolve_on_timeline(timeline, job.policy_spec);
     } catch (...) {
-      // A bad spec: the direct path reports the exact error.
-      outcomes[c] = execute(job, timeline.record.trace, false);
+      direct.push_back(c);
       continue;
     }
     if (exact.tier == TimelineTier::kDirect) {
@@ -469,7 +449,7 @@ void ExperimentEngine::run_group(const std::vector<ExperimentJob>& jobs,
         ++stats_.replay_fallbacks;
       }
       MAPG_OBS_COUNTER_INC("sim.replay.full_fallbacks");
-      outcomes[c] = execute(job, timeline.record.trace, false);
+      direct.push_back(c);
       continue;
     }
     const std::string key =
@@ -511,15 +491,30 @@ std::vector<JobOutcome> ExperimentEngine::run_replayed(
 
   std::mutex done_mu;
   std::size_t done = 0;
-  dispatch(groups.size(), [&](std::size_t g) {
-    run_group(jobs, groups[g], outcomes);
+  const auto tick = [&](std::size_t cells) {
     std::size_t d;
     {
       std::lock_guard<std::mutex> lk(done_mu);
-      done += groups[g].size();
+      done += cells;
       d = done;
     }
     progress_tick(d, jobs.size());
+  };
+  std::vector<std::vector<std::size_t>> direct(groups.size());
+  dispatch(groups.size(), [&](std::size_t g) {
+    run_group(jobs, groups[g], outcomes, direct[g]);
+    tick(groups[g].size() - direct[g].size());
+  });
+
+  // Every cell the timelines left is a task of its own, in group order: a
+  // group's cells never wait on each other's thread, and no timeline is
+  // held while they run.
+  std::vector<std::size_t> cells;
+  for (const std::vector<std::size_t>& d : direct)
+    cells.insert(cells.end(), d.begin(), d.end());
+  dispatch(cells.size(), [&](std::size_t i) {
+    outcomes[cells[i]] = execute(jobs[cells[i]], /*probe=*/false);
+    tick(1);
   });
   return outcomes;
 }

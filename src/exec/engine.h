@@ -136,8 +136,8 @@ struct EngineStats {
   std::uint64_t jobs_failed = 0;
   std::uint64_t jobs_replayed = 0;  ///< cells reconstituted from a timeline
   std::uint64_t timelines_recorded = 0;  ///< reference recordings performed
-  /// Replays abandoned on a penalized window whose cell fell back to a
-  /// direct simulation from cycle 0 over the recorded trace.
+  /// Replays abandoned on a penalized window whose cell was then simulated
+  /// directly from cycle 0, on a freshly generated stream.
   std::uint64_t replay_fallbacks = 0;
   double busy_ms = 0;               ///< summed per-job wall time
 };
@@ -155,14 +155,10 @@ class ExperimentEngine {
   /// thrown — one bad cell never tears down a sweep.
   std::vector<JobOutcome> run(const std::vector<ExperimentJob>& jobs);
 
-  JobOutcome run_one(const ExperimentJob& job);
-
-  /// run_one over a shared materialized trace buffer instead of a fresh
-  /// generator (bit-identical; see execute()).  Serve-layer hook: the
-  /// tiered executor re-simulates replay-ineligible cells from a cached
-  /// StallTimeline's trace without regenerating it (src/serve/tiered.h).
-  JobOutcome run_one_traced(const ExperimentJob& job,
-                            std::shared_ptr<const std::vector<Instr>> trace);
+  /// Simulate (or serve from cache) one cell as a task of this engine.
+  /// `probe` false skips the cache: the caller has just missed it (the
+  /// server's TieredExecutor::resolve).
+  JobOutcome run_one(const ExperimentJob& job, bool probe = true);
 
   /// Queue an opaque task and return without waiting for it.  Tasks start
   /// in submission order, at most --jobs at once, each holding a slot of
@@ -180,9 +176,9 @@ class ExperimentEngine {
   /// Run the grid.  With options().use_replay and more than one policy,
   /// cells are grouped by (variant, workload, seed): each group records one
   /// `none` reference timeline and replays it across the policy axis
-  /// (src/replay), falling back to direct simulation per cell when replay
-  /// is not exact.  Outcomes are bit-identical to the direct path for any
-  /// jobs count.
+  /// (src/replay).  A cell whose replay is not exact then runs as a direct
+  /// simulation task of its own.  Outcomes are bit-identical to the direct
+  /// path for any jobs count.
   SweepResult run_sweep(const SweepSpec& spec);
 
   /// Generic parallel-for over [0, n) on --jobs threads — for work the
@@ -200,13 +196,9 @@ class ExperimentEngine {
   EngineStats stats() const;
 
  private:
-  /// Simulate (or serve from cache) one cell.  A non-null `trace` feeds the
-  /// simulator from the shared materialized buffer instead of a fresh
-  /// generator — the stream is identical, so results are bit-identical.
-  /// `probe` false skips the cache: lookup() just missed it.
-  JobOutcome execute(const ExperimentJob& job,
-                     std::shared_ptr<const std::vector<Instr>> trace = {},
-                     bool probe = true);
+  /// Simulate (or serve from cache) one cell.  `probe` false skips the
+  /// cache: the caller just missed it.
+  JobOutcome execute(const ExperimentJob& job, bool probe = true);
   /// The cache's answer for `job` under `key`, accounted; nullopt when the
   /// cache does not hold it.
   std::optional<JobOutcome> lookup(const ExperimentJob& job,
@@ -214,14 +206,19 @@ class ExperimentEngine {
   /// Shared outcome bookkeeping: engine stats, obs counters/trace, run log.
   void account(const ExperimentJob& job, const std::string& key,
                const JobOutcome& outcome, std::uint64_t trace_ts);
-  /// The grouped record-once/replay-per-policy path behind run_sweep.
+  /// The grouped record-once/replay-per-policy path behind run_sweep: one
+  /// dispatch of the groups, then one of the cells they left to `direct`.
   std::vector<JobOutcome> run_replayed(const std::vector<ExperimentJob>& jobs,
                                        const SweepResult& shape);
   /// One (variant, workload, seed) group: cells at `cell_indices` in
   /// `jobs`, all sharing config/profile/seed and differing only in policy.
+  /// Answers what the cache and a recorded timeline can, and appends every
+  /// other missing cell to `direct` (a replay fallback, a lone missing
+  /// cell, a platform that could not be recorded, a bad spec).
   void run_group(const std::vector<ExperimentJob>& jobs,
                  const std::vector<std::size_t>& cell_indices,
-                 std::vector<JobOutcome>& outcomes);
+                 std::vector<JobOutcome>& outcomes,
+                 std::vector<std::size_t>& direct);
   void log_job(const ExperimentJob& job, const std::string& key,
                const JobOutcome& outcome);
   void progress_tick(std::size_t done, std::size_t total);

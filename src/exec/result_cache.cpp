@@ -80,6 +80,15 @@ std::shared_ptr<const SimResult> ResultCache::get(const std::string& key) {
   }
 }
 
+bool ResultCache::contains(const std::string& key) const {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (memory_.count(key) != 0) return true;
+  }
+  std::error_code ec;
+  return !dir_.empty() && fs::exists(path_for(key), ec);
+}
+
 std::shared_ptr<const SimResult> ResultCache::store(const std::string& key,
                                                     SimResult result) {
   auto entry = std::make_shared<const SimResult>(std::move(result));

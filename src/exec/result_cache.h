@@ -40,6 +40,10 @@ class ResultCache {
   /// misses and are left for the subsequent store() to overwrite.
   std::shared_ptr<const SimResult> get(const std::string& key);
 
+  /// Whether get(key) would find an entry (a disk entry need only exist),
+  /// without counting a hit or a miss.
+  bool contains(const std::string& key) const;
+
   /// Insert (memory always, disk when persistent).  Returns the shared
   /// entry — callers should keep that pointer rather than their own copy.
   std::shared_ptr<const SimResult> store(const std::string& key,

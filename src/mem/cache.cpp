@@ -1,7 +1,6 @@
 #include "mem/cache.h"
 
 #include <bit>
-#include <cassert>
 
 namespace mapg {
 
@@ -16,7 +15,6 @@ bool CacheConfig::valid() const {
 }
 
 Cache::Cache(CacheConfig config) : config_(config) {
-  assert(config_.valid() && "invalid cache geometry");
   line_mask_ = config_.line_bytes - 1;
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(config_.line_bytes)));

@@ -1,8 +1,6 @@
 #include "mem/dram.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 
 #include "obs/obs.h"
 
@@ -109,20 +107,7 @@ void apply_dram_standard(DramConfig& cfg, DramStandard standard) {
   }
 }
 
-bool DramConfig::valid() const {
-  if (channels == 0 || banks_per_channel == 0) return false;
-  if (line_bytes == 0 || !std::has_single_bit(line_bytes)) return false;
-  if (row_bytes < line_bytes || row_bytes % line_bytes != 0) return false;
-  if (t_cl == 0 || t_bl == 0) return false;
-  if (t_refi > 0 && t_rfc >= t_refi) return false;
-  if (queue_depth > 0 && write_starve_limit == 0) return false;
-  if (hybrid_addr_bits >= 64) return false;
-  if (!power.valid()) return false;
-  return true;
-}
-
 Dram::Dram(DramConfig config) : config_(config) {
-  assert(config_.valid() && "invalid DRAM configuration");
   channels_.resize(config_.channels);
   for (auto& ch : channels_) ch.banks.resize(config_.banks_per_channel);
 }

@@ -99,15 +99,6 @@ struct DramPowerConfig {
   Cycle selfrefresh_timeout = 0;
 
   bool enabled() const { return mode != DramPowerMode::kOff; }
-  bool valid() const {
-    if (mode == DramPowerMode::kOff) return true;
-    if (t_pd == 0 || t_xp == 0 || t_cke == 0) return false;
-    if (t_xs < t_xp) return false;
-    if (powerdown_timeout > 0 && selfrefresh_timeout > 0 &&
-        selfrefresh_timeout < powerdown_timeout)
-      return false;
-    return true;
-  }
 };
 
 /// All timing in *core* cycles.  Defaults: DDR3-1600 (tCK 1.25 ns, CL 11)
@@ -155,7 +146,6 @@ struct DramConfig {
   Cycle estimate_latency() const { return t_rcd + t_cl + t_bl; }
 
   std::uint32_t lines_per_row() const { return row_bytes / line_bytes; }
-  bool valid() const;
 };
 
 /// Overwrite the timing-table fields of `cfg` (row_bytes, tRCD/tRP/tCL/tBL/

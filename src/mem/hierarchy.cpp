@@ -11,9 +11,7 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
       owned_dram_(std::make_unique<Dram>(config.dram)),
       l2_(owned_l2_.get()),
       dram_(owned_dram_.get()),
-      prefetcher_(config.prefetch) {
-  assert(config_.valid() && "invalid hierarchy configuration");
-}
+      prefetcher_(config.prefetch) {}
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig config, Cache& shared_l2,
                                  Dram& shared_dram)
@@ -22,7 +20,6 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config, Cache& shared_l2,
       l2_(&shared_l2),
       dram_(&shared_dram),
       prefetcher_(config.prefetch) {
-  assert(config_.valid() && "invalid hierarchy configuration");
   assert(shared_l2.config().line_bytes == config.l1d.line_bytes &&
          "shared L2 line size must match the private L1");
 }

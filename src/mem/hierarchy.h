@@ -38,12 +38,6 @@ struct HierarchyConfig {
   Cycle fill_return_latency = 15;
   /// Optional L2 stream prefetcher (off by default; R-Tab.5).
   PrefetcherConfig prefetch{};
-
-  bool valid() const {
-    return l1d.valid() && l2.valid() && dram.valid() && prefetch.valid() &&
-           l1d.line_bytes == l2.line_bytes &&
-           l2.line_bytes == dram.line_bytes;
-  }
 };
 
 enum class ServedBy : std::uint8_t { kL1 = 0, kL2 = 1, kDram = 2 };

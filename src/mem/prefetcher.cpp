@@ -1,12 +1,9 @@
 #include "mem/prefetcher.h"
 
-#include <cassert>
-
 namespace mapg {
 
 StreamPrefetcher::StreamPrefetcher(PrefetcherConfig config)
     : config_(config) {
-  assert(config_.valid() && "invalid prefetcher configuration");
   table_.resize(config_.table_entries);
 }
 

@@ -29,10 +29,6 @@ struct PrefetcherConfig {
   std::uint32_t degree = 2;        ///< issue-window depth, in lines
   std::uint32_t table_entries = 16;
   std::uint32_t confirm_after = 1; ///< stream extensions before issuing
-
-  bool valid() const {
-    return !enable || (degree > 0 && table_entries > 0);
-  }
 };
 
 struct PrefetcherStats {

@@ -1,7 +1,6 @@
 #include "multicore/multicore.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -35,11 +34,22 @@ struct Slot {
 
 }  // namespace
 
+void check_platform(const MulticoreConfig& config) {
+  if (config.num_cores == 0)
+    throw std::invalid_argument(
+        "invalid platform: cores=0 (must be at least 1)");
+  SimConfig platform;
+  platform.core = config.core;
+  platform.mem = config.mem;
+  platform.tech = config.tech;
+  platform.pg = config.pg;
+  platform.dram_energy = config.dram_energy;
+  check_platform(platform);
+}
+
 MulticoreSim::MulticoreSim(MulticoreConfig config)
     : config_(std::move(config)) {
-  check_platform(config_.core, config_.mem);
-  assert(config_.num_cores > 0 && "need at least one core");
-  assert(config_.mem.valid() && "invalid hierarchy configuration");
+  check_platform(config_);
 }
 
 MulticoreResult MulticoreSim::run(

@@ -115,6 +115,10 @@ struct MulticoreResult {
   }
 };
 
+/// check_platform (core/sim.h) over the platform a multicore run builds,
+/// and a core count of at least 1.
+void check_platform(const MulticoreConfig& config);
+
 class MulticoreSim {
  public:
   explicit MulticoreSim(MulticoreConfig config);

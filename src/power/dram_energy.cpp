@@ -1,7 +1,6 @@
 #include "power/dram_energy.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace mapg {
 
@@ -42,7 +41,6 @@ DramEnergyBreakdown compute_dram_energy_breakdown(
     const DramStats& stats, const DramConfig& config, const TechParams& tech,
     const DramEnergyParams& params, Cycle duration,
     std::uint64_t coordinated_pd_channel_cycles) {
-  assert(params.valid());
   const double seconds =
       tech.cycles_to_seconds(static_cast<double>(duration));
 

@@ -32,14 +32,6 @@ struct DramEnergyParams {
   double read_nj = 10.0;      ///< per 64 B read burst
   double write_nj = 11.0;     ///< per 64 B write burst
   double refresh_nj = 110.0;  ///< per refresh event, per channel
-
-  bool valid() const {
-    return background_w_per_channel >= 0 && activate_nj >= 0 &&
-           read_nj >= 0 && write_nj >= 0 && refresh_nj >= 0 &&
-           selfrefresh_w_per_channel >= 0 &&
-           selfrefresh_w_per_channel <= powerdown_w_per_channel &&
-           powerdown_w_per_channel <= background_w_per_channel;
-  }
 };
 
 /// IDD-class draw set for a named timing standard (docs/DRAM.md §5).  The

@@ -8,7 +8,6 @@ namespace mapg {
 EnergyBreakdown compute_energy(const TechParams& tech, const PgCircuit* pg,
                                const CoreStats& core,
                                const GatingActivity& activity) {
-  assert(tech.valid());
   const std::uint64_t idle = core.idle_cycles();
   const std::uint64_t pg_cycles =
       activity.gated_cycles + activity.entry_cycles + activity.wake_cycles;

@@ -1,15 +1,11 @@
 #include "power/pg_circuit.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace mapg {
 
 PgCircuit::PgCircuit(const PgCircuitConfig& config, const TechParams& tech)
     : config_(config), tech_(tech) {
-  assert(config_.valid() && "invalid PG circuit configuration");
-  assert(tech_.valid() && "invalid technology parameters");
-
   entry_cycles_ = static_cast<Cycle>(
       std::ceil(tech_.ns_to_cycles(config_.entry_ns)));
   wakeup_cycles_ = wakeup_latency_cycles(config_.wakeup_stages);

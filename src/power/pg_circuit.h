@@ -62,15 +62,6 @@ struct PgCircuitConfig {
   /// Wakeup stages needed in light mode (less charge -> fewer stages for
   /// the same rush-current budget).
   std::uint32_t light_wakeup_stages = 2;
-
-  bool valid() const {
-    return c_vrail_nf > 0 && rail_swing_frac > 0 && rail_swing_frac <= 1 &&
-           gate_charge_nj >= 0 && wakeup_stages > 0 && stage_delay_ns > 0 &&
-           settle_ns >= 0 && entry_ns >= 0 && overhead_scale > 0 &&
-           light_swing_frac > 0 && light_swing_frac <= rail_swing_frac &&
-           light_save_frac > 0 && light_save_frac <= 1 &&
-           light_wakeup_stages > 0;
-  }
 };
 
 class PgCircuit {

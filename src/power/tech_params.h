@@ -55,15 +55,6 @@ struct TechParams {
 
   /// Leakage power removed while gated (W).
   double savable_leakage_w() const { return core_leakage_w * gated_fraction; }
-
-  bool valid() const {
-    if (freq_ghz <= 0 || vdd <= 0) return false;
-    if (core_leakage_w < 0 || gated_fraction < 0 || gated_fraction > 1)
-      return false;
-    for (double e : dyn_energy_nj)
-      if (e < 0) return false;
-    return true;
-  }
 };
 
 }  // namespace mapg

@@ -1,14 +1,11 @@
 #include "power/thermal.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace mapg {
 
 ThermalModel::ThermalModel(const ThermalConfig& config, const TechParams& tech)
     : config_(config), t_c_(config.t_ambient_c) {
-  assert(config_.valid() && "invalid thermal configuration");
-  assert(tech.valid());
   (void)tech;
 }
 

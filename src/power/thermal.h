@@ -35,11 +35,6 @@ struct ThermalConfig {
   double t_ref_c = 85.0;          ///< leakage characterization temperature
   double leak_doubling_c = 25.0;  ///< leakage doubles every this many kelvin
   std::uint64_t epoch_instructions = 20'000;  ///< integration granularity
-
-  bool valid() const {
-    return r_th_k_per_w > 0 && tau_ms > 0 && leak_doubling_c > 0 &&
-           epoch_instructions > 0;
-  }
 };
 
 class ThermalModel {

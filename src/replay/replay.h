@@ -10,9 +10,9 @@
 // DRAM state are bit-identical to the `none` reference — only the gating
 // statistics and the energy derived from them differ.
 //
-// record_timeline() runs the reference once (under `none`), materializing
-// the trace into an immutable shared buffer and capturing the ordered
-// StallEvent sequence.  replay_policy() then re-resolves each recorded
+// record_timeline() runs the reference once (under `none`), capturing the
+// ordered StallEvent sequence — the trace itself is not kept.
+// replay_policy() then re-resolves each recorded
 // window through the real PgController (same policy factory, same stall
 // kernel, same parameters as a direct run) and reconstitutes a complete
 // SimResult by copying the reference's core/hierarchy/DRAM statistics and
@@ -21,9 +21,10 @@
 // Exactness guard: the replayer checks resume == data_ready per window as
 // it goes.  The first penalized window voids the equivalence — a penalty
 // shifts all later timing, refresh alignment, and DRAM state — so the
-// replayer bails out (ReplayOutcome::ok == false) and the cell is simulated
-// directly from cycle 0 over the recorded trace.  resolve_on_timeline()
-// owns that order (reference, replay, else direct) for every caller.
+// replayer bails out (ReplayOutcome::ok == false) and the caller simulates
+// the cell directly from cycle 0, regenerating (or re-reading) its stream.
+// resolve_on_timeline() owns that order (reference, replay, else direct)
+// for every caller.
 // tests/test_replay.cpp proves replay == direct JSON-identical for eligible
 // cells and byte-identical fallback.
 //
@@ -39,8 +40,8 @@
 namespace mapg {
 
 /// One recorded reference run: the platform/workload identity it was
-/// recorded under, the materialized trace + stall sequence, and the full
-/// `none` SimResult (shared; also usable as the sweep's baseline cell).
+/// recorded under, the stall sequence, and the full `none` SimResult
+/// (shared; also usable as the sweep's baseline cell).
 struct StallTimeline {
   SimConfig config;
   WorkloadProfile profile;
@@ -60,8 +61,8 @@ StallTimeline record_timeline(const SimConfig& config,
 /// `profile` is a stub carrying only `workload_name` — replay_policy
 /// consults nothing else (it feeds recorded events), so every tier applies
 /// to traced timelines unchanged.  `reserved` becomes the timeline's record
-/// before the run, so buffers a caller sized with RunRecord::reserve are
-/// filled in place.
+/// before the run, so stall series a caller sized with RunRecord::reserve
+/// are filled in place.
 StallTimeline record_timeline_traced(const SimConfig& config,
                                      TraceSource& trace,
                                      const std::string& workload_name,

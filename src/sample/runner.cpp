@@ -148,9 +148,9 @@ void SampledRunner::record_timelines() {
   if (missing.empty()) return;
 
   // When launched workers record, everything they fill is built here, on
-  // the calling thread (exec/thread_pool.h): the readers and every window's
-  // trace buffer and stall series.  A serial recording (one worker, which
-  // includes the exhaustive plan's whole-trace window) grows its own.
+  // the calling thread (exec/thread_pool.h): the readers and every
+  // window's stall series.  A serial recording (one worker, which includes
+  // the exhaustive plan's whole-trace window) grows its own.
   const unsigned workers = ThreadPool::workers_for(jobs_, missing.size());
   TraceReaders readers(trace_, workers);
   std::vector<Window> windows;
@@ -165,13 +165,10 @@ void SampledRunner::record_timelines() {
     [[maybe_unused]] std::uint64_t ts = 0;
     MAPG_OBS_ONLY(ts = span_begin();)
     const Window& win = windows[i];
-    readers[w].seek(win.start);
-    const std::uint64_t count =
-        win.config.warmup_instructions + win.config.instructions;
-    LimitedTraceSource window(readers[w], count);
-    TraceFrontEnd front = stage_if_free(window, count);
-    timelines_[missing[i]] = record_timeline_traced(
-        win.config, front.source(), workload_, std::move(records[i]));
+    read_window(readers[w], win, [&](TraceSource& window) {
+      timelines_[missing[i]] = record_timeline_traced(
+          win.config, window, workload_, std::move(records[i]));
+    });
     MAPG_OBS_COUNTER_ADD("sim.sample.simulated", win.config.instructions);
     MAPG_OBS_ONLY(span_end("sample.record", ts, missing[i],
                            win.config.instructions,
@@ -179,23 +176,36 @@ void SampledRunner::record_timelines() {
   });
 }
 
+void SampledRunner::read_window(
+    FileTraceSource& reader, const Window& win,
+    const std::function<void(TraceSource&)>& run) {
+  reader.seek(win.start);
+  const std::uint64_t count =
+      win.config.warmup_instructions + win.config.instructions;
+  LimitedTraceSource window(reader, count);
+  // Read and digest-checked ahead of the core where a thread is free.
+  TraceFrontEnd front = stage_if_free(window, count);
+  run(front.source());
+}
+
 std::vector<SimResult> SampledRunner::simulate_cells(
     const std::string& policy_spec) {
   record_timelines();
   std::vector<SimResult> reps(timelines_.size());
-  for_each_task(reps.size(), [&](std::size_t c, unsigned) {
+  TraceReaders readers(trace_, ThreadPool::workers_for(jobs_, reps.size()));
+  for_each_task(reps.size(), [&](std::size_t c, unsigned w) {
     [[maybe_unused]] std::uint64_t ts = 0;
     MAPG_OBS_ONLY(ts = span_begin();)
     // The shared tier ladder; what no exact tier answers is simulated
-    // directly over the materialized window.  Every tier is bit-identical
-    // to direct.
+    // directly over its window, read from the file again.  Every tier is
+    // bit-identical to direct.
     const StallTimeline& timeline = *timelines_[c];
     TimelineOutcome cell = resolve_on_timeline(timeline, policy_spec);
-    if (cell.tier == TimelineTier::kDirect) {
-      SharedTraceView view(timeline.record.trace);
-      cell.result = Simulator(timeline.config)
-                        .run(view, timeline.profile.name, policy_spec);
-    }
+    if (cell.tier == TimelineTier::kDirect)
+      read_window(readers[w], window_for(c), [&](TraceSource& window) {
+        cell.result = Simulator(timeline.config)
+                          .run(window, timeline.profile.name, policy_spec);
+      });
     reps[c] = std::move(cell.result);
     MAPG_OBS_ONLY(span_end("sample.cell", ts, c,
                            timeline.config.instructions, cell.tier);)

@@ -6,13 +6,14 @@
 // prefix available before the region — and then serves each requested
 // policy through the SAME tier ladder the experiment engine and the server
 // use (resolve_on_timeline: reference -> exact replay), falling back to
-// direct simulation over the materialized window.  Recordings and cells
-// run on up to --jobs workers through exec's claim loop (for_each_claimed,
-// exec/thread_pool.h); each worker reads through its own digest-checking
-// reader, and the projection sums per-cluster results in cluster order
-// after the join, so a result never depends on the worker count.  Where
-// --jobs leaves threads over, a recording's window is read and
-// digest-checked ahead of its core by a helper (trace/staged_source.h).
+// direct simulation of the window, read from the file again.  Recordings,
+// cells and fallbacks run on up to --jobs workers through exec's claim
+// loop (for_each_claimed, exec/thread_pool.h); each worker reads through
+// its own digest-checking reader, and the projection sums per-cluster
+// results in cluster order after the join, so a result never depends on
+// the worker count.  Where --jobs leaves threads over, a recording's or a
+// fallback's window is read and digest-checked ahead of its core by a
+// helper (trace/staged_source.h).
 // Per-representative results are therefore bit-identical to directly
 // simulating that window; approximation enters ONLY in the projection
 // step, where extensive metrics are scaled by cluster weights and summed:
@@ -106,6 +107,10 @@ class SampledRunner {
     SimConfig config;
   };
   Window window_for(std::size_t cluster) const;
+  /// Seeks `reader` to the window and runs `run` on its warmup + measured
+  /// instructions, staged where a thread is free.
+  static void read_window(FileTraceSource& reader, const Window& win,
+                          const std::function<void(TraceSource&)>& run);
   void record_timelines();
   std::vector<SimResult> simulate_cells(const std::string& policy_spec);
   /// for_each_claimed over `items`, each item one task of budget_

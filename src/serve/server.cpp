@@ -50,7 +50,7 @@ bool job_from_cell(const CellRequest& req, ExperimentJob* job,
     *error = "unknown config key '" + unknown.front() + "'";
     return false;
   }
-  check_platform(job->config.core, job->config.mem);
+  check_platform(job->config);
   const WorkloadProfile* profile = find_profile(req.workload);
   if (profile == nullptr) {
     *error = "unknown workload '" + req.workload + "'";
@@ -73,7 +73,7 @@ bool expand_sweep(const SweepRequest& req, std::vector<ExperimentJob>* jobs,
     *error = "unknown config key '" + unknown.front() + "'";
     return false;
   }
-  check_platform(base.core, base.mem);
+  check_platform(base);
   if (req.policies.empty() || req.workloads.empty()) {
     *error = "sweep needs workloads and policies";
     return false;

@@ -126,21 +126,14 @@ ServeOutcome TieredExecutor::resolve(const ExperimentJob& job,
         }
         MAPG_OBS_COUNTER_INC("serve.replay.fallbacks");
       }
-      // Fallback (or bad spec): direct simulation from cycle 0 over the
-      // shared trace buffer — bit-identical to a generator-fed run.
-      out.job = engine_.run_one_traced(job, timeline->record.trace);
-      out.tier = out.job.ok ? Tier::kCompute : Tier::kError;
-      return out;
     }
   }
 
-  out.job = engine_.run_one(job);
-  if (!out.job.ok)
-    out.tier = Tier::kError;
-  else if (out.job.from_cache)
-    out.tier = Tier::kCache;  // raced with a concurrent store
-  else
-    out.tier = Tier::kCompute;
+  // A fallback, a bad spec and a cell with no timeline all take the
+  // engine's compute path; the probe above just missed, so it does not
+  // probe again.
+  out.job = engine_.run_one(job, /*probe=*/false);
+  out.tier = out.job.ok ? Tier::kCompute : Tier::kError;
   return out;
 }
 
@@ -235,8 +228,9 @@ std::vector<ServeOutcome> TieredExecutor::run_cells(
               jobs[(wi * n_policies + pi) * n_seeds + si];
           const std::string key =
               cache_key(job.config, job.profile, job.policy_spec);
-          if (hot_.peek(key) == nullptr &&
-              engine_.cache().get(key) == nullptr)
+          // Planning looks without counting: run_cell probes each cell
+          // once.
+          if (hot_.peek(key) == nullptr && !engine_.cache().contains(key))
             ++would_compute;
         }
         if (would_compute >= 2) {

@@ -13,8 +13,10 @@
 // and any later request whose cell belongs to the same group — tomorrow's
 // query for a new policy on a known platform — climbs the shared tier
 // ladder (resolve_on_timeline, replay/replay.h) instead of simulating:
-// replay, else a from-zero run over the shared trace buffer
-// (exec::run_one_traced).  Every tier preserves the bit-identity contract:
+// replay, else the engine's compute path, which regenerates the cell's
+// stream.  Each cell probes the engine cache once: a cell that missed it
+// is not probed again on its way to compute, and a sweep's planning looks
+// without counting.  Every tier preserves the bit-identity contract:
 // it returns the same bytes a batch ExperimentEngine run would
 // (tests/test_serve.cpp, CI serve smoke).
 //
@@ -70,8 +72,9 @@ struct TieredOptions {
   /// Hot-tier entries (results, a few KB each); 0 disables the tier.
   std::size_t hot_entries = 4096;
   /// Reference timelines kept across requests.  Timelines are the
-  /// expensive tier to hold (each owns the materialized trace, ~20 bytes
-  /// per instruction), so the default is small.
+  /// expensive tier to hold (each owns its stall series, 33 bytes per
+  /// full-core stall: several MB per million instructions on a
+  /// memory-bound workload), so the default is small.
   std::size_t timeline_entries = 8;
 };
 

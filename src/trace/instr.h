@@ -48,9 +48,9 @@ constexpr std::string_view op_class_name(OpClass op) {
 
 /// Fields are declared in on-disk record order (trace_file.h: u8 op,
 /// u16 dep_dist, u64 addr); in that order the two small fields share the
-/// first eight bytes and the struct packs into 16.  Every materialized trace
-/// (tee buffers, SharedTraceView, sampled windows) is a vector of these, so
-/// the size is pinned below.
+/// first eight bytes and the struct packs into 16.  Every in-memory trace
+/// (VectorTraceSource, the staged front-end's ring) holds these, so the
+/// size is pinned below.
 struct Instr {
   OpClass op = OpClass::kAlu;
   /// For kLoad: number of instructions after this one at which the first

@@ -1,12 +1,11 @@
-// In-memory trace sources: a vector, a shared immutable buffer, and the
-// limiting and address-rebasing wrappers.
+// In-memory trace sources: a vector, and the limiting and address-rebasing
+// wrappers.
 //
 // The on-disk trace format (MAPGTRC2) and its streaming reader live in
 // trace_file.h (docs/TRACE.md).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -55,29 +54,6 @@ class LimitedTraceSource final : public TraceSource {
   TraceSource& inner_;
   std::uint64_t limit_;
   std::uint64_t count_ = 0;
-};
-
-/// Serves instructions from an immutable shared buffer.  Many sources can
-/// view the same materialized trace concurrently (each view carries its own
-/// cursor), which is how the replay engine (src/replay) shares one trace
-/// across every policy cell of a sweep group without copying it.
-class SharedTraceView final : public TraceSource {
- public:
-  explicit SharedTraceView(std::shared_ptr<const std::vector<Instr>> instrs)
-      : instrs_(std::move(instrs)) {}
-
-  bool next(Instr& out) override {
-    if (pos_ >= instrs_->size()) return false;
-    out = (*instrs_)[pos_++];
-    return true;
-  }
-  void reset() override { pos_ = 0; }
-
-  std::uint64_t size() const { return instrs_->size(); }
-
- private:
-  std::shared_ptr<const std::vector<Instr>> instrs_;
-  std::uint64_t pos_ = 0;
 };
 
 /// Rebases every memory address by a fixed offset.  The multicore simulator

@@ -71,7 +71,7 @@ TEST(ConfigApply, AppliesEveryCategory) {
   EXPECT_DOUBLE_EQ(cfg.dram_energy.read_nj, 20.0);
   EXPECT_TRUE(cfg.thermal.enable);
   EXPECT_DOUBLE_EQ(cfg.thermal.t_ambient_c, 55.0);
-  EXPECT_TRUE(cfg.mem.valid());
+  EXPECT_NO_THROW(check_platform(cfg));
 }
 
 TEST(ConfigApply, LineBytesAppliesToAllLevels) {
@@ -81,7 +81,7 @@ TEST(ConfigApply, LineBytesAppliesToAllLevels) {
   EXPECT_EQ(cfg.mem.l1d.line_bytes, 128u);
   EXPECT_EQ(cfg.mem.l2.line_bytes, 128u);
   EXPECT_EQ(cfg.mem.dram.line_bytes, 128u);
-  EXPECT_TRUE(cfg.mem.valid());
+  EXPECT_NO_THROW(check_platform(cfg));
 }
 
 TEST(ConfigApply, ReportsUnknownKeys) {
@@ -157,8 +157,10 @@ TEST(ConfigApply, DramPowerAliasYieldsToExplicitMode) {
 
 TEST(ConfigApply, PlatformsNoModelCanBeBuiltForAreRejectedByName) {
   // Each case would crash a run (a division by zero or an out-of-bounds
-  // index) or, like 6 sets, run with a wrong set mask.  Both simulators
-  // refuse it before building any model, naming the key.
+  // index), run with a wrong set mask like 6 sets, or print a table no
+  // model stands behind (a zero CAS latency, refresh longer than its
+  // interval, zero wakeup stages, a 0 GHz clock).  Both simulators refuse
+  // it before building any model, naming the key.
   const std::vector<std::pair<std::vector<std::pair<std::string, std::string>>,
                               std::string>>
       cases = {
@@ -175,6 +177,20 @@ TEST(ConfigApply, PlatformsNoModelCanBeBuiltForAreRejectedByName) {
           {{{"l1.size_kib", "1"}, {"l1.assoc", "32"}}, "l1.size_kib=1"},
           {{{"l1.size_kib", "3"}}, "l1.size_kib=3"},
           {{{"dram.row_bytes", "32"}}, "dram.row_bytes=32"},
+          {{{"dram.t_cl", "0"}}, "dram.t_cl=0"},
+          {{{"dram.t_bl", "0"}}, "dram.t_bl=0"},
+          {{{"dram.t_rfc", "99999"}}, "dram.t_rfc=99999"},
+          {{{"dram.page_policy", "hybrid"}, {"dram.hybrid_bits", "64"}},
+           "dram.hybrid_bits=64"},
+          {{{"dram.queue_depth", "4"}, {"dram.write_starve", "0"}},
+           "dram.write_starve=0"},
+          {{{"dram.power.mode", "timeout"}, {"dram.power.t_pd", "0"}},
+           "dram.power.t_pd=0"},
+          {{{"prefetch.enable", "1"}, {"prefetch.degree", "0"}},
+           "prefetch.degree=0"},
+          {{{"pg.stages", "0"}}, "pg.stages=0"},
+          {{{"dram_energy.powerdown_w", "9"}}, "dram_energy.powerdown_w=9"},
+          {{{"tech.freq_ghz", "0"}}, "tech.freq_ghz=0"},
       };
   for (const auto& [settings, key] : cases) {
     KvConfig kv;
@@ -190,19 +206,21 @@ TEST(ConfigApply, PlatformsNoModelCanBeBuiltForAreRejectedByName) {
             << what << ": " << e.what();
       }
     };
-    expect_named([&] { check_platform(sim.core, sim.mem); }, "check");
+    expect_named([&] { check_platform(sim); }, "check");
+    expect_named([&] { check_platform(multi); }, "multicore check");
     expect_named([&] { Simulator{sim}; }, "Simulator");
     expect_named([&] { MulticoreSim{multi}; }, "MulticoreSim");
   }
   // The defaults, and a small valid geometry, pass.
   const SimConfig defaults;
-  EXPECT_NO_THROW(check_platform(defaults.core, defaults.mem));
+  EXPECT_NO_THROW(check_platform(defaults));
+  EXPECT_NO_THROW(check_platform(MulticoreConfig{}));
   KvConfig small;
   small.set("l1.size_kib", "1");
   small.set("l1.assoc", "16");
   small.set("dram.row_bytes", "64");
   const SimConfig ok = apply_sim_config(small);
-  EXPECT_NO_THROW(check_platform(ok.core, ok.mem));
+  EXPECT_NO_THROW(check_platform(ok));
 }
 
 TEST(Replicate, AggregatesAcrossSeeds) {

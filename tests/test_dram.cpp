@@ -3,7 +3,10 @@
 // estimate/commit/completion information contract MAPG depends on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/prng.h"
+#include "core/sim.h"
 #include "mem/dram.h"
 
 namespace mapg {
@@ -25,6 +28,13 @@ DramConfig test_config() {
   return c;
 }
 
+/// The default platform with `dram` in it, for check_platform.
+SimConfig with_dram(const DramConfig& dram) {
+  SimConfig cfg;
+  cfg.mem.dram = dram;
+  return cfg;
+}
+
 /// Build a line address hitting (channel, bank, row, col) under the mapping.
 Addr make_line(const DramConfig& c, std::uint32_t channel, std::uint32_t bank,
                std::uint64_t row, std::uint64_t col = 0) {
@@ -37,16 +47,16 @@ Addr make_line(const DramConfig& c, std::uint32_t channel, std::uint32_t bank,
 }
 
 TEST(DramConfig, Validity) {
-  EXPECT_TRUE(test_config().valid());
+  EXPECT_NO_THROW(check_platform(with_dram(test_config())));
   DramConfig c = test_config();
   c.channels = 0;
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
   c = test_config();
   c.row_bytes = 32;  // smaller than line
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
   c = test_config();
   c.t_rfc = c.t_refi;  // refresh never ends
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
 }
 
 TEST(Dram, AddressMappingRoundTrip) {
@@ -213,7 +223,7 @@ TEST(Dram, SelfRefreshExitHonorsPendingRefreshWindow) {
   cfg.power.mode = DramPowerMode::kTimeout;
   cfg.power.powerdown_timeout = 0;
   cfg.power.selfrefresh_timeout = 1000;
-  ASSERT_TRUE(cfg.valid());
+  ASSERT_NO_THROW(check_platform(with_dram(cfg)));
   Dram d(cfg);
 
   // Idle since 0: self-refresh established at 1000 + tPD.  Arrive 100

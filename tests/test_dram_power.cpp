@@ -3,6 +3,8 @@
 // monotonicity, and the coordinated-gating closed form.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/prng.h"
 #include "core/sim.h"
 #include "mem/dram.h"
@@ -37,6 +39,13 @@ DramConfig timeout_config(Cycle pd_timeout = 192, Cycle sr_timeout = 0) {
   return c;
 }
 
+/// The default platform with `dram` in it, for check_platform.
+SimConfig with_dram(const DramConfig& dram) {
+  SimConfig cfg;
+  cfg.mem.dram = dram;
+  return cfg;
+}
+
 Addr make_line(const DramConfig& c, std::uint32_t channel, std::uint32_t bank,
                std::uint64_t row, std::uint64_t col = 0) {
   std::uint64_t line_no = row;
@@ -56,39 +65,41 @@ TEST(DramPowerConfig, OffModeIsAlwaysValid) {
   p.t_xp = 0;
   p.t_cke = 0;
   p.t_xs = 0;
-  EXPECT_TRUE(p.valid());
+  SimConfig cfg;
+  cfg.mem.dram.power = p;
+  EXPECT_NO_THROW(check_platform(cfg));
   EXPECT_FALSE(p.enabled());
 }
 
 TEST(DramPowerConfig, EnabledModesRequireSaneTimings) {
   DramConfig c = timeout_config();
-  EXPECT_TRUE(c.valid());
+  EXPECT_NO_THROW(check_platform(with_dram(c)));
 
   c = timeout_config();
   c.power.t_pd = 0;  // a state can never be established
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
 
   c = timeout_config();
   c.power.t_xp = 0;
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
 
   c = timeout_config();
   c.power.t_cke = 0;
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
 
   c = timeout_config();
   c.power.t_xs = c.power.t_xp - 1;  // SR exit cheaper than PD exit
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
 
   // Escalation must be ordered: self-refresh cannot trigger before
   // power-down when both timers are armed.
   c = timeout_config(/*pd_timeout=*/500, /*sr_timeout=*/100);
-  EXPECT_FALSE(c.valid());
+  EXPECT_THROW(check_platform(with_dram(c)), std::invalid_argument);
   c = timeout_config(/*pd_timeout=*/500, /*sr_timeout=*/500);
-  EXPECT_TRUE(c.valid());
+  EXPECT_NO_THROW(check_platform(with_dram(c)));
   // A disabled timer (0) imposes no ordering.
   c = timeout_config(/*pd_timeout=*/0, /*sr_timeout=*/100);
-  EXPECT_TRUE(c.valid());
+  EXPECT_NO_THROW(check_platform(with_dram(c)));
 }
 
 // ---------------------------------------------------------------------------
@@ -260,13 +271,14 @@ TEST(DramEnergy, SelfRefreshSuppressesControllerRefreshEnergy) {
 }
 
 TEST(DramEnergy, ParamValidityOrdersTheStatePowers) {
-  DramEnergyParams p;
-  EXPECT_TRUE(p.valid());
+  SimConfig cfg;
+  DramEnergyParams& p = cfg.dram_energy;
+  EXPECT_NO_THROW(check_platform(cfg));
   p.powerdown_w_per_channel = p.background_w_per_channel + 0.01;
-  EXPECT_FALSE(p.valid());
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);
   p = DramEnergyParams{};
   p.selfrefresh_w_per_channel = p.powerdown_w_per_channel + 0.01;
-  EXPECT_FALSE(p.valid());
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@
 // ordering, overflow, drain completeness, and exact page-policy latencies.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/prng.h"
+#include "core/sim.h"
 #include "mem/dram.h"
 #include "power/dram_energy.h"
 
@@ -54,9 +56,10 @@ TEST(StandardTable, Ddr3PresetIsTheDefault) {
 TEST(StandardTable, PresetsAreValidAndDistinct) {
   for (DramStandard s : {DramStandard::kDdr3_1600, DramStandard::kDdr4_2400,
                          DramStandard::kLpddr4_3200}) {
-    DramConfig c;
+    SimConfig cfg;
+    DramConfig& c = cfg.mem.dram;
     apply_dram_standard(c, s);
-    EXPECT_TRUE(c.valid()) << to_string(s);
+    EXPECT_NO_THROW(check_platform(cfg)) << to_string(s);
     EXPECT_EQ(c.standard, s);
   }
   DramConfig ddr4, lp4;
@@ -120,9 +123,11 @@ TEST(StandardTable, EnergyPresetsValidAndOrdered) {
       dram_energy_for_standard(DramStandard::kDdr4_2400);
   const DramEnergyParams lp4 =
       dram_energy_for_standard(DramStandard::kLpddr4_3200);
-  EXPECT_TRUE(ddr3.valid());
-  EXPECT_TRUE(ddr4.valid());
-  EXPECT_TRUE(lp4.valid());
+  for (const DramEnergyParams& p : {ddr3, ddr4, lp4}) {
+    SimConfig cfg;
+    cfg.dram_energy = p;
+    EXPECT_NO_THROW(check_platform(cfg));
+  }
   // The process story: every generation trims background power, and the
   // mobile part's low-power states are an order of magnitude deeper.
   EXPECT_GT(ddr3.background_w_per_channel, ddr4.background_w_per_channel);
@@ -137,17 +142,20 @@ TEST(StandardTable, EnergyPresetsValidAndOrdered) {
 }
 
 TEST(StandardTable, QueueConfigLegality) {
-  DramConfig c;
-  EXPECT_TRUE(c.valid());
+  SimConfig cfg;
+  DramConfig& c = cfg.mem.dram;
+  EXPECT_NO_THROW(check_platform(cfg));
   c.queue_depth = 4;
-  EXPECT_TRUE(c.valid());
+  EXPECT_NO_THROW(check_platform(cfg));
   c.write_starve_limit = 0;
-  EXPECT_FALSE(c.valid());  // a queue with no starvation bound is illegal
+  // A queue with no starvation bound is illegal.
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);
   c.queue_depth = 0;
-  EXPECT_TRUE(c.valid());  // depth 0 does not care about the bound
+  // Depth 0 does not care about the bound.
+  EXPECT_NO_THROW(check_platform(cfg));
   c.write_starve_limit = 512;
   c.hybrid_addr_bits = 64;
-  EXPECT_FALSE(c.valid());  // shift width
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);  // shift width
 }
 
 // ---------------------------------------------------------------------------

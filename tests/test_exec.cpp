@@ -532,14 +532,19 @@ TEST(ExperimentEngine, FrontEndHelpersStayWithinJobs) {
   sweep.workloads.resize(2);  // two groups for two workers
   s0 = staged();
   i0 = inline_runs();
-  const SweepResult swept = ExperimentEngine(opts).run_sweep(sweep);
+  ExperimentEngine sweeper(opts);
+  const SweepResult swept = sweeper.run_sweep(sweep);
   for (const JobOutcome& o : swept.outcomes) EXPECT_TRUE(o.ok) << o.error;
-  // One front-end per group recording.  The first group reads inline (both
-  // slots are held when it starts); the second stages only if a worker
-  // finished the first before the other worker took the second, since one
-  // task left is fewer than --jobs.
-  EXPECT_EQ(staged() + inline_runs(), s0 + i0 + 2 * counted);
-  EXPECT_LE(staged(), s0 + counted);
+  // One front-end per group recording, and one per replay fallback, which
+  // runs as a task of its own once the groups are done.  In each of the
+  // two dispatches the first task reads inline (both slots are held when
+  // it starts); a later one stages only if a worker finished the first
+  // before the other worker took it, since one task left is fewer than
+  // --jobs.
+  const std::uint64_t fallbacks = sweeper.stats().replay_fallbacks;
+  EXPECT_EQ(fallbacks, 2u);  // idle-timeout:64 in each group
+  EXPECT_EQ(staged() + inline_runs(), s0 + i0 + (2 + fallbacks) * counted);
+  EXPECT_LE(staged(), s0 + 2 * counted);
 
   // Two tasks that wait for each other before and after their runs hold
   // both slots throughout, so neither run may take a helper.

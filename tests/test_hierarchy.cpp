@@ -2,8 +2,10 @@
 // routing, MSHR merging, and the estimate/commit information contract.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "core/sim.h"
 #include "mem/hierarchy.h"
 
 namespace mapg {
@@ -27,11 +29,13 @@ HierarchyConfig small_hierarchy() {
 }
 
 TEST(HierarchyConfig, ValidityRequiresMatchingLines) {
-  HierarchyConfig h = small_hierarchy();
-  EXPECT_TRUE(h.valid());
+  SimConfig cfg;
+  HierarchyConfig& h = cfg.mem;
+  h = small_hierarchy();
+  EXPECT_NO_THROW(check_platform(cfg));
   h.l1d.line_bytes = 32;
   h.l1d.size_bytes = 1024;
-  EXPECT_FALSE(h.valid());
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);
 }
 
 TEST(Hierarchy, L1HitLatency) {

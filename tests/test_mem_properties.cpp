@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/prng.h"
+#include "core/sim.h"
 #include "mem/cache.h"
 #include "mem/dram.h"
 
@@ -105,7 +106,9 @@ TEST_P(DramShape, LatencyBoundsAndInformationContract) {
   DramConfig cfg;
   cfg.channels = channels;
   cfg.banks_per_channel = banks;
-  ASSERT_TRUE(cfg.valid());
+  SimConfig platform;
+  platform.mem.dram = cfg;
+  ASSERT_NO_THROW(check_platform(platform));
   Dram d(cfg);
   Prng prng(channels * 100 + banks);
   Cycle t = 1000;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
+#include "core/sim.h"
 #include "power/energy_model.h"
 #include "power/pg_circuit.h"
 #include "power/tech_params.h"
@@ -12,8 +14,9 @@ namespace mapg {
 namespace {
 
 TEST(TechParams, DefaultsValidAndUnitHelpers) {
-  TechParams t;
-  EXPECT_TRUE(t.valid());
+  SimConfig cfg;
+  const TechParams& t = cfg.tech;
+  EXPECT_NO_THROW(check_platform(cfg));
   EXPECT_DOUBLE_EQ(t.cycle_time_ns(), 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(t.ns_to_cycles(10.0), 30.0);
   EXPECT_DOUBLE_EQ(t.cycles_to_seconds(3e9), 1.0);
@@ -21,15 +24,16 @@ TEST(TechParams, DefaultsValidAndUnitHelpers) {
 }
 
 TEST(TechParams, ValidityRejectsBadValues) {
-  TechParams t;
+  SimConfig cfg;
+  TechParams& t = cfg.tech;
   t.freq_ghz = 0;
-  EXPECT_FALSE(t.valid());
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);
   t = TechParams{};
   t.gated_fraction = 1.5;
-  EXPECT_FALSE(t.valid());
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);
   t = TechParams{};
   t.dyn_energy_nj[2] = -1;
-  EXPECT_FALSE(t.valid());
+  EXPECT_THROW(check_platform(cfg), std::invalid_argument);
 }
 
 TEST(PgCircuit, LatenciesFromNanoseconds) {

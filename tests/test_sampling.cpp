@@ -9,6 +9,7 @@
 // clusters >= regions case is bit-identical to full simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -977,8 +978,9 @@ bool helpers_fit(unsigned workers, unsigned helpers) {
 
 TEST(SampledRun, StagedWindowsProjectTheSameResults) {
   // Two representatives and four jobs: each recording worker has a thread
-  // over, so its window is read and digest-checked by a helper.  Every
-  // projection must equal the serial one.
+  // over, so its window is read and digest-checked by a helper, and so is
+  // each idle-timeout:64 fallback's window, read again from the file.
+  // Every projection must equal the serial one.
   const PhasedPlan t(2);
   ASSERT_FALSE(t.plan.exhaustive);
   ASSERT_EQ(t.plan.clusters.size(), 2u);
@@ -999,8 +1001,40 @@ TEST(SampledRun, StagedWindowsProjectTheSameResults) {
     }
     EXPECT_EQ(got, want);
     if (helpers_fit(2, 2)) {
-      EXPECT_EQ(staged_runs(), staged0 + 2);
+      EXPECT_EQ(staged_runs(), staged0 + 4);  // 2 recordings, 2 fallbacks
     }
+  }
+}
+
+TEST(SampledRun, FallbackRepresentativesEqualADirectRunOverTheirWindow) {
+  // idle-timeout:64 is penalized on every representative, so each one is
+  // simulated again over its window, re-read from the file.  Each must
+  // equal a Simulator run over that window, seeked and limited by hand:
+  // the warmup is clamped to the prefix before the region.
+  const PhasedPlan t;
+  ASSERT_FALSE(t.plan.exhaustive);
+  std::vector<std::string> want;
+  FileTraceSource direct_src(t.file.path);
+  for (const SampleCluster& cl : t.plan.clusters) {
+    const RegionSignature& rep = t.plan.regions[cl.representative];
+    SimConfig cfg = sim_config();
+    cfg.warmup_instructions =
+        std::min<std::uint64_t>(t.plan.config.warmup_instructions, rep.start);
+    cfg.instructions = rep.length;
+    direct_src.seek(rep.start - cfg.warmup_instructions);
+    LimitedTraceSource window(direct_src,
+                              cfg.warmup_instructions + cfg.instructions);
+    want.push_back(
+        dump(Simulator(cfg).run(window, "trc", "idle-timeout:64")));
+  }
+  for (const unsigned jobs : {1u, 4u}) {
+    FileTraceSource src(t.file.path);
+    SampledRunner runner(sim_config(), src, t.plan, "trc", jobs);
+    const SampledResult got = runner.run("idle-timeout:64");
+    ASSERT_EQ(got.representative_results.size(), want.size());
+    for (std::size_t c = 0; c < want.size(); ++c)
+      EXPECT_EQ(dump(got.representative_results[c]), want[c])
+          << "jobs=" << jobs << " cluster " << c;
   }
 }
 

@@ -418,6 +418,42 @@ TEST_F(ServeServerTest, SweepMatchesDirectEngineCellByCell) {
   }
 }
 
+TEST_F(ServeServerTest, EachServedCellProbesTheEngineCacheOnce) {
+  // Three cells, then a sweep whose two groups each record a timeline: the
+  // `none` cells are then cache hits, `mapg` replays and idle-timeout:64
+  // computes.  A cell the hot tier does not answer probes the engine cache
+  // once, on its way to compute too, and planning the sweep counts
+  // nothing, so the probes add up to those cells.
+  start_server(2);
+  auto client = connect();
+  std::string error;
+  for (const char* seed : {"1", "2", "3"}) {
+    CellRequest req;
+    req.config = {{"instructions", "2000"}, {"warmup", "200"},
+                  {"seed", seed}};
+    req.workload = "gcc-like";
+    req.policy = "mapg";
+    ASSERT_TRUE(client->cell(req, &error)) << error;
+  }
+  SweepRequest sweep;
+  sweep.config = {{"instructions", "2000"}, {"warmup", "200"}};
+  sweep.workloads = {"mcf-like", "gcc-like"};
+  sweep.policies = {"none", "mapg", "idle-timeout:64"};
+  ASSERT_TRUE(client->sweep(sweep, &error)) << error;
+
+  const std::optional<Json> stats = client->stats(&error);
+  ASSERT_TRUE(stats) << error;
+  const Json& serve = stats->get("serve");
+  const Json& cache = stats->get("cache");
+  EXPECT_EQ(serve.get("cells").as_u64(), 9u);
+  EXPECT_EQ(cache.get("memory_hits").as_u64() +
+                cache.get("disk_hits").as_u64() +
+                cache.get("misses").as_u64(),
+            serve.get("cells").as_u64() - serve.get("hot_hits").as_u64());
+  EXPECT_EQ(cache.get("memory_hits").as_u64(), 2u);  // the `none` cells
+  EXPECT_EQ(cache.get("misses").as_u64(), 7u);
+}
+
 TEST_F(ServeServerTest, ConcurrentIdenticalRequestsSimulateExactlyOnce) {
   start_server(/*jobs=*/4);
   constexpr int kClients = 6;

@@ -432,7 +432,7 @@ int main(int argc, char** argv) {
   try {
     // Every run below builds this platform: reject it before any cell runs.
     const SimConfig platform = apply_sim_config(kv);
-    check_platform(platform.core, platform.mem);
+    check_platform(platform);
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     return 1;
